@@ -6,11 +6,10 @@ gradient plus the cache and returns gradients for its inputs and
 parameters.
 
 3D convolution is cross-correlation lowered to GEMM: patches are gathered
-by k^3 large slice copies into a scratch buffer that is reused across
-calls (fresh multi-hundred-MB allocations each step would spend more time
-page-faulting than computing), chunked over the batch to bound its size.
-The scratch pool makes the layer functions non-reentrant; the training
-contract is single-threaded.
+by k^3 large slice copies into a patch matrix, chunked over the batch to
+bound its size. Each chunk allocates its own buffers, so the layer
+functions keep no state between calls; ``util.configure_allocator`` keeps
+those large buffers on the reusable heap.
 """
 
 from __future__ import annotations
@@ -26,21 +25,8 @@ class LengthMismatch(ValueError):
     """Prediction/target vectors of different lengths."""
 
 
-# Upper bound on one im2col scratch buffer (bytes).
+# Upper bound on one chunk's im2col patch matrix (bytes).
 _COL_BUDGET = 96 * 1024 * 1024
-
-_SCRATCH: dict[tuple, np.ndarray] = {}
-
-
-def _scratch(shape: tuple, dtype) -> np.ndarray:
-    key = (shape, np.dtype(dtype).str)
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        if len(_SCRATCH) > 32:
-            _SCRATCH.clear()
-        buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[key] = buf
-    return buf
 
 
 def _require(cond: bool, message: str) -> None:
@@ -65,10 +51,10 @@ def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _im2col(x_pad: np.ndarray, k: int, stride: int, out_dims) -> np.ndarray:
-    """(B, Cin*k^3, n_positions) patch matrix in a reused scratch buffer."""
+    """(B, Cin*k^3, n_positions) patch matrix."""
     batch, c_in = x_pad.shape[:2]
     ox, oy, oz = out_dims
-    col = _scratch((batch, c_in, k, k, k, ox, oy, oz), x_pad.dtype)
+    col = np.empty((batch, c_in, k, k, k, ox, oy, oz), dtype=x_pad.dtype)
     for a in range(k):
         for b in range(k):
             for c in range(k):
@@ -166,8 +152,7 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)  # (Cin*k^3, Cout)
     for lo in range(0, batch, chunk):
         hi = min(lo + chunk, batch)
-        col_grad = _scratch((hi - lo, c_in * k**3, n_positions), x.dtype)
-        np.matmul(w_t, grad_flat[lo:hi], out=col_grad)
+        col_grad = np.matmul(w_t, grad_flat[lo:hi])
         col_view = col_grad.reshape(hi - lo, c_in, k, k, k, ox, oy, oz)
         for a in range(k):
             for b_ in range(k):
@@ -204,40 +189,60 @@ def leaky_relu_backward(grad_y, cache):
     return out
 
 
+def _window_views(x: np.ndarray, window: int) -> list[np.ndarray]:
+    """The window^3 strided views of x, one per in-window offset (a, b, c),
+    in (x, y, z) window order: view[i, j, l] is x[i*window+a, j*window+b, l*window+c]."""
+    offsets = range(window)
+    return [x[:, :, a::window, b::window, c::window]
+            for a in offsets for b in offsets for c in offsets]
+
+
 def maxpool3d_forward(x, window: int = 2, stride: int | None = None):
-    """Non-overlapping max pooling; spatial dims must divide the window."""
+    """Non-overlapping max pooling; spatial dims must divide the window.
+
+    The output is a running ``np.maximum`` over the window^3 strided views
+    of x, so it keeps x's dtype and a NaN anywhere in a window makes that
+    window's output NaN. The cache holds the output and x itself, not an
+    argmax index: the backward finds each window's first maximum, in
+    (x, y, z) window order, from them. So the eval-mode network, which
+    drops every cache, does no index work when it pools each conv output
+    before leaky ReLU and batchnorm (exact, because both are monotone per
+    channel; see ``network.rnet_forward``).
+    """
     if stride is None:
         stride = window
     _require(stride == window, "maxpool3d supports non-overlapping pooling only")
     x = _as_float(x)
-    batch, channels, dx, dy, dz = x.shape
+    dx, dy, dz = x.shape[2:]
     _require(
         dx % window == 0 and dy % window == 0 and dz % window == 0,
         f"dims {(dx, dy, dz)} not divisible by pool window {window}",
     )
-    ox, oy, oz = dx // window, dy // window, dz // window
-    tiles = (
-        x.reshape(batch, channels, ox, window, oy, window, oz, window)
-        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-        .reshape(batch, channels, ox, oy, oz, window**3)
-    )
-    arg = tiles.argmax(axis=-1)
-    y = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
-    return y, (arg, x.shape, window)
+    views = _window_views(x, window)
+    y = views[0].copy()
+    for view in views[1:]:
+        np.maximum(y, view, out=y)
+    return y, (y, x, window)
 
 
 def maxpool3d_backward(grad_y, cache):
-    arg, in_shape, window = cache
+    """Route each window's gradient to its first maximum.
+
+    Ties go to the first offset in (x, y, z) window order, the offset
+    ``argmax`` over the flattened window would pick; background voxels tie
+    in every block-0 window, so this rule decides where their gradients go.
+    A window whose output is NaN passes no gradient.
+    """
+    y, x, window = cache
     grad_y = np.asarray(grad_y)
-    batch, channels, dx, dy, dz = in_shape
-    ox, oy, oz = dx // window, dy // window, dz // window
-    tiles = np.zeros((batch, channels, ox, oy, oz, window**3), dtype=grad_y.dtype)
-    np.put_along_axis(tiles, arg[..., None], grad_y[..., None], axis=-1)
-    return (
-        tiles.reshape(batch, channels, ox, oy, oz, window, window, window)
-        .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        .reshape(in_shape)
-    )
+    grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
+    free = np.ones(y.shape, dtype=bool)  # windows whose maximum is not yet found
+    for x_view, grad_view in zip(_window_views(x, window), _window_views(grad_x, window)):
+        hit = x_view == y
+        hit &= free
+        np.copyto(grad_view, grad_y, where=hit)
+        free ^= hit
+    return grad_x
 
 
 def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, training=True):

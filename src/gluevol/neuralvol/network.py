@@ -154,9 +154,22 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     """Forward pass; returns (predictions (B,), caches).
 
     Predictions are in the network's internal (possibly standardized) target
-    units; use ``predict`` for volumes in mm^3. In training mode the caches
-    carry updated batchnorm running statistics, applied to ``weights`` by
-    ``apply_running_stats``.
+    units; use ``predict`` for volumes in mm^3. Each block is conv ->
+    leaky ReLU -> batchnorm -> max-pool. In training mode the caches feed
+    ``rnet_backward`` and carry updated batchnorm running statistics,
+    applied to ``weights`` by ``apply_running_stats``.
+
+    Eval mode keeps no caches (``None`` is returned in their place) and runs
+    each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
+    batchnorm touch 1/window^3 of the conv output. The result is bit for bit
+    that of the training order: float rounding is monotone, so leaky ReLU
+    and the running-statistics batchnorm affine are non-decreasing per
+    channel where ``bn_gamma >= 0`` and non-increasing where it is negative,
+    and pooling picks the same element before or after them. Channels with
+    negative ``bn_gamma`` need a min-pool, taken exactly as the negated
+    max-pool of the conv with negated kernel and bias. This holds wherever
+    the normalized values (x - running_mean) / sqrt(running_var + eps) are
+    finite; NaN propagates through both orders alike.
     """
     x = np.asarray(x)
     if x.dtype != weights.dense_w.dtype:
@@ -164,6 +177,8 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     expected = (cfg.in_channels,) + tuple(cfg.input_dims)
     if x.ndim != 5 or x.shape[1:] != expected:
         raise ShapeMismatch(f"input shape {x.shape[1:]} != expected {expected}")
+    if not training:
+        return _eval_forward(x, weights, cfg), None
     caches = []
     h = x
     for blk in weights.blocks:
@@ -171,7 +186,7 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
         h, relu_cache = layers.leaky_relu_forward(h, cfg.leaky_slope)
         h, bn_cache, new_mean, new_var = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
-            eps=cfg.bn_eps, momentum=cfg.bn_momentum, training=training,
+            eps=cfg.bn_eps, momentum=cfg.bn_momentum, training=True,
         )
         h, pool_cache = layers.maxpool3d_forward(h, cfg.pool)
         caches.append((conv_cache, relu_cache, bn_cache, pool_cache, new_mean, new_var))
@@ -179,6 +194,28 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     out, dense_cache = layers.dense_forward(flat, weights.dense_w, weights.dense_b)
     caches.append((dense_cache, h.shape))
     return out[:, 0], caches
+
+
+def _eval_forward(x, weights: ModelWeights, cfg: NetConfig) -> np.ndarray:
+    """Eval-mode predictions, pooling each conv output first (see rnet_forward)."""
+    h = x
+    for blk in weights.blocks:
+        flip = blk.bn_gamma < 0
+        conv_w, conv_b = blk.conv_w, blk.conv_b
+        if flip.any():
+            conv_w = np.where(flip[:, None, None, None, None], -conv_w, conv_w)
+            conv_b = np.where(flip, -conv_b, conv_b)
+        h, _ = layers.conv3d_forward(h, conv_w, conv_b, cfg.stride, cfg.padding)
+        h, _ = layers.maxpool3d_forward(h, cfg.pool)
+        if flip.any():
+            np.negative(h, out=h, where=flip[:, None, None, None])
+        h, _ = layers.leaky_relu_forward(h, cfg.leaky_slope)
+        h, _, _, _ = layers.batchnorm3d_forward(
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
+            eps=cfg.bn_eps, training=False,
+        )
+    out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
+    return out[:, 0]
 
 
 def rnet_backward(grad_pred, caches):

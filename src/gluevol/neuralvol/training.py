@@ -106,7 +106,8 @@ def train(
 
     ``train_x`` is (N, 1, nx, ny, nz) (any dtype; converted per batch) and
     ``train_y`` the volumes in mm^3. Test MSE is evaluated per epoch in eval
-    mode when a test split is provided.
+    mode when a test split is provided. Raises ``FloatingPointError`` naming
+    the epoch and batch at the first batch whose loss is not finite.
     """
     train_y = np.asarray(train_y, dtype=np.float64)
     n = len(train_y)
@@ -140,6 +141,10 @@ def train(
             pred, caches = rnet_forward(batch_x, work, net_cfg, training=True)
             apply_running_stats(work, caches)
             loss, grad = layers.loss_mse(pred, scaled_y[idx])
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}"
+                )
             grads = rnet_backward(grad, caches)
             adam_step(params, grads, state, adam_cfg)
             sq_sum += loss * len(idx)

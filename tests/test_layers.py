@@ -169,6 +169,34 @@ class TestMaxPool3d:
         central_diff_check(loss, (x,), (gx,))
 
 
+    def test_ties_go_to_first_offset(self):
+        # constant window: the whole gradient goes to offset (0, 0, 0)
+        x = np.full((1, 1, 2, 2, 2), 1.5)
+        _, cache = layers.maxpool3d_forward(x, 2)
+        grad = layers.maxpool3d_backward(np.full((1, 1, 1, 1, 1), 3.0), cache)
+        assert np.flatnonzero(grad).tolist() == [0] and grad.sum() == 3.0
+        # maximum at window offsets 3 and 5 ((x, y, z) order): offset 3 wins
+        x = np.zeros((1, 1, 2, 2, 2))
+        x.ravel()[[3, 5]] = 2.0
+        _, cache = layers.maxpool3d_forward(x, 2)
+        grad = layers.maxpool3d_backward(np.full((1, 1, 1, 1, 1), 3.0), cache)
+        assert np.flatnonzero(grad).tolist() == [3] and grad.sum() == 3.0
+
+    def test_keeps_float32(self):
+        x = RNG.standard_normal((2, 3, 4, 4, 4)).astype(np.float32)
+        y, cache = layers.maxpool3d_forward(x, 2)
+        assert y.dtype == np.float32
+        grad = layers.maxpool3d_backward(np.ones(y.shape, dtype=np.float32), cache)
+        assert grad.dtype == np.float32
+
+    def test_nan_poisons_its_window(self):
+        x = RNG.standard_normal((1, 1, 4, 4, 4))
+        x[0, 0, 2, 1, 3] = np.nan
+        y, _ = layers.maxpool3d_forward(x, 2)
+        assert np.isnan(y[0, 0, 1, 0, 1])
+        assert np.isnan(y).sum() == 1
+
+
 class TestBatchNorm3d:
     def test_constant_batch_outputs_shift(self):
         x = np.full((4, 3, 2, 2, 2), 7.0)

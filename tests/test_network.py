@@ -157,6 +157,71 @@ class TestForward:
         assert np.allclose(predict(x, weights, SMALL), 0.06)
 
 
+def reference_eval_forward(x, weights, cfg):
+    """Eval forward built from the layer functions in the training order:
+    conv -> leaky ReLU -> batchnorm (running statistics) -> max-pool."""
+    h = np.asarray(x, dtype=weights.dense_w.dtype)
+    for blk in weights.blocks:
+        h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, cfg.stride, cfg.padding)
+        h, _ = layers.leaky_relu_forward(h, cfg.leaky_slope)
+        h, _, _, _ = layers.batchnorm3d_forward(
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
+            eps=cfg.bn_eps, training=False,
+        )
+        h, _ = layers.maxpool3d_forward(h, cfg.pool)
+    out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
+    return out[:, 0]
+
+
+class TestEvalOrder:
+    """The eval forward pools before ReLU and batchnorm; it must equal the
+    training order bit for bit."""
+
+    CFG = NetConfig(channels=(6, 9), input_dims=(8, 8, 16))
+
+    def weights(self):
+        rng = np.random.default_rng(17)
+        weights = init_weights(self.CFG, seed=4)
+        for blk in weights.blocks:
+            c = len(blk.bn_gamma)
+            blk.conv_w[:] = rng.normal(0.0, 0.3, blk.conv_w.shape)
+            blk.conv_b[:] = rng.normal(0.0, 0.1, c)
+            # positive, negative and zero scales, in every block
+            blk.bn_gamma[:] = rng.normal(0.0, 1.0, c) * (np.arange(c) % 3 != 2)
+            blk.bn_gamma[1] = -abs(blk.bn_gamma[1])
+            blk.bn_gamma[0] = abs(blk.bn_gamma[0])
+            blk.bn_beta[:] = rng.normal(0.0, 0.5, c)
+            blk.bn_mean[:] = rng.normal(0.0, 0.2, c)
+            blk.bn_var[:] = rng.uniform(0.05, 2.0, c)
+        weights.dense_w[:] = rng.normal(0.0, 0.5, weights.dense_w.shape)
+        return weights
+
+    @staticmethod
+    def inputs(kind, batch):
+        rng = np.random.default_rng(batch)
+        if kind == "dense":
+            return rng.standard_normal((batch, 1, 8, 8, 16))
+        # binary height field: one occupied voxel per (x, y) column
+        x = np.zeros((batch, 1, 8, 8, 16))
+        heights = rng.integers(0, 16, (batch, 8, 8))
+        np.put_along_axis(x[:, 0], heights[..., None], 1.0, axis=-1)
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("kind", ["height_field", "dense"])
+    def test_equals_training_order(self, dtype, batch, kind):
+        weights = self.weights().cast(dtype)
+        gammas = np.concatenate([b.bn_gamma for b in weights.blocks])
+        assert (gammas > 0).any() and (gammas < 0).any() and (gammas == 0).any()
+        x = self.inputs(kind, batch)
+        pred, caches = rnet_forward(x, weights, self.CFG, training=False)
+        expected = reference_eval_forward(x, weights, self.CFG)
+        assert caches is None
+        assert pred.dtype == dtype
+        assert np.array_equal(pred, expected)
+
+
 class TestWeightsIo:
     def test_round_trip_bit_exact(self, tmp_path):
         weights = init_weights(tiny_config(), seed=9)

@@ -95,6 +95,14 @@ class TestTrain:
         with pytest.raises(EmptySplit):
             train(np.zeros((0, 1, 8, 8, 8)), np.zeros(0), NET, TrainConfig(epochs=1))
 
+    def test_non_finite_batch_loss_names_epoch_and_batch(self):
+        grids, volumes = toy_dataset()
+        volumes = volumes.copy()
+        volumes[5] = np.nan  # sample 5 is in batch 2 at batch size 2
+        cfg = TrainConfig(epochs=3, batch_size=2, seed=1, shuffle=False)
+        with pytest.raises(FloatingPointError, match="epoch 0, batch 2"):
+            train(grids, volumes, NET, cfg)
+
     def test_history_metadata_defaults(self):
         cfg = TrainConfig()
         assert cfg.epochs == 100
