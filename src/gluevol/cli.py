@@ -5,7 +5,8 @@ and ``config`` (print the resolved defaults). Logs are line-oriented
 ``key=value`` pairs on stdout; files under the output directory are the
 deterministic artifacts.
 
-Exit codes: 0 success, 2 config error, 3 missing input, 4 numeric failure.
+Exit codes: 0 success, 2 config error (a glue type without thresholds
+included), 3 missing input, 4 numeric failure.
 
 Heavy imports happen after thread-count environment variables are set, so
 ``--threads 1`` pins the BLAS pool for fully reproducible runs.
@@ -115,6 +116,7 @@ def main(argv=None) -> int:
     # Imports after the thread env is pinned (numpy reads it at load time).
     from . import pipeline as stages
     from .config import ConfigError, config_to_dict
+    from .diagnose import UnknownType
     from .scansim import BadLayoutConfig
 
     log = _make_logger(args.quiet)
@@ -134,7 +136,7 @@ def main(argv=None) -> int:
             stage_fn = dict(stages.STAGES)[args.command]
             stage_fn(cfg, args.out, log)
         return EXIT_OK
-    except (ConfigError, BadLayoutConfig) as exc:
+    except (ConfigError, BadLayoutConfig, UnknownType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except stages.MissingInput as exc:

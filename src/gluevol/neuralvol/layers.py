@@ -10,6 +10,15 @@ by k^3 large slice copies into a patch matrix, chunked over the batch to
 bound its size. Each chunk allocates its own buffers, so the layer
 functions keep no state between calls; ``util.configure_allocator`` keeps
 those large buffers on the reusable heap.
+
+The network's first block reads binary height-field grids, under 1%
+occupied. Such one-channel 0/1 inputs take an exact sparse path (see
+``conv3d_forward``): only output positions next to an occupied voxel are
+computed, each from exact products w * 0 or w * 1 summed in the GEMM's own
+order, so the output is bit-identical. That order is an assumption about
+the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
+GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
+the dense GEMM is faster and runs instead.
 """
 
 from __future__ import annotations
@@ -27,6 +36,14 @@ class LengthMismatch(ValueError):
 
 # Upper bound on one chunk's im2col patch matrix (bytes).
 _COL_BUDGET = 96 * 1024 * 1024
+
+# Largest share of output positions that may be active for a binary input
+# to take the sparse conv path. The sparse path costs about linear time in
+# the active positions and breaks even with the dense GEMM at 16-18%
+# active (32x32x64 grids, 8 output channels, one BLAS thread: float64 and
+# float32 at batch 1, float32 at batch 32); tiny height-field grids are
+# about 5% active.
+_BINARY_MAX_ACTIVE = 0.15
 
 
 def _require(cond: bool, message: str) -> None:
@@ -84,6 +101,59 @@ def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int, stride: int, out_di
     return y
 
 
+def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims):
+    """Exact sparse correlation plus bias of a one-channel 0/1 input.
+
+    Returns None, for the dense GEMM to run, unless x has one channel, only
+    0 and 1 values, stride 1 and padding k // 2, and at most
+    ``_BINARY_MAX_ACTIVE`` of the output positions are active.
+    """
+    if x.shape[1] != 1 or stride != 1 or padding != k // 2:
+        return None
+    occupied = x[:, 0] != 0
+    if not np.all(x[:, 0][occupied] == 1):
+        return None
+    batch, p = x.shape[0], padding
+    dx, dy, dz = x.shape[2:]
+    padded = np.zeros((batch, dx + 2 * p, dy + 2 * p, dz + 2 * p), dtype=bool)
+    padded[:, p : p + dx, p : p + dy, p : p + dz] = occupied
+    # Separable box dilation: output o is active when its patch
+    # padded[o : o + k] (along each axis) holds an occupied voxel.
+    active = padded
+    for axis, n in enumerate(out_dims, start=1):
+        lead = (slice(None),) * axis
+        dilated = active[lead + (slice(0, n),)].copy()
+        for a in range(1, k):
+            dilated |= active[lead + (slice(a, a + n),)]
+        active = dilated
+    index = np.flatnonzero(active)
+    if index.size > _BINARY_MAX_ACTIVE * active.size:
+        return None
+
+    sample, position = np.divmod(index, active[0].size)
+    i, j, l = np.unravel_index(position, out_dims)
+    px, py, pz = padded.shape[1:]
+    corner = ((sample * px + i) * py + j) * pz + l  # flat index of tap (0, 0, 0)
+    r = np.arange(k)
+    offsets = ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
+    # (k^3, n_active): the patch-matrix rows at the active positions.
+    patches = padded.ravel()[offsets[:, None] + corner].astype(x.dtype)
+    acc = np.zeros((w_mat.shape[0], index.size), dtype=x.dtype)
+    product = np.empty_like(acc)
+    for w_col, patch in zip(w_mat.T, patches):
+        np.multiply(w_col[:, None], patch, out=product)
+        acc += product
+    acc += b[:, None]
+
+    y = np.empty((batch, w_mat.shape[0]) + tuple(out_dims), dtype=x.dtype)
+    # 0 + b, as the GEMM path computes it: a -0.0 bias gives +0.0.
+    y[...] = (b + 0)[:, None, None, None]
+    # Advanced indices on either side of the slice: the view takes
+    # (n_active, c_out) values in place.
+    y.reshape(batch, w_mat.shape[0], -1)[sample, :, position] = acc.T
+    return y
+
+
 def _as_float(arr, like=None) -> np.ndarray:
     """float64 by default; float32 inputs stay float32 (training precision)."""
     if like is not None:
@@ -95,7 +165,21 @@ def _as_float(arr, like=None) -> np.ndarray:
 
 
 def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1):
-    """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,)."""
+    """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
+
+    A one-channel input holding only 0 and 1, at stride 1 and padding
+    k // 2, takes the sparse path of ``_correlate_binary`` when at most
+    ``_BINARY_MAX_ACTIVE`` (15%) of the output positions lie in the k^3
+    box dilation of its occupied voxels. Each active position then starts
+    from 0 and adds its k^3 exact products w * 0 or w * 1 in patch-matrix
+    row order (a, b, c), and then the bias; every other position is 0 + bias.
+    That is the GEMM's own summation order for a K = k^3 dot product on the
+    BLAS this was measured with, so the output is bit-identical to the
+    dense path; ``tests/test_layers.py::TestBinaryConv`` asserts it. A
+    compact GEMM over the active columns would not be: BLAS picks another
+    kernel at small N and differed by 1 ulp in float64. The cache is the
+    same on both paths.
+    """
     x = _as_float(x)
     w = _as_float(w, like=x)
     b = _as_float(b, like=x)
@@ -107,9 +191,11 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1):
     _require(b.shape == (c_out,), "bias shape must be (c_out,)")
     out_dims = _conv_out_dims(x.shape[2:], k, stride, padding)
 
-    x_pad = _pad_spatial(x, padding)
-    y = _correlate(x_pad, np.ascontiguousarray(w.reshape(c_out, -1)), k, stride, out_dims)
-    y += b[:, None, None, None]
+    w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
+    y = _correlate_binary(x, w_mat, b, k, stride, padding, out_dims)
+    if y is None:
+        y = _correlate(_pad_spatial(x, padding), w_mat, k, stride, out_dims)
+        y += b[:, None, None, None]
     return y, (x, w, stride, padding)
 
 
@@ -200,14 +286,16 @@ def _window_views(x: np.ndarray, window: int) -> list[np.ndarray]:
 def maxpool3d_forward(x, window: int = 2, stride: int | None = None):
     """Non-overlapping max pooling; spatial dims must divide the window.
 
-    The output is a running ``np.maximum`` over the window^3 strided views
-    of x, so it keeps x's dtype and a NaN anywhere in a window makes that
-    window's output NaN. The cache holds the output and x itself, not an
-    argmax index: the backward finds each window's first maximum, in
-    (x, y, z) window order, from them. So the eval-mode network, which
-    drops every cache, does no index work when it pools each conv output
-    before leaky ReLU and batchnorm (exact, because both are monotone per
-    channel; see ``network.rnet_forward``).
+    The output is three passes of ``np.maximum`` over the window's strided
+    views along z, then y, then x, each pass shrinking one axis; maximum
+    does not depend on the order, so this equals a running maximum over
+    the window^3 offsets. It keeps x's dtype, and a NaN anywhere in a
+    window makes that window's output NaN. The cache holds the output and
+    x itself, not an argmax index: the backward finds each window's first
+    maximum, in (x, y, z) window order, from them. So the eval-mode
+    network, which drops every cache, does no index work when it pools
+    each conv output before leaky ReLU and batchnorm (exact, because both
+    are monotone per channel; see ``network.rnet_forward``).
     """
     if stride is None:
         stride = window
@@ -218,10 +306,14 @@ def maxpool3d_forward(x, window: int = 2, stride: int | None = None):
         dx % window == 0 and dy % window == 0 and dz % window == 0,
         f"dims {(dx, dy, dz)} not divisible by pool window {window}",
     )
-    views = _window_views(x, window)
-    y = views[0].copy()
-    for view in views[1:]:
-        np.maximum(y, view, out=y)
+    y = x
+    for axis in (4, 3, 2):
+        lead = (slice(None),) * axis
+        views = [y[lead + (slice(a, None, window),)] for a in range(window)]
+        # max(first, last) is a new array for every window, 1 included.
+        y = np.maximum(views[0], views[-1])
+        for view in views[1:-1]:
+            np.maximum(y, view, out=y)
     return y, (y, x, window)
 
 

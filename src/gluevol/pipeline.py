@@ -268,6 +268,26 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     return eval_dir
 
 
+def _eval_docs(out: Path, stage: str) -> list[tuple[tuple[str, bool], dict]]:
+    """The eval document of every (glue type, attached) group in the manifest.
+
+    Groups come from the manifest, not from the files present, so an eval
+    file left over from another config is never read.
+    """
+    manifest_path = out / "manifest.json"
+    if not manifest_path.exists():
+        raise MissingInput(f"{stage}: missing {manifest_path} (run `augment` first)")
+    docs = []
+    for group in _groups(Manifest.from_json(manifest_path)):
+        path = out / "eval" / f"eval_{_group_name(*group)}.json"
+        if not path.exists():
+            raise MissingInput(f"{stage}: missing {path} (run `eval` first)")
+        docs.append((group, json.loads(path.read_text())))
+    if not docs:
+        raise MissingInput(f"{stage}: {manifest_path} lists no samples")
+    return docs
+
+
 def _resolve_thresholds(cfg: RunConfig):
     return cfg.thresholds if cfg.thresholds is not None else diagnose.default_thresholds(cfg.layout)
 
@@ -280,29 +300,23 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     diagnose.thresholds_to_json(thresholds, out / "thresholds.json")
     groups = {}
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for path in sorted(eval_dir.glob("eval_*.json")):
-        doc = json.loads(path.read_text())
-        glue_type = doc["glue_type"]
-        truth = doc["truth"]
-        preds = doc["predictions"]
-        true_labels = [diagnose.classify(v, thresholds, glue_type) for v in truth]
-        pred_labels = [diagnose.classify(v, thresholds, glue_type) for v in preds]
+    for (glue_type, attached), doc in _eval_docs(out, "diagnose"):
+        true_labels = [diagnose.classify(v, thresholds, glue_type) for v in doc["truth"]]
+        pred_labels = [diagnose.classify(v, thresholds, glue_type) for v in doc["predictions"]]
         report = diagnose.accuracy(pred_labels, true_labels)
         confusion += diagnose.confusion_matrix(pred_labels, true_labels)
-        name = _group_name(glue_type, doc["attached"])
+        name = _group_name(glue_type, attached)
         groups[name] = {
             "accuracy_pct": report.overall_pct,
             "true_labels": [l.value for l in true_labels],
             "predicted_labels": [l.value for l in pred_labels],
         }
         log(stage="diagnose", group=name, accuracy_pct=report.overall_pct)
-    if not groups:
-        raise MissingInput("diagnose: no eval_*.json found (run `eval` first)")
     doc = {"groups": groups, "confusion": confusion.tolist()}
-    (out / "eval" / "classification.json").write_text(
+    (eval_dir / "classification.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
-    return out / "eval" / "classification.json"
+    return eval_dir / "classification.json"
 
 
 def stage_report(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
@@ -314,14 +328,12 @@ def stage_report(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     classification_path = eval_dir / "classification.json"
     if not classification_path.exists():
         raise MissingInput(f"report: missing {classification_path} (run `diagnose` first)")
-    eval_results = {}
-    for path in sorted(eval_dir.glob("eval_*.json")):
-        doc = json.loads(path.read_text())
-        eval_results[(doc["glue_type"], doc["attached"])] = SimpleNamespace(
+    eval_results = {
+        group: SimpleNamespace(
             truth=np.array(doc["truth"]), predictions=np.array(doc["predictions"])
         )
-    if not eval_results:
-        raise MissingInput("report: no eval_*.json found (run `eval` first)")
+        for group, doc in _eval_docs(out, "report")
+    }
     classification = json.loads(classification_path.read_text())
     confusion = np.array(classification["confusion"], dtype=np.int64)
 

@@ -7,6 +7,7 @@ brute-force oracle.
 import numpy as np
 import pytest
 
+from gluevol import config, scansim, voxelizer
 from gluevol.neuralvol import layers
 from gluevol.neuralvol.layers import LengthMismatch, ShapeMismatch
 
@@ -118,6 +119,124 @@ class TestConv3d:
         assert gx.dtype == np.float32 and gw.dtype == np.float32
 
 
+def dense_conv(x, w, b, padding):
+    """The GEMM path of conv3d_forward at stride 1: im2col, matmul, bias."""
+    k = w.shape[2]
+    out_dims = layers._conv_out_dims(x.shape[2:], k, 1, padding)
+    w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
+    y = layers._correlate(layers._pad_spatial(x, padding), w_mat, k, 1, out_dims)
+    y += b[:, None, None, None]
+    return y
+
+
+# Binary-conv inputs draw from their own generator, so the draws of the
+# other tests in this file do not depend on which of these ran.
+BINARY_RNG = np.random.default_rng(7)
+
+
+def height_fields(batch, dims=(12, 12, 24), columns=0.1, dtype=np.float64):
+    """One occupied voxel at a random height in a random tenth of the columns."""
+    nx, ny, nz = dims
+    x = np.zeros((batch, 1) + dims, dtype=dtype)
+    s, i, j = np.nonzero(BINARY_RNG.random((batch, nx, ny)) < columns)
+    x[s, 0, i, j, BINARY_RNG.integers(0, nz, s.size)] = 1
+    return x
+
+
+def conv_weights(dtype, k=3, c_out=8):
+    w = BINARY_RNG.standard_normal((c_out, 1, k, k, k)).astype(dtype)
+    b = BINARY_RNG.standard_normal(c_out).astype(dtype)
+    b[:2] = [0.0, -0.0]  # 0 + b must keep the GEMM's sign of zero
+    return w, b
+
+
+def assert_same_bits(y, expected):
+    assert y.dtype == expected.dtype and y.shape == expected.shape
+    assert y.tobytes() == expected.tobytes()
+
+
+class TestBinaryConv:
+    """The sparse path for one-channel 0/1 inputs is bit-identical to the
+    dense GEMM path. The GEMM is made to raise where the sparse path must
+    run, and counted where the input must fall back to it."""
+
+    @staticmethod
+    def sparse_forward(monkeypatch, x, w, b, padding=1):
+        def no_gemm(*args):
+            raise AssertionError("dense GEMM ran on a sparse binary input")
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_correlate", no_gemm)
+            y, cache = layers.conv3d_forward(x, w, b, 1, padding)
+        assert cache[0] is x and cache[2:] == (1, padding)
+        return y
+
+    @staticmethod
+    def gemm_forward(monkeypatch, x, w, b):
+        calls = []
+        gemm = layers._correlate
+
+        def counted(*args):
+            calls.append(1)
+            return gemm(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_correlate", counted)
+            y, _ = layers.conv3d_forward(x, w, b, 1, 1)
+        assert calls, "the input should have taken the dense GEMM path"
+        return y
+
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_height_fields_match_gemm(self, monkeypatch, dtype, batch):
+        x = height_fields(batch, dtype=dtype)
+        w, b = conv_weights(dtype)
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_voxelized_scans_match_gemm(self, monkeypatch, dtype):
+        # every region of the tiny panel, one grid at a time as in
+        # inspection (a compact GEMM over the active columns fails here)
+        cfg = config.tiny_profile_config(0).resolved()
+        pcb = cfg.pcbs()[0]
+        w, b = conv_weights(dtype)
+        for region in pcb.regions():
+            cloud = scansim.raster_scan(pcb, region, cfg.scan)
+            x = voxelizer.build_grid(cloud, cfg.grid).occupancy[None, None].astype(dtype)
+            y = self.sparse_forward(monkeypatch, x, w, b)
+            assert_same_bits(y, dense_conv(x, w, b, 1))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_voxels_on_every_face_match_gemm(self, monkeypatch, k):
+        x = np.zeros((2, 1, 16, 17, 18))
+        x[0, 0, 0, 4, 5] = x[0, 0, -1, 3, 2] = 1  # x faces
+        x[0, 0, 5, 0, 7] = x[1, 0, 2, -1, 1] = 1  # y faces
+        x[1, 0, 6, 6, 0] = x[1, 0, 3, 8, -1] = 1  # z faces
+        x[1, 0, -1, -1, -1] = x[1, 0, 0, 0, 0] = 1  # corners
+        w, b = conv_weights(np.float64, k=k)
+        y = self.sparse_forward(monkeypatch, x, w, b, padding=k // 2)
+        assert_same_bits(y, dense_conv(x, w, b, k // 2))
+
+    def test_empty_grid_is_bias(self, monkeypatch):
+        x = np.zeros((2, 1, 8, 8, 16))
+        w, b = conv_weights(np.float64)
+        y = self.sparse_forward(monkeypatch, x, w, b)
+        assert_same_bits(y, dense_conv(x, w, b, 1))
+        assert np.array_equal(y, np.broadcast_to(b[:, None, None, None], y.shape))
+
+    def test_dense_binary_input_falls_back_to_gemm(self, monkeypatch):
+        x = (BINARY_RNG.random((2, 1, 8, 8, 16)) < 0.3).astype(np.float64)
+        w, b = conv_weights(np.float64)
+        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+
+    @pytest.mark.parametrize("value", [0.5, np.nan])
+    def test_non_binary_input_takes_gemm(self, monkeypatch, value):
+        x = height_fields(2)
+        x[1, 0, 4, 4, 4] = value
+        w, b = conv_weights(np.float64)
+        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+
+
 class TestLeakyRelu:
     def test_values(self):
         y, _ = layers.leaky_relu_forward(np.array([-1.0, 2.0]), 0.01)
@@ -195,6 +314,23 @@ class TestMaxPool3d:
         y, _ = layers.maxpool3d_forward(x, 2)
         assert np.isnan(y[0, 0, 1, 0, 1])
         assert np.isnan(y).sum() == 1
+
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pairwise_passes_match_running_maximum(self, window, dtype):
+        # integer values tie within windows, normals break ties, NaNs poison
+        rng = np.random.default_rng(window)
+        x = rng.integers(-2, 3, (2, 3, 6, 6, 6)).astype(dtype)
+        noisy = rng.random(x.shape) < 0.5
+        x[noisy] += rng.standard_normal(int(noisy.sum())).astype(dtype)
+        x.ravel()[rng.choice(x.size, 5, replace=False)] = np.nan
+        views = layers._window_views(x, window)
+        expected = views[0].copy()
+        for view in views[1:]:
+            np.maximum(expected, view, out=expected)
+        y, _ = layers.maxpool3d_forward(x, window)
+        assert y.dtype == dtype
+        assert np.array_equal(y, expected, equal_nan=True)
 
 
 class TestBatchNorm3d:
