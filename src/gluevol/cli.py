@@ -5,8 +5,9 @@ and ``config`` (print the resolved defaults). Logs are line-oriented
 ``key=value`` pairs on stdout; files under the output directory are the
 deterministic artifacts.
 
-Exit codes: 0 success, 2 config error (a glue type without thresholds
-included), 3 missing input, 4 numeric failure.
+Exit codes: 0 success, 2 config error (an unknown or missing config key
+and a glue type without thresholds included), 3 missing input, 4 numeric
+failure.
 
 Heavy imports happen after thread-count environment variables are set, so
 ``--threads 1`` pins the BLAS pool for fully reproducible runs.
@@ -115,18 +116,17 @@ def main(argv=None) -> int:
 
     # Imports after the thread env is pinned (numpy reads it at load time).
     from . import pipeline as stages
-    from .config import ConfigError, config_to_dict
+    from .config import ConfigError
     from .diagnose import UnknownType
     from .scansim import BadLayoutConfig
+    from .util import encode
 
     log = _make_logger(args.quiet)
     try:
         cfg = _resolve_config(args)
         if args.command == "config":
-            import json
-
             if args.print_defaults:
-                print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
+                sys.stdout.write(encode(cfg))
             else:
                 print(f"profile={cfg.profile} seed={cfg.seed} step_um={cfg.scan.step_um}")
             return EXIT_OK

@@ -72,12 +72,3 @@ def read_ggpc(path) -> PointCloud:
         raise CloudFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
     xyz = np.frombuffer(data, dtype="<f8", offset=9).reshape(count, 3)
     return PointCloud(xyz.astype(np.float64))
-
-
-def read_cloud(path) -> PointCloud:
-    """Dispatch on the GGPC1 magic, otherwise parse as .xyz text."""
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-    if magic == GGPC_MAGIC:
-        return read_ggpc(path)
-    return read_xyz(path)

@@ -1,29 +1,27 @@
-"""Run configuration: per-module sections, profiles, JSON round-trip.
+"""Run configuration: per-module sections, profiles, JSON loading.
 
 A run is one JSON document with a global seed; stage functions derive
-every module seed from it so a whole pipeline reruns bit-identically. The
+every module seed from it so a whole pipeline reruns bit-identically.
+Documents are written with ``util.encode`` and read with ``load_config``,
+which holds them to the codec's rule: every key present, none unknown. The
 ``paper`` profile mirrors the full three-panel replication; ``tiny`` is
 the desk-scale single-type profile used by the acceptance runs.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dataset import AugmentParams
 from .diagnose import VolumeThresholds
 from .neuralvol.network import NetConfig, tiny_config
 from .neuralvol.training import TrainConfig, tiny_train_config
-from .scansim import ATTACH_PATTERNS, LayoutConfig, PcbModel, ScanConfig, ShapeParams, make_pcb
+from .scansim import ATTACH_PATTERNS, LayoutConfig, PcbModel, ScanConfig, make_pcb
+from .util import ConfigError, decode
 from .voxelizer import GridConfig
 
 ALLOWED_STEPS_UM = (20.0, 50.0)
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
 
 
 @dataclass(frozen=True)
@@ -128,92 +126,9 @@ def profile_config(profile: str, seed: int = 0) -> RunConfig:
     raise ConfigError(f"unknown profile {profile!r}")
 
 
-def _layout_from_dict(doc: dict) -> LayoutConfig:
-    shape_doc = doc.get("shape", {})
-    shape = ShapeParams(**{**shape_doc,
-                           "bump_position": tuple(shape_doc.get("bump_position", ShapeParams.bump_position))})
-    column_scales = doc["column_scales"]
-    return LayoutConfig(
-        rows=doc["rows"],
-        columns=doc["columns"],
-        glue_types=tuple(doc["glue_types"]),
-        deposits_per_type=doc["deposits_per_type"],
-        base_volume_mm3={k: float(v) for k, v in doc["base_volume_mm3"].items()},
-        column_scales=None if column_scales is None else tuple(column_scales),
-        # Documents from before the range was stored carry concrete scales instead.
-        column_scale_range=tuple(doc.get("column_scale_range", LayoutConfig.column_scale_range)),
-        footprint_mm={k: tuple(v) for k, v in doc["footprint_mm"].items()},
-        die_mm={k: tuple(v) for k, v in doc["die_mm"].items()},
-        squeeze_ratio=doc["squeeze_ratio"],
-        fillet_width_mm=doc["fillet_width_mm"],
-        shape=shape,
-        attach_pattern=doc.get("attach_pattern", "unattached"),
-    )
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "seed": cfg.seed,
-        "profile": cfg.profile,
-        "passes": cfg.passes,
-        "label_source": cfg.label_source,
-        "attach_patterns": list(cfg.attach_patterns),
-        "layout": asdict(cfg.layout),
-        "scan": asdict(cfg.scan),
-        "augment": asdict(cfg.augment),
-        "grid": asdict(cfg.grid),
-        "net": asdict(cfg.net),
-        "train": asdict(cfg.train),
-        "prediction_s_per_region": cfg.prediction_s_per_region,
-        "thresholds": None
-        if cfg.thresholds is None
-        else {
-            k: {"lower_mm3": t.lower_mm3, "upper_mm3": t.upper_mm3}
-            for k, t in sorted(cfg.thresholds.items())
-        },
-    }
-    return doc
-
-
-def config_from_dict(doc: dict) -> RunConfig:
-    try:
-        augment = dict(doc["augment"])
-        augment["noise_levels"] = tuple(augment["noise_levels"])
-        net = dict(doc["net"])
-        net["channels"] = tuple(net["channels"])
-        net["input_dims"] = tuple(net["input_dims"])
-        thresholds = doc.get("thresholds")
-        return RunConfig(
-            seed=doc["seed"],
-            profile=doc.get("profile", "custom"),
-            passes=doc["passes"],
-            label_source=doc.get("label_source", "analytic"),
-            attach_patterns=tuple(doc["attach_patterns"]),
-            layout=_layout_from_dict(doc["layout"]),
-            scan=ScanConfig(**doc["scan"]),
-            augment=AugmentParams(**augment),
-            grid=GridConfig(**doc["grid"]),
-            net=NetConfig(**net),
-            train=TrainConfig(**doc["train"]),
-            prediction_s_per_region=doc.get("prediction_s_per_region", 1.3),
-            thresholds=None
-            if thresholds is None
-            else {
-                k: VolumeThresholds(v["lower_mm3"], v["upper_mm3"])
-                for k, v in thresholds.items()
-            },
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run config: {exc}") from exc
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-
-
 def load_config(path) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(path).read_text()
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(doc)
+    return decode(RunConfig, text)

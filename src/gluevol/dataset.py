@@ -12,9 +12,8 @@ across the split.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import geom3d
 from .geom3d import BoundingBox2, EmptyGlueWarning, Plane, PointCloud
 from .scansim import PcbModel, RegionSpec, ScanConfig, scan_lattice
-from .util import DOMAIN_AUGMENT, derived_rng, floor_ratio, stable_u32
+from .util import DOMAIN_AUGMENT, decode, derived_rng, encode, floor_ratio, stable_u32
 
 # Annotated volumes below this are flagged as empty deposits.
 EMPTY_GLUE_FLOOR_MM3 = 1e-4
@@ -92,17 +91,11 @@ class Manifest:
         return table
 
     def to_json(self, path) -> None:
-        doc = {
-            "samples": [asdict(s) for s in self.samples],
-            "provenance": self.provenance,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(encode(self))
 
     @classmethod
     def from_json(cls, path) -> "Manifest":
-        doc = json.loads(Path(path).read_text())
-        samples = [Sample(**record) for record in doc["samples"]]
-        return cls(samples=samples, provenance=doc.get("provenance", {}))
+        return decode(cls, Path(path).read_text())
 
     def to_csv(self, path) -> None:
         """Label table export for audit."""
@@ -298,21 +291,6 @@ def expected_crop_counts(region: RegionSpec, scan_cfg: ScanConfig,
     x_range = float(xs[-1] - xs[0]) if len(xs) > 1 else 0.0
     y_range = float(ys[-1] - ys[0]) if len(ys) > 1 else 0.0
     return crop_counts(x_range, y_range, params)
-
-
-def propagate_labels(manifest: Manifest, annotations: AnnotationTable) -> Manifest:
-    """Attached samples get the mean annotated volume of unattached deposits
-    in the same column and glue type; unattached samples are untouched."""
-    means: dict[tuple[int, str], float] = {}
-    samples = []
-    for s in manifest.samples:
-        if s.attached:
-            key = (s.col, s.glue_type)
-            if key not in means:
-                means[key] = annotations.column_mean(*key)
-            s = Sample(**{**asdict(s), "volume_mm3": means[key]})
-        samples.append(s)
-    return Manifest(samples=samples, provenance=dict(manifest.provenance))
 
 
 def build_manifest(

@@ -9,7 +9,6 @@ production thresholds come from a JSON config.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -85,12 +84,6 @@ class AccuracyReport:
     overall_pct: float
     per_type_pct: dict[str, float]
 
-    @property
-    def macro_pct(self) -> float:
-        if not self.per_type_pct:
-            return self.overall_pct
-        return sum(self.per_type_pct.values()) / len(self.per_type_pct)
-
 
 def accuracy(
     predicted: Sequence[FaultLabel],
@@ -124,22 +117,6 @@ def confusion_matrix(
     for p, t in zip(predicted, true):
         matrix[order[t], order[p]] += 1
     return matrix
-
-
-def thresholds_to_json(thresholds: Mapping[str, VolumeThresholds], path) -> None:
-    doc = {
-        glue_type: {"lower_mm3": t.lower_mm3, "upper_mm3": t.upper_mm3}
-        for glue_type, t in sorted(thresholds.items())
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def thresholds_from_json(path) -> dict[str, VolumeThresholds]:
-    doc = json.loads(Path(path).read_text())
-    return {
-        glue_type: VolumeThresholds(entry["lower_mm3"], entry["upper_mm3"])
-        for glue_type, entry in doc.items()
-    }
 
 
 def write_curve_csv(path, truth: np.ndarray, predictions: np.ndarray) -> None:

@@ -118,11 +118,6 @@ class PointCloud:
             raise EmptyResult("bounds of empty cloud")
         return self.xyz.min(axis=0), self.xyz.max(axis=0)
 
-    def with_meta(self, **extra) -> "PointCloud":
-        meta = dict(self.meta)
-        meta.update(extra)
-        return PointCloud(self.xyz, meta)
-
 
 class Plane:
     """Plane { p : n . p = d } with unit normal ``n`` and offset ``d`` (mm)."""

@@ -1,83 +1,1 @@
 """From-scratch 3D convolutional regression: layers, network, training."""
-
-from .layers import (
-    LengthMismatch,
-    ShapeMismatch,
-    batchnorm3d_backward,
-    batchnorm3d_forward,
-    conv3d_backward,
-    conv3d_forward,
-    dense_backward,
-    dense_forward,
-    leaky_relu_backward,
-    leaky_relu_forward,
-    loss_mse,
-    maxpool3d_backward,
-    maxpool3d_forward,
-)
-from .network import (
-    TINY_CHANNELS,
-    BlockWeights,
-    ModelWeights,
-    NetConfig,
-    baseline_config,
-    init_weights,
-    param_count,
-    predict,
-    rnet_backward,
-    rnet_forward,
-    tiny_config,
-)
-from .optim import AdamConfig, AdamState, adam_init, adam_step
-from .training import (
-    EmptySplit,
-    EvalResult,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    spearman_rank_correlation,
-    tiny_train_config,
-    train,
-)
-from .weights_io import read_weights, write_weights
-
-__all__ = [
-    "AdamConfig",
-    "AdamState",
-    "BlockWeights",
-    "EmptySplit",
-    "EvalResult",
-    "LengthMismatch",
-    "ModelWeights",
-    "NetConfig",
-    "ShapeMismatch",
-    "TINY_CHANNELS",
-    "TrainConfig",
-    "TrainResult",
-    "adam_init",
-    "adam_step",
-    "baseline_config",
-    "batchnorm3d_backward",
-    "batchnorm3d_forward",
-    "conv3d_backward",
-    "conv3d_forward",
-    "dense_backward",
-    "dense_forward",
-    "evaluate",
-    "init_weights",
-    "leaky_relu_backward",
-    "leaky_relu_forward",
-    "loss_mse",
-    "maxpool3d_backward",
-    "maxpool3d_forward",
-    "param_count",
-    "predict",
-    "read_weights",
-    "rnet_backward",
-    "rnet_forward",
-    "spearman_rank_correlation",
-    "tiny_config",
-    "tiny_train_config",
-    "train",
-    "write_weights",
-]

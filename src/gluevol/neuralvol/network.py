@@ -4,13 +4,12 @@ then flatten and a single dense output.
 The canonical configuration (channels 32..512 over a 32x32x64 occupancy
 grid) halves each spatial dimension per block and flattens to 1024
 features. A tiny profile keeps the identical topology at reduced channel
-counts so the network trains on a desk CPU, and a shallow two-block variant
-of the same stack serves as the comparison baseline.
+counts so the network trains on a desk CPU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +53,6 @@ class NetConfig:
 
 def tiny_config() -> NetConfig:
     return NetConfig(channels=TINY_CHANNELS)
-
-
-def baseline_config(base: NetConfig | None = None) -> NetConfig:
-    """Shallow two-block variant of the same layer stack."""
-    base = base or NetConfig()
-    return replace(base, channels=base.channels[:2])
 
 
 @dataclass
@@ -136,18 +129,6 @@ def init_weights(cfg: NetConfig, seed: int = 0) -> ModelWeights:
         c_in = c_out
     dense_w = rng.normal(0.0, 0.02, (cfg.flatten_length, 1))
     return ModelWeights(blocks=blocks, dense_w=dense_w, dense_b=np.zeros(1))
-
-
-def param_count(cfg: NetConfig) -> int:
-    """Closed-form trainable parameter count (running stats excluded)."""
-    total = 0
-    c_in = cfg.in_channels
-    for c_out in cfg.channels:
-        total += c_out * c_in * cfg.kernel**3 + c_out  # conv kernel + bias
-        total += 2 * c_out  # batchnorm scale + shift
-        c_in = c_out
-    total += cfg.flatten_length + 1  # dense weight + bias
-    return total
 
 
 def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = False):

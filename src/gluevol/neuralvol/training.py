@@ -9,7 +9,7 @@ errors are always in raw mm^3 units.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .network import (
     rnet_backward,
     rnet_forward,
 )
-from .optim import AdamConfig, AdamState, adam_init, adam_step
+from .optim import AdamConfig, adam_init, adam_step
 
 
 class EmptySplit(ValueError):
@@ -173,27 +173,3 @@ def evaluate(weights: ModelWeights, net_cfg: NetConfig, x, y, batch_size: int = 
     mse = float(np.mean((preds - y) ** 2))
     order = np.argsort(-y, kind="stable")
     return EvalResult(mse=mse, truth=y[order], predictions=preds[order], order=order)
-
-
-def history_rows(history: list[EpochStats]) -> list[tuple]:
-    return [(h.epoch, h.train_mse, h.test_mse, h.wall_seconds) for h in history]
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks with ties assigned their group-average rank."""
-    values = np.asarray(values, dtype=np.float64)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    avg = ends - (counts + 1) / 2.0  # zero-based average rank per unique value
-    return avg[inverse]
-
-
-def spearman_rank_correlation(a, b) -> float:
-    """Spearman rho between two samples (ties get average ranks)."""
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = np.sqrt((ra**2).sum() * (rb**2).sum())
-    if denom == 0:
-        return 0.0
-    return float((ra * rb).sum() / denom)

@@ -24,10 +24,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import cloudio, dataset, diagnose, geom3d, scansim, voxelizer
+from . import cloudio, dataset, diagnose, scansim, voxelizer
 from .config import RunConfig
 from .dataset import AnnotationRecord, AnnotationTable, Manifest
-from .neuralvol import network, training, weights_io
+from .neuralvol import training, weights_io
+from .util import encode
 
 
 class MissingInput(FileNotFoundError):
@@ -261,9 +262,7 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
             "predictions": [float(v) for v in result.predictions],
             "order": [int(v) for v in result.order],
         }
-        (eval_dir / f"eval_{name}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        (eval_dir / f"eval_{name}.json").write_text(encode(doc))
         log(stage="eval", group=name, mse_e6=result.mse_e6, n_test=len(test_y))
     return eval_dir
 
@@ -297,7 +296,7 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     out = Path(out)
     eval_dir = _require_dir(out / "eval", "diagnose", "eval")
     thresholds = _resolve_thresholds(cfg)
-    diagnose.thresholds_to_json(thresholds, out / "thresholds.json")
+    (out / "thresholds.json").write_text(encode(thresholds))
     groups = {}
     confusion = np.zeros((3, 3), dtype=np.int64)
     for (glue_type, attached), doc in _eval_docs(out, "diagnose"):
@@ -313,9 +312,7 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
         }
         log(stage="diagnose", group=name, accuracy_pct=report.overall_pct)
     doc = {"groups": groups, "confusion": confusion.tolist()}
-    (eval_dir / "classification.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    (eval_dir / "classification.json").write_text(encode(doc))
     return eval_dir / "classification.json"
 
 

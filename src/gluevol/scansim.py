@@ -13,14 +13,14 @@ ground-truth oracle for the annotation pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .geom3d import BoundingBox2, PointCloud
-from .util import DOMAIN_SCAN, derived_rng, floor_ratio, stable_u32
+from .util import DOMAIN_SCAN, JSON_OPTIONAL, derived_rng, floor_ratio, stable_u32
 
 GLUE_TYPES = ("A", "B", "C", "D", "E")
 
@@ -34,14 +34,6 @@ _QUAD_N = 1024
 
 class BadLayoutConfig(ValueError):
     """Inconsistent PCB layout parameters."""
-
-
-class OutsideFootprint(ValueError):
-    """Height queried outside the deposit footprint."""
-
-
-class DieLargerThanFootprint(ValueError):
-    """Die does not fit inside the region footprint."""
 
 
 class NonPositiveRange(ValueError):
@@ -129,8 +121,11 @@ class ScanConfig:
 class LayoutConfig:
     """Parametric panel layout: circuits grid, deposits, volume gradient.
 
-    The run-config codec stores ``column_scales`` and ``column_scale_range``
-    as configured; ``scales()`` is derived from them after loading.
+    The JSON codec (``util.encode`` / ``util.decode``) stores
+    ``column_scales`` and ``column_scale_range`` as configured; ``scales()``
+    is derived from them after loading. That pair is the codec's one legacy
+    case: older documents hold materialized ``column_scales`` and no
+    ``column_scale_range``, so the range alone may be absent.
     """
 
     rows: int = 2
@@ -141,7 +136,9 @@ class LayoutConfig:
         default_factory=lambda: {"A": 0.10, "B": 0.030, "C": 0.080, "D": 0.020, "E": 0.10}
     )
     column_scales: tuple[float, ...] | None = None
-    column_scale_range: tuple[float, float] = (0.5, 1.5)
+    column_scale_range: tuple[float, float] = field(
+        default=(0.5, 1.5), metadata={JSON_OPTIONAL: True}
+    )
     footprint_mm: Mapping[str, tuple[float, float]] = field(
         default_factory=lambda: {
             "A": (0.7, 1.8),
@@ -392,42 +389,9 @@ def surface_height(region: RegionSpec, x, y):
     return np.where(inside, height, 0.0)
 
 
-def glue_height(region: RegionSpec, x, y):
-    """Deposit height (mm) at footprint coordinates; scalar in, scalar out.
-
-    Raises OutsideFootprint if any queried point leaves the footprint box.
-    """
-    scalar = np.isscalar(x) and np.isscalar(y)
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if not np.all(region.footprint.contains(xa, ya)):
-        raise OutsideFootprint(f"point outside footprint of {region.region_id}")
-    height = _deposit_height(region, xa, ya)
-    return float(height) if scalar else height
-
-
 def analytic_volume(region: RegionSpec) -> float:
     """Exact modeled glue volume; die attachment conserves it."""
     return region.dispensed_volume
-
-
-def attach_die(region: RegionSpec) -> RegionSpec:
-    """Attach the die: glue splits into a bondline under the die and a
-    perimeter fillet holding the remaining (1 - squeeze) fraction."""
-    if region.die is None:
-        raise BadLayoutConfig(f"region {region.region_id} has no die parameters")
-    box = region.footprint
-    if region.die.width_mm > box.x_range or region.die.length_mm > box.y_range:
-        raise DieLargerThanFootprint(
-            f"die {region.die.width_mm}x{region.die.length_mm} exceeds footprint"
-        )
-    return replace(region, attached=True)
-
-
-def bondline_mm(region: RegionSpec) -> float:
-    """Glue layer thickness under the die."""
-    die = region.die
-    return die.squeeze_ratio * region.dispensed_volume / die.area_mm2
 
 
 def pulse_schedule(range_mm: float, step_um: float) -> np.ndarray:

@@ -1,9 +1,26 @@
-"""Small shared helpers: tolerant grid arithmetic and seed derivation."""
+"""Small shared helpers: tolerant grid arithmetic, seed derivation and the
+one dataclass <-> JSON codec.
+
+Every JSON document the package writes (the run config,
+``manifest.json``, ``thresholds.json``, the eval documents) goes through
+``encode``; the typed ones are read back with ``decode``. Decoding follows
+one rule for every dataclass: an unknown key and a missing key are both a
+``ConfigError``. The one exception is ``LayoutConfig.column_scale_range``,
+marked ``JSON_OPTIONAL``: documents written before the range was stored
+carry materialized ``column_scales`` without it, and load with the default
+range.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import math
+import types
+import typing
 import zlib
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -61,3 +78,115 @@ def configure_allocator() -> None:
         libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError):
         pass
+
+
+# Field metadata key: the field may be absent from a decoded document.
+JSON_OPTIONAL = "json_optional"
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent run configuration or JSON document."""
+
+
+# Values of these types are taken as parsed.
+_AS_PARSED = (int, str, bool, dict)
+
+
+def _field_object(obj) -> dict:
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def encode(obj) -> str:
+    """Indented JSON with sorted keys; dataclasses become field objects."""
+    return json.dumps(obj, default=_field_object, indent=2, sort_keys=True) + "\n"
+
+
+def decode(tp, text: str):
+    """Rebuild a value of type ``tp`` from ``encode``'s JSON text.
+
+    Raises ConfigError for malformed JSON, a value that does not fit ``tp``
+    and any error a dataclass raises while validating its fields.
+    """
+    try:
+        return _decoder(tp)(json.loads(text))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot decode {getattr(tp, '__name__', tp)}: {exc}") from exc
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"expected {what}, got {value!r}")
+    return value
+
+
+@functools.cache
+def _decoder(tp):
+    """Converter from parsed JSON to ``tp``, built once per type."""
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_decoder(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        convert = _decoder(inner)
+        return lambda v: None if v is None else convert(v)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _decoder(args[0])
+        return lambda v: tuple(item(x) for x in _expect(v, list, "an array"))
+    if origin is tuple:
+        items = [_decoder(a) for a in args]
+
+        def fixed(v):
+            if len(_expect(v, list, "an array")) != len(items):
+                raise ConfigError(f"expected {len(items)} values, got {v!r}")
+            return tuple(f(x) for f, x in zip(items, v))
+
+        return fixed
+    if origin is list:
+        item = _decoder(args[0])
+        return lambda v: [item(x) for x in _expect(v, list, "an array")]
+    if origin in (dict, Mapping):
+        value = _decoder(args[1])
+        return lambda v: {k: value(x) for k, x in _expect(v, dict, "an object").items()}
+    if tp is float:
+        return _number
+    if tp in _AS_PARSED:
+        return lambda v: v
+    raise TypeError(f"no JSON decoder for {tp!r}")
+
+
+def _dataclass_decoder(tp):
+    hints = typing.get_type_hints(tp)
+    fields = dataclasses.fields(tp)
+    names = frozenset(f.name for f in fields)
+    required = frozenset(f.name for f in fields if not f.metadata.get(JSON_OPTIONAL))
+    convert = [
+        (f.name, _decoder(hints[f.name])) for f in fields if hints[f.name] not in _AS_PARSED
+    ]
+
+    def decode_fields(doc):
+        kwargs = dict(_expect(doc, dict, f"a {tp.__name__} object"))
+        if kwargs.keys() != names:
+            for what, keys in (("unknown", kwargs.keys() - names),
+                               ("missing", required - kwargs.keys())):
+                if keys:
+                    listed = ", ".join(map(repr, sorted(keys)))
+                    raise ConfigError(f"{tp.__name__}: {what} key {listed}")
+        for name, f in convert:
+            if name in kwargs:
+                try:
+                    kwargs[name] = f(kwargs[name])
+                except ConfigError as exc:
+                    raise ConfigError(f"{tp.__name__}.{name}: {exc}") from None
+        return tp(**kwargs)
+
+    return decode_fields

@@ -56,10 +56,6 @@ class VoxelGrid:
     voxel_size: np.ndarray  # (3,) mm
     occupancy: np.ndarray  # (nx, ny, nz) bool
 
-    def as_input_tensor(self) -> np.ndarray:
-        """(1, nx, ny, nz) float64 network input."""
-        return self.occupancy[None].astype(np.float64)
-
 
 @dataclass(frozen=True)
 class GridStats:

@@ -2,7 +2,9 @@
 and diagnose/report reading only the manifest's groups.
 
 The micro config (8x8x16 grids, channels (2, 4), two columns of two
-deposits, one epoch) runs every stage in about a second.
+deposits, one epoch) runs every stage in about a second. Its attached
+variant (two rows; attached, unattached and half-attached panels) covers
+the die-attached labels propagated from the unattached annotations.
 """
 
 import json
@@ -19,6 +21,7 @@ import pytest
 import gluevol
 from gluevol import cli, config
 from gluevol.diagnose import VolumeThresholds
+from gluevol.util import encode
 
 SRC = str(Path(gluevol.__file__).resolve().parents[1])
 
@@ -32,6 +35,12 @@ def micro_config() -> config.RunConfig:
         net=replace(cfg.net, channels=(2, 4), input_dims=(8, 8, 16)),
         train=replace(cfg.train, epochs=1),
     )
+
+
+def attached_micro_config() -> config.RunConfig:
+    cfg = micro_config()
+    return replace(cfg, attach_patterns=("attached", "unattached", "half"),
+                   layout=replace(cfg.layout, rows=2))
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
@@ -55,18 +64,26 @@ def workspace_files(root: Path) -> dict[str, bytes]:
     return files
 
 
-@pytest.fixture(scope="module")
-def micro(tmp_path_factory):
-    """Two pipeline runs of the micro config into separate workspaces."""
-    root = tmp_path_factory.mktemp("micro")
+def two_runs(root: Path, cfg: config.RunConfig) -> SimpleNamespace:
+    """Two pipeline runs of ``cfg`` into separate workspaces under ``root``."""
     cfg_path = root / "micro.json"
-    config.save_config(micro_config(), cfg_path)
+    cfg_path.write_text(encode(cfg))
     procs = [
         run_cli("pipeline", "--config", cfg_path, "--out", root / name, "--threads", "1", "--quiet")
         for name in ("first", "second")
     ]
     return SimpleNamespace(cfg_path=cfg_path, first=root / "first", second=root / "second",
                            procs=procs)
+
+
+@pytest.fixture(scope="module")
+def micro(tmp_path_factory):
+    return two_runs(tmp_path_factory.mktemp("micro"), micro_config())
+
+
+@pytest.fixture(scope="module")
+def micro_attached(tmp_path_factory):
+    return two_runs(tmp_path_factory.mktemp("micro_attached"), attached_micro_config())
 
 
 def run_stage(cfg_path, name, out) -> int:
@@ -94,6 +111,23 @@ class TestPipeline:
     def test_zero_threads_exits_2(self, tmp_path):
         proc = run_cli("config", "--threads", "0", "--out", tmp_path)
         assert proc.returncode == cli.EXIT_CONFIG
+
+
+class TestAttachedPipeline:
+    def test_runs_end_to_end(self, micro_attached):
+        for proc in micro_attached.procs:
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+        files = workspace_files(micro_attached.first)
+        assert "models/weights_A_attached.ggnn" in files
+        assert "reports/curves_A_attached.csv" in files
+        groups = json.loads(files["eval/classification.json"])["groups"]
+        assert sorted(groups) == ["A_attached", "A_unattached"]
+
+    def test_rerun_is_byte_identical(self, micro_attached):
+        first = workspace_files(micro_attached.first)
+        second = workspace_files(micro_attached.second)
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []
 
 
 class TestStaleEvalGroups:
@@ -132,5 +166,5 @@ class TestStaleEvalGroups:
     def test_type_without_thresholds_exits_2(self, ws, tmp_path):
         cfg = replace(micro_config(), thresholds={"B": VolumeThresholds(0.01, 0.02)})
         cfg_path = tmp_path / "no_thresholds_for_A.json"
-        config.save_config(cfg, cfg_path)
+        cfg_path.write_text(encode(cfg))
         assert run_stage(cfg_path, "diagnose", ws) == cli.EXIT_CONFIG

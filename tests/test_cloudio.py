@@ -3,7 +3,6 @@ import pytest
 
 from gluevol.cloudio import (
     CloudFormatError,
-    read_cloud,
     read_ggpc,
     read_xyz,
     write_ggpc,
@@ -68,13 +67,3 @@ class TestGgpc:
         path.write_bytes(b"WRONG" + b"\x00" * 4)
         with pytest.raises(CloudFormatError):
             read_ggpc(path)
-
-
-class TestSniff:
-    def test_dispatch_by_magic(self, tmp_path, cloud):
-        xyz_path = tmp_path / "scan.xyz"
-        ggpc_path = tmp_path / "scan.bin"
-        write_xyz(cloud, xyz_path)
-        write_ggpc(cloud, ggpc_path)
-        assert np.array_equal(read_cloud(xyz_path).xyz, cloud.xyz)
-        assert np.array_equal(read_cloud(ggpc_path).xyz, cloud.xyz)

@@ -4,18 +4,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gluevol import cli
 from gluevol.config import (
     ConfigError,
     RunConfig,
-    config_from_dict,
-    config_to_dict,
     load_config,
     paper_config,
     profile_config,
-    save_config,
     tiny_profile_config,
 )
 from gluevol.diagnose import VolumeThresholds
+from gluevol.util import decode, encode
+
+
+def to_doc(cfg: RunConfig) -> dict:
+    return json.loads(encode(cfg))
+
+
+def write_doc(path, doc: dict):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestProfiles:
@@ -78,13 +86,13 @@ class TestSerialization:
             tiny_profile_config(seed=3), thresholds={"A": VolumeThresholds(0.01, 0.02)}
         )
         path = tmp_path / "run.json"
-        save_config(cfg, path)
+        path.write_text(encode(cfg))
         loaded = load_config(path)
         assert loaded == cfg
 
     def test_round_trip_paper(self):
         cfg = paper_config(seed=1)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert decode(RunConfig, encode(cfg)) == cfg
 
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -92,11 +100,11 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_missing_key_is_config_error(self):
-        doc = config_to_dict(tiny_profile_config())
+    def test_missing_key_is_config_error(self, tmp_path):
+        doc = to_doc(tiny_profile_config())
         del doc["layout"]
         with pytest.raises(ConfigError):
-            config_from_dict(doc)
+            load_config(write_doc(tmp_path / "run.json", doc))
 
     @pytest.mark.parametrize(
         "layout_change",
@@ -107,27 +115,80 @@ class TestSerialization:
         cfg = tiny_profile_config(seed=2)
         cfg = replace(cfg, layout=replace(cfg.layout, **layout_change))
         path = tmp_path / "run.json"
-        save_config(cfg, path)
+        path.write_text(encode(cfg))
         assert load_config(path) == cfg
 
     @pytest.mark.parametrize("make_cfg", [tiny_profile_config, paper_config], ids=["tiny", "paper"])
-    def test_legacy_materialized_scales_load(self, make_cfg):
+    def test_legacy_materialized_scales_load(self, make_cfg, tmp_path):
         # Older documents hold the derived scales and no range.
         cfg = make_cfg(seed=4)
-        doc = config_to_dict(cfg)
+        doc = to_doc(cfg)
         doc["layout"]["column_scales"] = [float(s) for s in cfg.layout.scales()]
         del doc["layout"]["column_scale_range"]
-        loaded = config_from_dict(json.loads(json.dumps(doc)))
+        loaded = load_config(write_doc(tmp_path / "run.json", doc))
         assert loaded.layout.scales() == cfg.layout.scales()
         for got, want in zip(loaded.pcbs(), cfg.pcbs(), strict=True):
             assert got.circuits == want.circuits
             assert got.column_volume_scale == want.column_volume_scale
 
+    def test_integers_in_float_fields_load_as_floats(self, tmp_path):
+        # A hand-written "step_um": 50 must reach the artifacts as 50.0.
+        cfg = tiny_profile_config()
+        doc = to_doc(cfg)
+        doc["scan"]["step_um"] = 50
+        doc["augment"]["noise_levels"] = [0, 0.03, 0.06, 0.09]
+        assert encode(load_config(write_doc(tmp_path / "run.json", doc))) == encode(cfg)
+
     def test_edited_column_count_rebuilds_gradient(self, tmp_path):
-        doc = config_to_dict(tiny_profile_config())
+        doc = to_doc(tiny_profile_config())
         doc["layout"]["columns"] = 4
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(doc))
-        (pcb,) = load_config(path).pcbs()
+        (pcb,) = load_config(write_doc(tmp_path / "run.json", doc)).pcbs()
         assert len(pcb.circuits[0]) == 4
         np.testing.assert_allclose(pcb.column_volume_scale, np.linspace(0.5, 1.5, 4))
+
+
+def misspell_top_level(doc):
+    doc["label_sourse"] = doc.pop("label_source")
+
+
+def misspell_layout_key(doc):
+    doc["layout"]["attach_patern"] = doc["layout"].pop("attach_pattern")
+
+
+def drop_scan_step(doc):
+    del doc["scan"]["step_um"]
+
+
+def drop_profile(doc):
+    del doc["profile"]
+
+
+class TestCodecRule:
+    """Every dataclass in a document is complete and has no unknown key;
+    the parent codec dropped the first two edits and filled in the others."""
+
+    EDITS = pytest.mark.parametrize(
+        "edit, key",
+        [
+            (misspell_top_level, "label_sourse"),
+            (misspell_layout_key, "attach_patern"),
+            (drop_scan_step, "step_um"),
+            (drop_profile, "profile"),
+        ],
+        ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile"],
+    )
+
+    @EDITS
+    def test_load_config_rejects(self, tmp_path, edit, key):
+        doc = to_doc(tiny_profile_config())
+        edit(doc)
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_doc(tmp_path / "run.json", doc))
+
+    @EDITS
+    def test_cli_exits_2(self, tmp_path, capsys, edit, key):
+        doc = to_doc(tiny_profile_config())
+        edit(doc)
+        path = write_doc(tmp_path / "run.json", doc)
+        assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,10 @@ from gluevol.dataset import (
     AugmentParams,
     Manifest,
     MissingColumnAnnotation,
-    Sample,
     annotate,
     augment,
     build_manifest,
     crop_counts,
-    propagate_labels,
 )
 from gluevol.geom3d import BoundingBox2, PointCloud
 from gluevol.scansim import LayoutConfig, ScanConfig, make_pcb, raster_scan
@@ -145,40 +145,44 @@ class TestAugment:
 
 
 class TestPropagateLabels:
-    def make_manifest(self):
-        samples = [
-            Sample(
-                path="a.ggpc", glue_type="A", attached=True, pcb=0, row=0, col=2,
-                deposit=0, scan_pass=0, crop_index=0, noise_level=0.0,
-                volume_mm3=0.0, annotated_mm3=None, split="train",
-            ),
-            Sample(
-                path="b.ggpc", glue_type="A", attached=False, pcb=1, row=0, col=2,
-                deposit=0, scan_pass=0, crop_index=0, noise_level=0.0,
-                volume_mm3=0.013, annotated_mm3=0.013, split="train",
-            ),
+    """build_manifest labels attached deposits with the mean annotation of
+    the unattached deposits in the same column and glue type."""
+
+    def build(self, table):
+        layout = LayoutConfig(rows=1, columns=1, glue_types=("A",), deposits_per_type=2)
+        self.pcbs = [
+            make_pcb(replace(layout, attach_pattern=pattern), seed=0, index=i)
+            for i, pattern in enumerate(("attached", "unattached"))
         ]
-        return Manifest(samples=samples)
+        return build_manifest(
+            self.pcbs, ScanConfig(step_um=50.0), AugmentParams(min_step_um=50.0),
+            annotations=table,
+        )
+
+    def labels(self, manifest, attached):
+        return {s.volume_mm3 for s in manifest.samples if s.attached == attached}
 
     def test_column_mean(self):
         table = AnnotationTable(
             [
-                AnnotationRecord(1, 0, 2, "A", 0, 0, 0.010),
-                AnnotationRecord(1, 0, 2, "A", 1, 0, 0.012),
+                AnnotationRecord(1, 0, 0, "A", 0, 0, 0.010),
+                AnnotationRecord(1, 0, 0, "A", 1, 0, 0.012),
             ]
         )
-        out = propagate_labels(self.make_manifest(), table)
-        assert out.samples[0].volume_mm3 == pytest.approx(0.011)
-        assert out.samples[1].volume_mm3 == 0.013  # unattached untouched
+        manifest = self.build(table)
+        (label,) = self.labels(manifest, attached=True)
+        assert label == pytest.approx(0.011)
+        # unattached deposits keep their analytic labels
+        analytic = scansim.analytic_volume(self.pcbs[1].region(0, 0, "A", 0))
+        assert self.labels(manifest, attached=False) == {analytic}
 
     def test_single_annotation_used_directly(self):
-        table = AnnotationTable([AnnotationRecord(1, 0, 2, "A", 0, 0, 0.02)])
-        out = propagate_labels(self.make_manifest(), table)
-        assert out.samples[0].volume_mm3 == 0.02
+        table = AnnotationTable([AnnotationRecord(1, 0, 0, "A", 0, 0, 0.02)])
+        assert self.labels(self.build(table), attached=True) == {0.02}
 
     def test_missing_column_raises(self):
         with pytest.raises(MissingColumnAnnotation):
-            propagate_labels(self.make_manifest(), AnnotationTable())
+            self.build(AnnotationTable())
 
     def test_monotone_columns_preserved(self, pcb):
         table = AnnotationTable()

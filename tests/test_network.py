@@ -5,9 +5,7 @@ from gluevol.neuralvol import layers, network
 from gluevol.neuralvol.network import (
     ModelWeights,
     NetConfig,
-    baseline_config,
     init_weights,
-    param_count,
     predict,
     rnet_backward,
     rnet_forward,
@@ -38,41 +36,37 @@ class TestShapes:
         shapes = tiny_config().block_shapes()
         assert [s[1:] for s in shapes] == [s[1:] for s in NetConfig().block_shapes()]
 
-    def test_baseline_is_two_blocks(self):
-        cfg = baseline_config(NetConfig())
-        assert cfg.channels == (32, 64)
-        assert cfg.block_shapes()[-1] == (64, 8, 8, 16)
-
     def test_indivisible_dims_rejected(self):
         with pytest.raises(layers.ShapeMismatch):
             NetConfig(channels=(2,) * 6).block_shapes()  # 32 / 2^6 < 1
 
 
+def trainable_count(cfg: NetConfig) -> int:
+    return sum(a.size for a in init_weights(cfg, seed=0).trainable())
+
+
+def expected_count(cfg: NetConfig) -> int:
+    """Independent oracle: literal per-layer arithmetic."""
+    expected = 0
+    c_in = cfg.in_channels
+    for c_out in cfg.channels:
+        expected += c_out * c_in * cfg.kernel**3 + c_out  # conv
+        expected += 2 * c_out  # batchnorm scale/shift
+        c_in = c_out
+    return expected + cfg.flatten_length + 1  # dense
+
+
 class TestParamCount:
     def test_canonical_matches_independent_summation(self):
-        # Independent oracle: literal per-layer arithmetic.
-        expected = 0
-        c_in = 1
-        for c_out in (32, 64, 128, 256, 512):
-            expected += c_out * c_in * 27 + c_out  # conv
-            expected += 2 * c_out  # batchnorm scale/shift
-            c_in = c_out
-        expected += 1024 * 1 + 1  # dense
-        assert param_count(NetConfig()) == expected
-        assert expected == 4_705_025
+        assert trainable_count(NetConfig()) == expected_count(NetConfig()) == 4_705_025
 
     def test_counts_match_actual_arrays(self):
         for cfg in (SMALL, tiny_config()):
-            weights = init_weights(cfg, seed=0)
-            actual = sum(a.size for a in weights.trainable())
-            assert param_count(cfg) == actual
-
-    def test_baseline_smaller_than_canonical(self):
-        assert param_count(baseline_config(NetConfig())) < param_count(NetConfig())
+            assert trainable_count(cfg) == expected_count(cfg)
 
     def test_zero_blocks_dense_only(self):
         cfg = NetConfig(channels=(), input_dims=(4, 4, 8))
-        assert param_count(cfg) == 4 * 4 * 8 + 1
+        assert trainable_count(cfg) == 4 * 4 * 8 + 1
 
 
 class TestInitWeights:

@@ -1,21 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gluevol.geom3d import BoundingBox2
 from gluevol.scansim import (
     BadLayoutConfig,
-    DieLargerThanFootprint,
-    DieSpec,
     LayoutConfig,
     NonPositiveRange,
-    OutsideFootprint,
     RegionSpec,
     ScanConfig,
     ShapeParams,
     analytic_volume,
-    attach_die,
-    bondline_mm,
-    glue_height,
     make_pcb,
     pulse_schedule,
     raster_scan,
@@ -94,7 +90,7 @@ class TestGlueHeight:
             shape=region.shape,
             dispensed_volume=0.0,
         )
-        assert glue_height(flat, 0.0, 0.0) == 0.0
+        assert surface_height(flat, 0.0, 0.0) == 0.0
 
     def test_symmetric_cap_peaks_at_center(self, pcb):
         region = pcb.region(0, 4, "A", 0)
@@ -104,51 +100,55 @@ class TestGlueHeight:
             shape=ShapeParams(bump_amplitude=0.0),
             dispensed_volume=region.dispensed_volume,
         )
-        center = glue_height(symmetric, 0.0, 0.0)
+        center = surface_height(symmetric, 0.0, 0.0)
         rng = np.random.default_rng(0)
         xs = rng.uniform(symmetric.footprint.xmin, symmetric.footprint.xmax, 500)
         ys = rng.uniform(symmetric.footprint.ymin, symmetric.footprint.ymax, 500)
-        assert (glue_height(symmetric, xs, ys) <= center + 1e-15).all()
+        assert (surface_height(symmetric, xs, ys) <= center + 1e-15).all()
 
     def test_riemann_sum_matches_dispensed_volume(self, pcb):
         region = pcb.region(0, 4, "A", 0)
         assert riemann_volume(region) == pytest.approx(region.dispensed_volume, rel=1e-3)
 
-    def test_outside_footprint_raises(self, pcb):
-        region = pcb.region(0, 0, "A", 0)
-        with pytest.raises(OutsideFootprint):
-            glue_height(region, region.footprint.xmax + 0.1, 0.0)
+
+@pytest.fixture(scope="module")
+def attached_pcb():
+    return make_pcb(replace(LayoutConfig(), attach_pattern="attached"), seed=1)
+
+
+def one_region_layout(volume_mm3: float, squeeze_ratio: float) -> LayoutConfig:
+    """A single attached type-A deposit: 0.7 x 1.8 mm footprint, 0.6 x 1.6 x
+    0.25 mm die, column scale 1."""
+    return LayoutConfig(
+        rows=1,
+        columns=1,
+        glue_types=("A",),
+        deposits_per_type=1,
+        base_volume_mm3={"A": volume_mm3},
+        column_scales=(1.0,),
+        footprint_mm={"A": (0.7, 1.8)},
+        die_mm={"A": (0.6, 1.6, 0.25)},
+        squeeze_ratio=squeeze_ratio,
+        attach_pattern="attached",
+    )
 
 
 class TestAttachDie:
     def test_bondline_arithmetic(self):
-        region = RegionSpec(
-            glue_type="A",
-            footprint=BoundingBox2.centered(0.7, 1.8),
-            shape=ShapeParams(),
-            dispensed_volume=0.01,
-            die=DieSpec(0.6, 1.6, 0.25, squeeze_ratio=1.0),
-        )
-        assert bondline_mm(region) * 1e3 == pytest.approx(10.4167, abs=1e-3)
+        region = make_pcb(one_region_layout(0.01, squeeze_ratio=1.0)).region(0, 0, "A", 0)
+        bondline = surface_height(region, 0.0, 0.0) - region.die.thickness_mm
+        assert bondline * 1e3 == pytest.approx(10.4167, abs=1e-3)
 
-    def test_zero_volume_die_on_substrate(self, pcb):
-        region = pcb.region(0, 0, "A", 0)
-        empty = attach_die(
-            RegionSpec(
-                glue_type="A",
-                footprint=region.footprint,
-                shape=region.shape,
-                dispensed_volume=0.0,
-                die=region.die,
-            )
-        )
-        assert surface_height(empty, 0.0, 0.0) == pytest.approx(region.die.thickness_mm)
+    def test_zero_volume_die_on_substrate(self):
+        region = make_pcb(one_region_layout(0.0, squeeze_ratio=0.85)).region(0, 0, "A", 0)
+        assert region.attached and region.dispensed_volume == 0.0
+        assert surface_height(region, 0.0, 0.0) == pytest.approx(region.die.thickness_mm)
         # no fillet anywhere outside the die
         x_out = (region.die.width_mm / 2 + region.footprint.xmax) / 2
-        assert surface_height(empty, x_out, 0.0) == 0.0
+        assert surface_height(region, x_out, 0.0) == 0.0
 
-    def test_volume_conserved_within_one_percent(self, pcb):
-        region = attach_die(pcb.region(0, 4, "A", 0))
+    def test_volume_conserved_within_one_percent(self, attached_pcb):
+        region = attached_pcb.region(0, 4, "A", 0)
         modeled = riemann_volume(region)
         # subtract the die body: its top sits bondline + thickness high
         die = region.die
@@ -157,8 +157,8 @@ class TestAttachDie:
         assert glue == pytest.approx(region.dispensed_volume, rel=0.01)
         assert analytic_volume(region) == region.dispensed_volume
 
-    def test_fillet_holds_unsqueezed_fraction(self, pcb):
-        region = attach_die(pcb.region(0, 4, "A", 0))
+    def test_fillet_holds_unsqueezed_fraction(self, attached_pcb):
+        region = attached_pcb.region(0, 4, "A", 0)
         die = region.die
         box = region.footprint
         n = 2000
@@ -171,22 +171,10 @@ class TestAttachDie:
         expected = (1 - die.squeeze_ratio) * region.dispensed_volume
         assert fillet == pytest.approx(expected, rel=0.01)
 
-    def test_die_larger_than_footprint(self, pcb):
-        region = pcb.region(0, 0, "A", 0)
-        bad = RegionSpec(
-            glue_type="A",
-            footprint=BoundingBox2.centered(0.5, 1.0),
-            shape=region.shape,
-            dispensed_volume=0.01,
-            die=DieSpec(0.6, 1.6, 0.25),
-        )
-        with pytest.raises(DieLargerThanFootprint):
-            attach_die(bad)
-
-    def test_bondline_monotone_in_volume(self, pcb):
+    def test_bondline_monotone_in_volume(self, attached_pcb):
         tops = []
         for col in range(9):
-            region = attach_die(pcb.region(0, col, "A", 0))
+            region = attached_pcb.region(0, col, "A", 0)
             tops.append(float(surface_height(region, 0.0, 0.0)))
         assert all(b > a for a, b in zip(tops, tops[1:]))
 

@@ -7,7 +7,6 @@ from gluevol.neuralvol.training import (
     EmptySplit,
     TrainConfig,
     evaluate,
-    spearman_rank_correlation,
     train,
 )
 
@@ -166,27 +165,3 @@ class TestEvaluate:
         weights = init_weights(NET, seed=0)
         with pytest.raises(EmptySplit):
             evaluate(weights, NET, np.zeros((0, 1, 8, 8, 8)), np.zeros(0))
-
-
-class TestSpearman:
-    def test_perfect_monotone(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert spearman_rank_correlation(x, x**3) == pytest.approx(1.0)
-
-    def test_reversed(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert spearman_rank_correlation(x, -x) == pytest.approx(-1.0)
-
-    def test_ties_average_ranks(self):
-        a = np.array([1.0, 1.0, 2.0, 3.0])
-        b = np.array([5.0, 5.0, 6.0, 7.0])
-        assert spearman_rank_correlation(a, b) == pytest.approx(1.0)
-
-    def test_matches_naive_definition_without_ties(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal(40)
-        b = rng.standard_normal(40)
-        ra = np.argsort(np.argsort(a)).astype(float)
-        rb = np.argsort(np.argsort(b)).astype(float)
-        expected = np.corrcoef(ra, rb)[0, 1]
-        assert spearman_rank_correlation(a, b) == pytest.approx(expected, rel=1e-12)
