@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .dataset import AugmentParams
 from .diagnose import VolumeThresholds
+from .neuralvol.layers import ShapeMismatch
 from .neuralvol.network import NetConfig, tiny_config
 from .neuralvol.training import TrainConfig, tiny_train_config
 from .scansim import ATTACH_PATTERNS, LayoutConfig, PcbModel, ScanConfig, make_pcb
@@ -53,6 +54,13 @@ class RunConfig:
                 f"scan step {self.scan.step_um} um is not in {ALLOWED_STEPS_UM}; "
                 "pass the explicit override flag to use it"
             )
+        try:
+            net_input = self.net.block_shapes()[0]
+        except ShapeMismatch as exc:
+            raise ConfigError(f"net does not fit its input: {exc}") from None
+        grid = (1, self.grid.nx, self.grid.ny, self.grid.nz)
+        if net_input != grid:
+            raise ConfigError(f"net input {net_input} does not match the grid {grid}")
         return self
 
     def resolved(self) -> "RunConfig":
@@ -75,7 +83,7 @@ class RunConfig:
     def pcbs(self) -> list[PcbModel]:
         """One panel per attach pattern, indexed in order."""
         return [
-            make_pcb(replace(self.layout, attach_pattern=pattern), seed=self.seed, index=i)
+            make_pcb(replace(self.layout, attach_pattern=pattern), index=i)
             for i, pattern in enumerate(self.attach_patterns)
         ]
 

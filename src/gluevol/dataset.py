@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geom3d
 from .geom3d import BoundingBox2, EmptyGlueWarning, Plane, PointCloud
-from .scansim import PcbModel, RegionSpec, ScanConfig, scan_lattice
+from .scansim import PcbModel, RegionSpec, ScanConfig, analytic_volume, scan_lattice
 from .util import DOMAIN_AUGMENT, decode, derived_rng, encode, floor_ratio, stable_u32
 
 # Annotated volumes below this are flagged as empty deposits.
@@ -30,10 +30,6 @@ EMPTY_GLUE_FLOOR_MM3 = 1e-4
 
 class MissingColumnAnnotation(ValueError):
     """A (column, glue type) has no unattached annotation to propagate."""
-
-
-class IncompleteScanSet(ValueError):
-    """Manifest build found scan files missing from the workspace."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +79,6 @@ class Manifest:
     samples: list[Sample]
     provenance: dict = field(default_factory=dict)
 
-    def counts(self) -> dict[tuple[str, bool, str], int]:
-        table: dict[tuple[str, bool, str], int] = {}
-        for s in self.samples:
-            key = (s.glue_type, s.attached, s.split)
-            table[key] = table.get(key, 0) + 1
-        return table
-
     def to_json(self, path) -> None:
         Path(path).write_text(encode(self))
 
@@ -107,40 +96,28 @@ class Manifest:
                 writer.writerow([getattr(s, f) for f in fields])
 
 
-def annotate(
-    cloud: PointCloud,
-    footprint: BoundingBox2 | None = None,
-    step_mm: float | None = None,
-    ransac_threshold: float = 0.005,
-    ransac_iterations: int = 500,
-    ransac_seed: int = 0,
-) -> float:
+def annotate(cloud: PointCloud) -> float:
     """Estimated deposit volume (mm^3) of an unattached regional scan.
 
     Fits the substrate plane, moves the cloud into the plane frame, crops to
     the glue footprint, closes the surface against the plane, triangulates
-    the raster lattice and sums projected-face volumes. Footprint and step
-    default from the scan metadata.
+    the raster lattice and sums projected-face volumes. The footprint and
+    the lattice step come from the scan's ``footprint`` and ``step_um``
+    metadata, which ``scansim.raster_scan`` writes; a cloud without either
+    raises KeyError naming the key.
     """
-    if step_mm is None:
-        step_mm = cloud.meta["step_um"] * 1e-3
-    if footprint is None and "footprint" in cloud.meta:
-        footprint = BoundingBox2(*cloud.meta["footprint"])
-    plane, _ = geom3d.fit_plane_ransac(
-        cloud, ransac_threshold, ransac_iterations, ransac_seed
-    )
+    footprint = BoundingBox2(*cloud.meta["footprint"])
+    step_mm = cloud.meta["step_um"] * 1e-3
+    plane, _ = geom3d.fit_plane_ransac(cloud)
     framed = geom3d.to_plane_frame(cloud, plane)
-    if footprint is not None:
-        framed = geom3d.crop_xy(framed, footprint, allow_empty=False)
+    framed = geom3d.crop_xy(framed, footprint, allow_empty=False)
     substrate = Plane.xy()
     closed = geom3d.close_with_projection(framed, substrate)
     mesh = geom3d.triangulate_lattice(closed, step_mm)
     # Substrate points sit a hair below the fitted plane (the RANSAC inlier
-    # band includes the deposit skirt, lifting the fit); clamp those faces
-    # to zero contribution instead of warning on every scan.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", geom3d.NegativeSideVertices)
-        volume = geom3d.mesh_volume_over_plane(mesh, substrate, clamp=True)
+    # band includes the deposit skirt, lifting the fit); the volume counts
+    # their faces as zero.
+    volume = geom3d.mesh_volume_over_plane(mesh, substrate)
     if volume < EMPTY_GLUE_FLOOR_MM3:
         warnings.warn(
             f"annotated volume {volume:.2e} mm^3 below empty-deposit floor",
@@ -300,7 +277,6 @@ def build_manifest(
     passes: int = 1,
     annotations: AnnotationTable | None = None,
     label_source: str = "analytic",
-    scan_dir: Path | None = None,
     provenance: Mapping | None = None,
 ) -> Manifest:
     """Assemble the sample manifest for a set of scanned panels.
@@ -309,15 +285,12 @@ def build_manifest(
     (``label_source="analytic"``); ``"annotated"`` switches them to the
     per-deposit mean of geometric annotations, reproducing the noisy-label
     regime. Attached labels always propagate from same-column unattached
-    annotations. With ``scan_dir`` set, missing scan files raise
-    IncompleteScanSet.
+    annotations.
     """
     if label_source not in ("analytic", "annotated"):
         raise ValueError(f"unknown label source {label_source!r}")
     if label_source == "annotated" and annotations is None:
         raise ValueError("annotated label source needs an annotation table")
-    from .scansim import analytic_volume, scan_filename  # cycle-free import
-
     samples: list[Sample] = []
     column_means: dict[tuple[int, str], float] = {}
     for pcb in pcbs:
@@ -348,10 +321,6 @@ def build_manifest(
             else:
                 label = analytic_volume(region)
             for scan_pass in range(passes):
-                if scan_dir is not None:
-                    scan_path = Path(scan_dir) / scan_filename(pcb.index, region, scan_pass)
-                    if not scan_path.exists():
-                        raise IncompleteScanSet(f"missing scan {scan_path}")
                 for crop_index in range(n_cx * n_cy):
                     for level_index, level in enumerate(params.noise_levels):
                         samples.append(

@@ -18,10 +18,8 @@ import numpy as np
 
 from .scansim import LayoutConfig
 
-# Classification accuracies (%) reported for the original hardware
-# deployment of this inspection approach; kept for report context only, not
-# as reproducible targets.
-REFERENCE_ACCURACY_PCT = {"rnet": 91.82, "voxnet": 86.42, "pointnet": 58.33}
+# Half-width of the default Normal band, relative to the nominal volume.
+DEFAULT_BAND = 0.25
 
 # Repairs get much harder once the glue has been curing this long.
 CRITICAL_TIME_S = 3600.0
@@ -66,44 +64,26 @@ def classify(
     return FaultLabel.NORMAL
 
 
-def default_thresholds(layout: LayoutConfig, band: float = 0.25) -> dict[str, VolumeThresholds]:
-    """Per-type bounds +/-band around the middle column's nominal volume."""
+def default_thresholds(layout: LayoutConfig) -> dict[str, VolumeThresholds]:
+    """Per-type bounds +/-DEFAULT_BAND around the middle column's nominal volume."""
     scales = layout.scales()
     mid = scales[len(scales) // 2]
     return {
         glue_type: VolumeThresholds(
-            lower_mm3=(1.0 - band) * base * mid, upper_mm3=(1.0 + band) * base * mid
+            lower_mm3=(1.0 - DEFAULT_BAND) * base * mid,
+            upper_mm3=(1.0 + DEFAULT_BAND) * base * mid,
         )
         for glue_type, base in layout.base_volume_mm3.items()
         if glue_type in layout.glue_types
     }
 
 
-@dataclass
-class AccuracyReport:
-    overall_pct: float
-    per_type_pct: dict[str, float]
-
-
-def accuracy(
-    predicted: Sequence[FaultLabel],
-    true: Sequence[FaultLabel],
-    glue_types: Sequence[str] | None = None,
-) -> AccuracyReport:
-    """Percentage of matching labels, with a per-type breakdown when the
-    sample glue types are provided."""
+def accuracy(predicted: Sequence[FaultLabel], true: Sequence[FaultLabel]) -> float:
+    """Percentage of matching labels; 100 for no labels."""
     if len(predicted) != len(true):
         raise LengthMismatch(f"{len(predicted)} predictions vs {len(true)} labels")
-    if glue_types is not None and len(glue_types) != len(true):
-        raise LengthMismatch("glue type list length mismatch")
     matches = np.array([p == t for p, t in zip(predicted, true)], dtype=bool)
-    overall = float(matches.mean()) * 100.0 if len(matches) else 100.0
-    per_type: dict[str, float] = {}
-    if glue_types is not None:
-        for glue_type in sorted(set(glue_types)):
-            mask = np.array([g == glue_type for g in glue_types])
-            per_type[glue_type] = float(matches[mask].mean()) * 100.0
-    return AccuracyReport(overall_pct=overall, per_type_pct=per_type)
+    return float(matches.mean()) * 100.0 if len(matches) else 100.0
 
 
 def confusion_matrix(

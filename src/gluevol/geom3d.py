@@ -33,10 +33,6 @@ class InconsistentLattice(GeometryError):
     """Two points snapped to the same lattice node with incompatible heights."""
 
 
-class NegativeSideVertices(UserWarning):
-    """Mesh vertices found below the reference plane."""
-
-
 class EmptyGlueWarning(UserWarning):
     """Annotated volume fell below the empty-deposit floor."""
 
@@ -339,7 +335,6 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
     bottom_count = count - top_count
 
     closed = (top_count > 0) & (bottom_count > 0)
-    plain = ~closed
     spread = np.where(closed, top_max - top_min, zmax - zmin)
     if np.any(spread > LATTICE_MERGE_FAIL_MM):
         worst = float(spread.max())
@@ -353,7 +348,6 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
             stacklevel=2,
         )
     node_z = np.where(closed, top_sum / np.maximum(top_count, 1.0), zsum / count)
-    del plain
 
     # Dense presence grid over the node index span.
     ni = int(nodes[:, 0].max()) + 1
@@ -405,30 +399,22 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
     return TriangleMesh(vertices, faces)
 
 
-def mesh_volume_over_plane(mesh: TriangleMesh, plane: Plane, clamp: bool = False) -> float:
-    """Volume between a meshed surface and a plane.
+def mesh_volume_over_plane(mesh: TriangleMesh, plane: Plane) -> float:
+    """Volume between a meshed surface and a plane, above the plane only.
 
     Sums, over all faces, the area of the face projected onto the plane times
     the distance between the face centroid and the projected centroid
-    (centroid = vertex mean). Faces on the plane contribute zero. Vertices on
-    the negative side trigger a NegativeSideVertices warning; with
-    ``clamp=True`` their faces' below-plane centroid distances count as zero
-    instead of by magnitude.
+    (centroid = vertex mean). Faces on the plane contribute zero, and so do
+    faces whose centroid lies below it: in a plane-frame scan those are
+    substrate points a hair under the fitted plane, not deposit.
     """
     if len(mesh) == 0:
         raise EmptyResult("mesh has no faces")
     sd = mesh.vertices @ plane.normal - plane.offset
-    if sd.min() < -1e-9:
-        warnings.warn(
-            f"{int(np.count_nonzero(sd < -1e-9))} mesh vertices below the plane",
-            NegativeSideVertices,
-            stacklevel=2,
-        )
     tri = mesh.vertices[mesh.faces]
     sd_tri = sd[mesh.faces]
     proj = tri - sd_tri[..., None] * plane.normal
     cross = np.cross(proj[:, 1] - proj[:, 0], proj[:, 2] - proj[:, 0])
     areas = 0.5 * np.linalg.norm(cross, axis=1)
-    centroid_sd = sd_tri.mean(axis=1)
-    u = np.maximum(centroid_sd, 0.0) if clamp else np.abs(centroid_sd)
+    u = np.maximum(sd_tri.mean(axis=1), 0.0)
     return float((areas * u).sum())

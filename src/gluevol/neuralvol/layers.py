@@ -283,7 +283,7 @@ def _window_views(x: np.ndarray, window: int) -> list[np.ndarray]:
             for a in offsets for b in offsets for c in offsets]
 
 
-def maxpool3d_forward(x, window: int = 2, stride: int | None = None):
+def maxpool3d_forward(x, window: int = 2):
     """Non-overlapping max pooling; spatial dims must divide the window.
 
     The output is three passes of ``np.maximum`` over the window's strided
@@ -297,9 +297,6 @@ def maxpool3d_forward(x, window: int = 2, stride: int | None = None):
     each conv output before leaky ReLU and batchnorm (exact, because both
     are monotone per channel; see ``network.rnet_forward``).
     """
-    if stride is None:
-        stride = window
-    _require(stride == window, "maxpool3d supports non-overlapping pooling only")
     x = _as_float(x)
     dx, dy, dz = x.shape[2:]
     _require(
@@ -342,7 +339,8 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, mom
 
     Training mode normalizes by batch statistics (population variance) and
     returns updated running statistics; eval mode normalizes by the running
-    statistics and returns them unchanged.
+    statistics and returns them unchanged. Only a training-mode cache feeds
+    ``batchnorm3d_backward``: eval mode has no backward.
     """
     x = _as_float(x)
     channels = x.shape[1]
@@ -367,21 +365,18 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, mom
     x_hat *= inv_std[:, None, None, None]
     y = x_hat * gamma[:, None, None, None]
     y += beta[:, None, None, None]
-    cache = (x_hat, inv_std, gamma, training)
-    return y, cache, new_mean, new_var
+    return y, (x_hat, inv_std, gamma), new_mean, new_var
 
 
 def batchnorm3d_backward(grad_y, cache):
-    x_hat, inv_std, gamma, training = cache
+    """Gradients w.r.t. input, gamma and beta of a training-mode forward."""
+    x_hat, inv_std, gamma = cache
     grad_y = _as_float(grad_y, like=x_hat)
     axes = (0, 2, 3, 4)
     # Channel reductions via einsum avoid materializing the products.
     grad_gamma = np.einsum("bcxyz,bcxyz->c", grad_y, x_hat, optimize=True)
     grad_beta = grad_y.sum(axis=axes)
     grad_hat = grad_y * gamma[:, None, None, None]
-    if not training:
-        grad_hat *= inv_std[:, None, None, None]
-        return grad_hat, grad_gamma, grad_beta
     n = grad_y.size // grad_y.shape[1]
     sum_gh = grad_hat.sum(axis=axes)
     sum_ghx = np.einsum("bcxyz,bcxyz->c", grad_hat, x_hat, optimize=True)

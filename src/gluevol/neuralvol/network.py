@@ -82,19 +82,15 @@ class ModelWeights:
         arrays += [self.dense_w, self.dense_b]
         return arrays
 
-    def copy(self) -> "ModelWeights":
-        return self.cast(None)
-
     def cast(self, dtype) -> "ModelWeights":
-        """Deep copy, optionally converting every array to ``dtype``.
+        """Deep copy with every array converted to ``dtype``.
 
         Training runs on a float32 working copy; the persisted weights stay
         float64.
         """
 
         def conv(arr):
-            arr = np.array(arr)
-            return arr if dtype is None else arr.astype(dtype)
+            return np.array(arr, dtype=dtype)
 
         return ModelWeights(
             blocks=[

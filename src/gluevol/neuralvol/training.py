@@ -51,11 +51,11 @@ class TrainConfig:
         return AdamConfig(self.learning_rate, self.beta1, self.beta2, self.eps)
 
 
-def tiny_train_config(seed: int = 0, epochs: int = 12) -> TrainConfig:
+def tiny_train_config(seed: int = 0) -> TrainConfig:
     """Desk-scale defaults: small batches, faster learning rate, and
     standardized targets so raw-mm^3 magnitudes do not throttle Adam."""
     return TrainConfig(
-        epochs=epochs,
+        epochs=12,
         batch_size=32,
         learning_rate=1e-3,
         seed=seed,

@@ -141,7 +141,6 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
         passes=cfg.passes,
         annotations=annotations,
         label_source=cfg.label_source,
-        scan_dir=scan_dir,
         provenance={
             "seed": cfg.seed,
             "profile": cfg.profile,
@@ -302,15 +301,15 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     for (glue_type, attached), doc in _eval_docs(out, "diagnose"):
         true_labels = [diagnose.classify(v, thresholds, glue_type) for v in doc["truth"]]
         pred_labels = [diagnose.classify(v, thresholds, glue_type) for v in doc["predictions"]]
-        report = diagnose.accuracy(pred_labels, true_labels)
+        accuracy_pct = diagnose.accuracy(pred_labels, true_labels)
         confusion += diagnose.confusion_matrix(pred_labels, true_labels)
         name = _group_name(glue_type, attached)
         groups[name] = {
-            "accuracy_pct": report.overall_pct,
+            "accuracy_pct": accuracy_pct,
             "true_labels": [l.value for l in true_labels],
             "predicted_labels": [l.value for l in pred_labels],
         }
-        log(stage="diagnose", group=name, accuracy_pct=report.overall_pct)
+        log(stage="diagnose", group=name, accuracy_pct=accuracy_pct)
     doc = {"groups": groups, "confusion": confusion.tolist()}
     (eval_dir / "classification.json").write_text(encode(doc))
     return eval_dir / "classification.json"

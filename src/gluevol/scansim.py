@@ -175,8 +175,6 @@ class PcbModel:
 
     layout: LayoutConfig
     circuits: tuple  # [row][col] -> {glue_type: (RegionSpec, ...)}
-    column_volume_scale: tuple[float, ...]
-    seed: int
     index: int = 0
 
     def regions(self) -> Iterator[RegionSpec]:
@@ -217,11 +215,13 @@ def _validate_layout(layout: LayoutConfig) -> None:
             raise BadLayoutConfig(f"die exceeds footprint for glue type {glue_type}")
 
 
-def make_pcb(layout: LayoutConfig, seed: int = 0, index: int = 0) -> PcbModel:
-    """Build a deterministic panel from the layout config.
+def make_pcb(layout: LayoutConfig, index: int = 0) -> PcbModel:
+    """Build the panel the layout describes, numbered ``index`` in its run.
 
-    Deposits of the same column and glue type share their dispensed volume;
-    the per-column scale gradient runs from insufficient to excessive glue.
+    Nothing in a panel is random; scan noise is seeded per scan in
+    ``raster_scan``. Deposits of the same column and glue type share their
+    dispensed volume; the per-column scale gradient (``layout.scales()``)
+    runs from insufficient to excessive glue.
     """
     _validate_layout(layout)
     scales = layout.scales()
@@ -263,13 +263,7 @@ def make_pcb(layout: LayoutConfig, seed: int = 0, index: int = 0) -> PcbModel:
                 )
             cols.append(circuit)
         rows.append(tuple(cols))
-    return PcbModel(
-        layout=layout,
-        circuits=tuple(rows),
-        column_volume_scale=scales,
-        seed=seed,
-        index=index,
-    )
+    return PcbModel(layout=layout, circuits=tuple(rows), index=index)
 
 
 @lru_cache(maxsize=64)

@@ -4,11 +4,12 @@ one dataclass <-> JSON codec.
 Every JSON document the package writes (the run config,
 ``manifest.json``, ``thresholds.json``, the eval documents) goes through
 ``encode``; the typed ones are read back with ``decode``. Decoding follows
-one rule for every dataclass: an unknown key and a missing key are both a
-``ConfigError``. The one exception is ``LayoutConfig.column_scale_range``,
-marked ``JSON_OPTIONAL``: documents written before the range was stored
-carry materialized ``column_scales`` without it, and load with the default
-range.
+one rule for every dataclass: an unknown key, a missing key, a value of
+another JSON type than the field's (``true`` is not an int, ``1`` not a
+bool) and a non-finite float are each a ``ConfigError``. The one
+exception is ``LayoutConfig.column_scale_range``, marked
+``JSON_OPTIONAL``: documents written before the range was stored carry
+materialized ``column_scales`` without it, and load with the default range.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration or JSON document."""
 
 
-# Values of these types are taken as parsed.
-_AS_PARSED = (int, str, bool, dict)
-
-
 def _field_object(obj) -> dict:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -113,18 +110,19 @@ def decode(tp, text: str):
         return _decoder(tp)(json.loads(text))
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot decode {getattr(tp, '__name__', tp)}: {exc}") from exc
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}")
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _expect(value, kind: type, what: str):
-    if not isinstance(value, kind):
+    """``value`` itself if its type is exactly ``kind``; a bool is not an int."""
+    if type(value) is not kind:
         raise ConfigError(f"expected {what}, got {value!r}")
     return value
 
@@ -159,8 +157,8 @@ def _decoder(tp):
         return lambda v: {k: value(x) for k, x in _expect(v, dict, "an object").items()}
     if tp is float:
         return _number
-    if tp in _AS_PARSED:
-        return lambda v: v
+    if tp in (int, str, bool, dict):
+        return lambda v: v if type(v) is tp else _expect(v, tp, tp.__name__)
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
@@ -169,9 +167,7 @@ def _dataclass_decoder(tp):
     fields = dataclasses.fields(tp)
     names = frozenset(f.name for f in fields)
     required = frozenset(f.name for f in fields if not f.metadata.get(JSON_OPTIONAL))
-    convert = [
-        (f.name, _decoder(hints[f.name])) for f in fields if hints[f.name] not in _AS_PARSED
-    ]
+    convert = [(f.name, _decoder(hints[f.name])) for f in fields]
 
     def decode_fields(doc):
         kwargs = dict(_expect(doc, dict, f"a {tp.__name__} object"))

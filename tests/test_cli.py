@@ -1,5 +1,5 @@
 """The whole CLI pipeline at micro scale: exit codes, byte-identical reruns,
-and diagnose/report reading only the manifest's groups.
+diagnose/report reading only the manifest's groups, and numeric failures.
 
 The micro config (8x8x16 grids, channels (2, 4), two columns of two
 deposits, one epoch) runs every stage in about a second. Its attached
@@ -16,11 +16,13 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import gluevol
 from gluevol import cli, config
 from gluevol.diagnose import VolumeThresholds
+from gluevol.neuralvol import weights_io
 from gluevol.util import encode
 
 SRC = str(Path(gluevol.__file__).resolve().parents[1])
@@ -86,6 +88,14 @@ def micro_attached(tmp_path_factory):
     return two_runs(tmp_path_factory.mktemp("micro_attached"), attached_micro_config())
 
 
+@pytest.fixture
+def ws(micro, tmp_path):
+    """A copy of the first micro workspace, for one test to change."""
+    out = tmp_path / "ws"
+    shutil.copytree(micro.first, out)
+    return out
+
+
 def run_stage(cfg_path, name, out) -> int:
     return cli.main([name, "--config", str(cfg_path), "--out", str(out), "--quiet"])
 
@@ -131,12 +141,6 @@ class TestAttachedPipeline:
 
 
 class TestStaleEvalGroups:
-    @pytest.fixture
-    def ws(self, micro, tmp_path):
-        out = tmp_path / "ws"
-        shutil.copytree(micro.first, out)
-        return out
-
     def test_leftover_group_is_ignored(self, micro, ws):
         eval_dir = ws / "eval"
         doc = json.loads((eval_dir / "eval_A_unattached.json").read_text())
@@ -168,3 +172,22 @@ class TestStaleEvalGroups:
         cfg_path = tmp_path / "no_thresholds_for_A.json"
         cfg_path.write_text(encode(cfg))
         assert run_stage(cfg_path, "diagnose", ws) == cli.EXIT_CONFIG
+
+
+class TestNumericFailure:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_exits_4(self, ws, tmp_path, capsys):
+        cfg = micro_config()
+        cfg = replace(cfg, train=replace(cfg.train, learning_rate=1e10, epochs=3))
+        cfg_path = tmp_path / "diverging.json"
+        cfg_path.write_text(encode(cfg))
+        assert run_stage(cfg_path, "train", ws) == cli.EXIT_NUMERIC
+        assert "non-finite training loss at epoch" in capsys.readouterr().err
+
+    def test_nan_weight_exits_4(self, micro, ws, capsys):
+        path = ws / "models" / "weights_A_unattached.ggnn"
+        weights = weights_io.read_weights(path)
+        weights.dense_w[0, 0] = np.nan
+        weights_io.write_weights(weights, path)
+        assert run_stage(micro.cfg_path, "eval", ws) == cli.EXIT_NUMERIC
+        assert "non-finite MSE for A_unattached" in capsys.readouterr().err

@@ -79,6 +79,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "nx, input_dims, message",
+        [(32, (64, 32, 64), "does not match the grid"), (30, (30, 32, 64), "not divisible")],
+        ids=["net_input_not_grid", "grid_not_divisible"],
+    )
+    def test_net_must_fit_grid(self, tmp_path, capsys, nx, input_dims, message):
+        cfg = tiny_profile_config()
+        cfg = replace(
+            cfg, grid=replace(cfg.grid, nx=nx), net=replace(cfg.net, input_dims=input_dims)
+        )
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        path = tmp_path / "run.json"
+        path.write_text(encode(cfg))
+        assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -129,7 +146,6 @@ class TestSerialization:
         assert loaded.layout.scales() == cfg.layout.scales()
         for got, want in zip(loaded.pcbs(), cfg.pcbs(), strict=True):
             assert got.circuits == want.circuits
-            assert got.column_volume_scale == want.column_volume_scale
 
     def test_integers_in_float_fields_load_as_floats(self, tmp_path):
         # A hand-written "step_um": 50 must reach the artifacts as 50.0.
@@ -144,7 +160,8 @@ class TestSerialization:
         doc["layout"]["columns"] = 4
         (pcb,) = load_config(write_doc(tmp_path / "run.json", doc)).pcbs()
         assert len(pcb.circuits[0]) == 4
-        np.testing.assert_allclose(pcb.column_volume_scale, np.linspace(0.5, 1.5, 4))
+        volumes = [pcb.region(0, col, "A", 0).dispensed_volume for col in range(4)]
+        np.testing.assert_allclose(volumes, 0.035 * np.linspace(0.5, 1.5, 4))
 
 
 def misspell_top_level(doc):
@@ -163,9 +180,23 @@ def drop_profile(doc):
     del doc["profile"]
 
 
+def set_value(*path, value):
+    """An edit that sets the value at ``path`` (keys from the top level)."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
 class TestCodecRule:
-    """Every dataclass in a document is complete and has no unknown key;
-    the parent codec dropped the first two edits and filled in the others."""
+    """Every dataclass in a document is complete, has no unknown key and
+    holds values of its fields' JSON types, floats finite. Codecs that took
+    values as parsed, or filled in what was missing, accepted every edit
+    here: misspelled keys were dropped, missing ones defaulted, and wrongly
+    typed values failed later in a stage, or ran (``"seed": "3"``)."""
 
     EDITS = pytest.mark.parametrize(
         "edit, key",
@@ -174,8 +205,17 @@ class TestCodecRule:
             (misspell_layout_key, "attach_patern"),
             (drop_scan_step, "step_um"),
             (drop_profile, "profile"),
+            (set_value("passes", value=1.5), "passes"),
+            (set_value("seed", value="3"), "seed"),
+            (set_value("passes", value=True), "passes"),
+            (set_value("profile", value=1), "profile"),
+            (set_value("train", "standardize_targets", value=1), "standardize_targets"),
+            (set_value("layout", "base_volume_mm3", "A", value=float("nan")), "base_volume_mm3"),
+            (set_value("prediction_s_per_region", value=float("inf")), "prediction_s_per_region"),
         ],
-        ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile"],
+        ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile",
+             "float_as_int", "str_as_int", "bool_as_int", "int_as_str", "int_as_bool",
+             "nan", "infinity"],
     )
 
     @EDITS

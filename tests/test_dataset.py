@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,17 @@ def lattice_cloud(x_range, y_range, step, height=0.05, meta=None):
     return PointCloud(np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()]), meta)
 
 
+def split_counts(manifest):
+    """Sample count per (glue type, attached, split)."""
+    return Counter((s.glue_type, s.attached, s.split) for s in manifest.samples)
+
+
 NOISELESS = ScanConfig(step_um=20.0, margin_mm=0.2, noise_sigma_z_mm=0.0, xy_jitter_mm=0.0)
 
 
 @pytest.fixture(scope="module")
 def pcb():
-    return make_pcb(LayoutConfig(), seed=3)
+    return make_pcb(LayoutConfig())
 
 
 class TestAnnotate:
@@ -55,6 +61,13 @@ class TestAnnotate:
             volume = annotate(cloud)
         assert abs(volume) < 1e-4
 
+    @pytest.mark.parametrize("key", ["footprint", "step_um"])
+    def test_scan_metadata_required(self, pcb, key):
+        cloud = raster_scan(pcb, pcb.region(0, 4, "A", 1), NOISELESS)
+        del cloud.meta[key]
+        with pytest.raises(KeyError, match=key):
+            annotate(cloud)
+
     def test_pass_invariance_noise_free(self, pcb):
         region = pcb.region(1, 6, "C", 2)
         a = annotate(raster_scan(pcb, region, NOISELESS, scan_pass=0))
@@ -65,7 +78,7 @@ class TestAnnotate:
         # Three panels (attached / unattached / half): 27 unattached circuits
         # x 4 deposits = 108 annotatable deposits per glue type.
         pcbs = [
-            make_pcb(LayoutConfig(attach_pattern=pattern), seed=0, index=i)
+            make_pcb(LayoutConfig(attach_pattern=pattern), index=i)
             for i, pattern in enumerate(("attached", "unattached", "half"))
         ]
         for glue_type in "ABCDE":
@@ -151,7 +164,7 @@ class TestPropagateLabels:
     def build(self, table):
         layout = LayoutConfig(rows=1, columns=1, glue_types=("A",), deposits_per_type=2)
         self.pcbs = [
-            make_pcb(replace(layout, attach_pattern=pattern), seed=0, index=i)
+            make_pcb(replace(layout, attach_pattern=pattern), index=i)
             for i, pattern in enumerate(("attached", "unattached"))
         ]
         return build_manifest(
@@ -207,14 +220,14 @@ class TestBuildManifest:
             footprint_mm={"A": (0.5, 0.9)},
             die_mm={"A": (0.4, 0.7, 0.25)},
         )
-        pcbs = [make_pcb(layout, seed=0)]
+        pcbs = [make_pcb(layout)]
         scan_cfg = ScanConfig(step_um=50.0, margin_mm=0.15)
         params = AugmentParams(min_step_um=50.0)
         assert dataset.expected_crop_counts(pcbs[0].region(0, 0, "A", 0), scan_cfg, params) == (2, 2)
         manifest = build_manifest(pcbs, scan_cfg, params, passes=1)
         deposits = 6 * 4
         assert len(manifest.samples) == deposits * 16
-        counts = manifest.counts()
+        counts = split_counts(manifest)
         assert counts[("A", False, "train")] == 18 * 16
         assert counts[("A", False, "test")] == 6 * 16
 
@@ -223,7 +236,7 @@ class TestBuildManifest:
         # 5 passes x 100 augmentations = 40500 at the 20 um step, and
         # x 32 augmentations = 12960 at the 50 um step.
         pcbs = [
-            make_pcb(LayoutConfig(attach_pattern=pattern), seed=0, index=i)
+            make_pcb(LayoutConfig(attach_pattern=pattern), index=i)
             for i, pattern in enumerate(("attached", "unattached", "half"))
         ]
         table = AnnotationTable()
@@ -238,14 +251,14 @@ class TestBuildManifest:
                 passes=5,
                 annotations=table,
             )
-            counts = manifest.counts()
+            counts = split_counts(manifest)
             assert counts[("A", False, "train")] == train_expected
             assert counts[("A", False, "test")] == test_expected
 
     def test_split_disjoint_by_deposit(self):
         layout = LayoutConfig(rows=1, columns=2, glue_types=("A",))
         manifest = build_manifest(
-            [make_pcb(layout, seed=0)], ScanConfig(step_um=50.0), AugmentParams(min_step_um=50.0)
+            [make_pcb(layout)], ScanConfig(step_um=50.0), AugmentParams(min_step_um=50.0)
         )
         train_deposits = {
             (s.pcb, s.row, s.col, s.deposit) for s in manifest.samples if s.split == "train"
@@ -261,7 +274,7 @@ class TestBuildManifest:
         layout = LayoutConfig(rows=1, columns=2, glue_types=("A",), attach_pattern="attached")
         with pytest.raises(MissingColumnAnnotation):
             build_manifest(
-                [make_pcb(layout, seed=0)],
+                [make_pcb(layout)],
                 ScanConfig(step_um=50.0),
                 AugmentParams(min_step_um=50.0),
             )
@@ -269,7 +282,7 @@ class TestBuildManifest:
     def test_json_round_trip(self, tmp_path):
         layout = LayoutConfig(rows=1, columns=2, glue_types=("A",))
         manifest = build_manifest(
-            [make_pcb(layout, seed=0)],
+            [make_pcb(layout)],
             ScanConfig(step_um=50.0),
             AugmentParams(min_step_um=50.0),
             provenance={"seed": 1},

@@ -8,7 +8,6 @@ from gluevol.geom3d import (
     EmptyResult,
     FewerThanThreePoints,
     InconsistentLattice,
-    NegativeSideVertices,
     Plane,
     PointCloud,
     TriangleMesh,
@@ -211,13 +210,13 @@ class TestMeshVolume:
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
         assert mesh_volume_over_plane(mesh, Plane.xy()) == 0.0
 
-    def test_negative_side_warns_and_clamp(self):
-        mesh = TriangleMesh([[0, 0, -0.1], [1, 0, -0.1], [0, 1, -0.1]], [[0, 1, 2]])
-        with pytest.warns(NegativeSideVertices):
-            v = mesh_volume_over_plane(mesh, Plane.xy())
-        assert v == pytest.approx(0.05)
-        with pytest.warns(NegativeSideVertices):
-            assert mesh_volume_over_plane(mesh, Plane.xy(), clamp=True) == 0.0
+    def test_below_plane_faces_count_zero(self):
+        below = TriangleMesh([[0, 0, -0.1], [1, 0, -0.1], [0, 1, -0.1]], [[0, 1, 2]])
+        assert mesh_volume_over_plane(below, Plane.xy()) == 0.0
+        # a face counts by its centroid: one vertex under the plane only
+        # lowers it, and the face still adds its positive prism
+        mixed = TriangleMesh([[0, 0, -0.1], [1, 0, 0.4], [0, 1, 0.3]], [[0, 1, 2]])
+        assert mesh_volume_over_plane(mixed, Plane.xy()) == pytest.approx(0.5 * 0.2, rel=1e-12)
 
     def test_raster_box_deposit_within_two_percent(self):
         # 1x1 mm flat-top deposit of height 0.1 sampled at 0.02 mm: lattice

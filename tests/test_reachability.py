@@ -1,7 +1,7 @@
-"""Every public module-level function and class in ``src/gluevol`` must be
-named by the program itself: by other code in ``src/``, by the benchmark
-harness (``perfbench/*.py``) or by ``pyproject.toml``. A name that only
-tests reach is API the pipeline never runs, so it fails here.
+"""Every public module-level function, class and constant in ``src/gluevol``
+must be named by the program itself: by other code in ``src/``, by the
+benchmark harness (``perfbench/*.py``) or by ``pyproject.toml``. A name
+that only tests reach is API the pipeline never runs, so it fails here.
 
 A name counts wherever it occurs as an identifier, an attribute or a word
 inside a string literal (the benchmark looks stage functions up by name),
@@ -49,6 +49,18 @@ def _mentions(tree: ast.Module):
                 yield word, node.lineno
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a def, a class, or the plain
+    names an assignment binds (constants)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_public_name_is_reached():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SRC + HARNESS}
     mentions = defaultdict(list)  # name -> [(path, line)]
@@ -59,14 +71,13 @@ def test_every_public_name_is_reached():
     unreached = []
     for path in SRC:
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
             own = range(node.lineno, node.end_lineno + 1)
-            reached = node.name in toml_words or any(
-                not (where == path and line in own) for where, line in mentions[node.name]
-            )
-            if not reached:
-                unreached.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+            for name in _defined(node):
+                if name.startswith("_"):
+                    continue
+                reached = name in toml_words or any(
+                    not (where == path and line in own) for where, line in mentions[name]
+                )
+                if not reached:
+                    unreached.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unreached, "named only by tests or by nothing:\n" + "\n".join(unreached)

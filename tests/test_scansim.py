@@ -31,7 +31,7 @@ def riemann_volume(region, n=2000):
 
 @pytest.fixture(scope="module")
 def pcb():
-    return make_pcb(LayoutConfig(), seed=1)
+    return make_pcb(LayoutConfig())
 
 
 class TestMakePcb:
@@ -42,14 +42,14 @@ class TestMakePcb:
 
     def test_column_scale_ratio(self):
         layout = LayoutConfig(column_scale_range=(0.5, 1.5))
-        pcb = make_pcb(layout, seed=0)
+        pcb = make_pcb(layout)
         v_first = pcb.region(0, 0, "B", 0).dispensed_volume
         v_last = pcb.region(0, 8, "B", 0).dispensed_volume
         assert v_last / v_first == pytest.approx(3.0)
 
     def test_same_seed_identical_models(self):
-        a = make_pcb(LayoutConfig(), seed=42)
-        b = make_pcb(LayoutConfig(), seed=42)
+        a = make_pcb(LayoutConfig())
+        b = make_pcb(LayoutConfig())
         for ra, rb in zip(a.regions(), b.regions()):
             assert ra == rb
 
@@ -113,7 +113,7 @@ class TestGlueHeight:
 
 @pytest.fixture(scope="module")
 def attached_pcb():
-    return make_pcb(replace(LayoutConfig(), attach_pattern="attached"), seed=1)
+    return make_pcb(replace(LayoutConfig(), attach_pattern="attached"))
 
 
 def one_region_layout(volume_mm3: float, squeeze_ratio: float) -> LayoutConfig:
