@@ -6,8 +6,10 @@ and ``config`` (print the resolved defaults). Logs are line-oriented
 deterministic artifacts.
 
 Exit codes: 0 success, 2 config error (an unknown or missing config key
-and a glue type without thresholds included), 3 missing input, 4 numeric
-failure.
+and a glue type without thresholds included), 3 missing or malformed input
+(a workspace file that is absent, or a scan, grid or weights file that does
+not parse, including a scan without its ``footprint`` or ``step_um``
+metadata), 4 numeric failure. Every error exit prints one line to stderr.
 
 Heavy imports happen after thread-count environment variables are set, so
 ``--threads 1`` pins the BLAS pool for fully reproducible runs.
@@ -116,10 +118,13 @@ def main(argv=None) -> int:
 
     # Imports after the thread env is pinned (numpy reads it at load time).
     from . import pipeline as stages
+    from .cloudio import CloudFormatError
     from .config import ConfigError
     from .diagnose import UnknownType
+    from .neuralvol.weights_io import WeightsFormatError
     from .scansim import BadLayoutConfig
     from .util import encode
+    from .voxelizer import GridFormatError
 
     log = _make_logger(args.quiet)
     try:
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
     except (ConfigError, BadLayoutConfig, UnknownType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except stages.MissingInput as exc:
+    except (stages.MissingInput, CloudFormatError, GridFormatError, WeightsFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (stages.NumericError, FloatingPointError) as exc:

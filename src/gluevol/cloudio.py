@@ -42,16 +42,19 @@ def read_xyz(path) -> PointCloud:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("meta "):
-                key, _, value = body[5:].partition("=")
-                meta[key.strip()] = json.loads(value)
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        rows.append([float(p) for p in parts])
+        try:  # a number or a metadata value that does not parse
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("meta "):
+                    key, _, value = body[5:].partition("=")
+                    meta[key.strip()] = json.loads(value)
+                continue
+            values = [float(p) for p in line.split()]
+        except ValueError as exc:
+            raise CloudFormatError(f"{path}:{lineno}: {exc}") from exc
+        if len(values) != 3:
+            raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {len(values)}")
+        rows.append(values)
     return PointCloud(np.asarray(rows, dtype=np.float64).reshape(-1, 3), meta)
 
 

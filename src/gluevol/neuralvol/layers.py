@@ -19,6 +19,19 @@ order, so the output is bit-identical. That order is an assumption about
 the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
 GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
 the dense GEMM is faster and runs instead.
+
+In training, the network passes ``pool`` to ``conv3d_forward``. A binary
+input that takes the sparse path then comes out as a ``Windowed`` tensor:
+per sample, the values of the pool windows that touch an active position,
+plus one background value per channel (0 + bias) for every other
+position. Leaky ReLU, batchnorm and max-pool take that form forward and
+backward, so on tiny height-field grids they touch about an eighth of
+the positions of the full-resolution tensor; max-pool returns a dense pooled
+tensor, so the next block is unchanged.
+Per element the arithmetic is that of the dense layers. The batchnorm
+statistics and the gradients of batchnorm and of the conv weights and bias
+are sums in another order, so they agree with the dense path to float
+rounding (``tests/test_layers.py::TestWindowed``), not bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +57,60 @@ _COL_BUDGET = 96 * 1024 * 1024
 # float32 at batch 1, float32 at batch 32); tiny height-field grids are
 # about 5% active.
 _BINARY_MAX_ACTIVE = 0.15
+
+# Active positions per step of the sparse binary path, so its (k^3, n)
+# patch rows and (c_out, n) sums stay in cache. On tiny grids at float32
+# the unchunked path took 81.5 ms at batch 32 against 17.5 ms at batch 8;
+# chunked, 70.6 ms. A batch-1 tiny grid (3-4 k active positions) is one
+# step.
+_BINARY_CHUNK = 8192
+
+
+class Windowed(np.ndarray):
+    """A full-resolution first-block tensor held on its active pool windows.
+
+    The array is (batch, channels, window^3, W): for each sample, the
+    values of W windows of the pooled grid, ``windows[sample]`` (flat
+    indices into it, ascending), by in-window offset in (x, y, z) order, so
+    that each offset is one contiguous run per channel. A sample with fewer
+    active windows than W carries some of its background windows too. Every
+    other position of the (batch, channels) + ``dims`` tensor is
+    background, one number per channel: in a forward pass ``background`` is
+    the value there; in a backward pass it is the sum of the gradient over
+    all those positions, which is all the layers before need of it.
+    Arithmetic on the array returns arrays without this metadata; the
+    layers read the values with ``np.asarray`` and wrap their results with
+    ``like``.
+    """
+
+    background = windows = dims = window = None
+
+    def like(self, values, background) -> "Windowed":
+        """``values`` on the same windows, with the given background."""
+        return _windowed(values, background, self.windows, self.dims, self.window)
+
+    @property
+    def background_count(self) -> int:
+        """Background positions per channel over the whole batch."""
+        return self.shape[0] * (int(np.prod(self.dims)) - self.shape[2] * self.shape[3])
+
+    def index(self, sample, i, j, l) -> np.ndarray:
+        """Index into one sample's flattened (window^3, W) values of each
+        full-resolution position (i, j, l) of the given samples (arrays
+        that broadcast together); -1 where that window is not carried."""
+        w, n = self.window, self.shape[3]
+        pooled = [d // w for d in self.dims]
+        slot = np.full((self.shape[0], int(np.prod(pooled))), -1, dtype=np.intp)
+        np.put_along_axis(slot, self.windows, np.arange(n)[None, :], axis=1)
+        window = slot[sample, ((i // w) * pooled[1] + j // w) * pooled[2] + l // w]
+        offset = ((i % w) * w + j % w) * w + l % w
+        return np.where(window < 0, -1, offset * n + window)
+
+
+def _windowed(values, background, windows, dims, window) -> Windowed:
+    out = np.asarray(values).view(Windowed)
+    out.background, out.windows, out.dims, out.window = background, windows, dims, window
+    return out
 
 
 def _require(cond: bool, message: str) -> None:
@@ -101,8 +168,8 @@ def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int, stride: int, out_di
     return y
 
 
-def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims):
-    """Exact sparse correlation plus bias of a one-channel 0/1 input.
+def _binary_active(x, k: int, stride: int, padding: int, out_dims):
+    """(padded occupancy, active output positions) of a one-channel 0/1 input.
 
     Returns None, for the dense GEMM to run, unless x has one channel, only
     0 and 1 values, stride 1 and padding k // 2, and at most
@@ -126,32 +193,93 @@ def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims):
         for a in range(1, k):
             dilated |= active[lead + (slice(a, a + n),)]
         active = dilated
-    index = np.flatnonzero(active)
-    if index.size > _BINARY_MAX_ACTIVE * active.size:
+    if np.count_nonzero(active) > _BINARY_MAX_ACTIVE * active.size:
         return None
+    return padded, active
 
-    sample, position = np.divmod(index, active[0].size)
+
+def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims, pool):
+    """Exact sparse correlation plus bias of a one-channel 0/1 input.
+
+    None where ``_binary_active`` is. With ``pool`` dividing every output
+    dim, the result is a ``Windowed`` on each sample's pool windows that
+    touch one of its active positions, padded with its first background
+    windows to the batch's largest count; otherwise a dense array.
+    """
+    found = _binary_active(x, k, stride, padding, out_dims)
+    if found is None:
+        return None
+    padded, active = found
+    batch, c_out = x.shape[0], w_mat.shape[0]
+    # 0 + b, as the GEMM path computes it: a -0.0 bias gives +0.0.
+    fill = b + 0
+    sample, position = np.divmod(np.flatnonzero(active), active[0].size)
     i, j, l = np.unravel_index(position, out_dims)
     px, py, pz = padded.shape[1:]
     corner = ((sample * px + i) * py + j) * pz + l  # flat index of tap (0, 0, 0)
+    if pool and not any(n % pool for n in out_dims):
+        views = _window_views(active[:, None], pool)
+        touched = views[0] | views[1]
+        for view in views[2:]:
+            touched |= view
+        touched = touched.reshape(batch, -1)
+        # Each sample's touched windows, then its untouched ones, ascending.
+        order = np.argsort(~touched, axis=1, kind="stable")
+        windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
+        y = _windowed(np.empty((batch, c_out, pool**3, windows.shape[1]), dtype=x.dtype),
+                      fill, windows, tuple(out_dims), pool)
+        position = y.index(sample, i, j, l)
+    else:
+        y = np.empty((batch, c_out) + tuple(out_dims), dtype=x.dtype)
+    flat = np.asarray(y).reshape(batch, c_out, -1)
+    flat[...] = fill[:, None]
+
     r = np.arange(k)
     offsets = ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
-    # (k^3, n_active): the patch-matrix rows at the active positions.
-    patches = padded.ravel()[offsets[:, None] + corner].astype(x.dtype)
-    acc = np.zeros((w_mat.shape[0], index.size), dtype=x.dtype)
-    product = np.empty_like(acc)
-    for w_col, patch in zip(w_mat.T, patches):
-        np.multiply(w_col[:, None], patch, out=product)
-        acc += product
-    acc += b[:, None]
-
-    y = np.empty((batch, w_mat.shape[0]) + tuple(out_dims), dtype=x.dtype)
-    # 0 + b, as the GEMM path computes it: a -0.0 bias gives +0.0.
-    y[...] = (b + 0)[:, None, None, None]
-    # Advanced indices on either side of the slice: the view takes
-    # (n_active, c_out) values in place.
-    y.reshape(batch, w_mat.shape[0], -1)[sample, :, position] = acc.T
+    for lo in range(0, sample.size, _BINARY_CHUNK):
+        step = slice(lo, lo + _BINARY_CHUNK)
+        # (k^3, n): the patch-matrix rows at these active positions.
+        patches = padded.ravel()[offsets[:, None] + corner[step]].astype(x.dtype)
+        acc = np.zeros((c_out, patches.shape[1]), dtype=x.dtype)
+        product = np.empty_like(acc)
+        for w_col, patch in zip(w_mat.T, patches):
+            np.multiply(w_col[:, None], patch, out=product)
+            acc += product
+        acc += b[:, None]
+        # Advanced indices on either side of the slice: the view takes
+        # (n, c_out) values in place.
+        flat[sample[step], :, position[step]] = acc.T
     return y
+
+
+def _binary_weight_grad(grad_y: Windowed, x, k: int, padding: int) -> np.ndarray:
+    """Weight gradient of a stride-1 conv of a one-channel 0/1 input.
+
+    Tap t of the kernel sees input o - padding + t at output o, so its
+    gradient is the sum of grad_y at (v + padding - t) over the occupied
+    voxels v (inside the output grid). Those positions are active, so they
+    lie in grad_y's windows. Each tap sums its gathered values over the
+    voxels in (sample, x, y, z) order, pairwise as ``np.sum`` adds.
+    """
+    g = np.asarray(grad_y)
+    batch, c_out = g.shape[:2]
+    per_sample = g.shape[2] * g.shape[3]
+    # (c_out, batch, per_sample + 1): each channel's gradients in one row,
+    # with a zero after each sample for the taps that fall off the grid.
+    rows = np.zeros((c_out, batch, per_sample + 1), dtype=g.dtype)
+    rows[:, :, :per_sample] = g.reshape(batch, c_out, per_sample).transpose(1, 0, 2)
+    dims = grad_y.dims
+    sample, voxel = np.divmod(np.flatnonzero(x[:, 0] != 0), int(np.prod(dims)))
+    shift = padding - np.arange(k)[:, None]
+    # (k, n) output coordinates per axis, and whether they are on the grid
+    coords = [v + shift for v in np.unravel_index(voxel, dims)]
+    on_grid = [(c >= 0) & (c < d) for c, d in zip(coords, dims)]
+    i, j, l = (np.clip(c, 0, d - 1) for c, d in zip(coords, dims))
+    inside = on_grid[0][:, None, None] & on_grid[1][None, :, None] & on_grid[2][None, None, :]
+    slot = grad_y.index(sample, i[:, None, None], j[None, :, None], l[None, None, :])
+    slot[~inside] = per_sample  # (k, k, k, n)
+    gathered = np.take(rows.reshape(c_out, -1), sample * (per_sample + 1) + slot, axis=1)
+    return gathered.sum(axis=-1).reshape(c_out, 1, k, k, k)
 
 
 def _as_float(arr, like=None) -> np.ndarray:
@@ -164,7 +292,7 @@ def _as_float(arr, like=None) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1):
+def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1, pool: int | None = None):
     """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
 
     A one-channel input holding only 0 and 1, at stride 1 and padding
@@ -177,8 +305,16 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1):
     BLAS this was measured with, so the output is bit-identical to the
     dense path; ``tests/test_layers.py::TestBinaryConv`` asserts it. A
     compact GEMM over the active columns would not be: BLAS picks another
-    kernel at small N and differed by 1 ulp in float64. The cache is the
-    same on both paths.
+    kernel at small N and differed by 1 ulp in float64. The active
+    positions are processed ``_BINARY_CHUNK`` at a time, which changes no
+    sum.
+
+    With ``pool`` (the network's training forward passes its pool window),
+    the sparse path returns a ``Windowed``: per sample, the pool windows
+    that touch its active positions, holding those values and 0 + bias,
+    and 0 + bias as the background. Dense inputs and inputs above the
+    cutoff return the dense array either way. The cache is the same on all
+    paths.
     """
     x = _as_float(x)
     w = _as_float(w, like=x)
@@ -192,7 +328,7 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1):
     out_dims = _conv_out_dims(x.shape[2:], k, stride, padding)
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
-    y = _correlate_binary(x, w_mat, b, k, stride, padding, out_dims)
+    y = _correlate_binary(x, w_mat, b, k, stride, padding, out_dims, pool)
     if y is None:
         y = _correlate(_pad_spatial(x, padding), w_mat, k, stride, out_dims)
         y += b[:, None, None, None]
@@ -204,8 +340,19 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
 
     ``need_input_grad=False`` skips the input gradient (None in its slot),
     which the network uses for its first block.
+
+    A ``Windowed`` gradient (from a binary input's training forward, which
+    only the first block sees) gives no input gradient. Its weight gradient
+    gathers, for each tap, the gradient at every occupied voxel minus that
+    tap (see ``_binary_weight_grad``) instead of a GEMM over every
+    position, and its bias gradient is the sum over the windows plus the
+    background's sum. Both sum in another order than the dense path, so
+    they agree with it to float rounding.
     """
     x, w, stride, padding = cache
+    if isinstance(grad_y, Windowed):
+        grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
+        return None, _binary_weight_grad(grad_y, x, w.shape[2], padding), grad_b
     grad_y = _as_float(grad_y, like=x)
     batch, c_in = x.shape[:2]
     c_out, k = w.shape[0], w.shape[2]
@@ -258,20 +405,36 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def leaky_relu_forward(x, slope: float = 0.01):
-    x = _as_float(x)
+def _leaky_relu(x, slope: float):
     positive = x > 0
     # For slope <= 1, leaky ReLU is max(x, slope*x).
     y = x * x.dtype.type(slope)
     np.maximum(y, x, out=y)
+    return y, positive
+
+
+def _leaky_relu_grad(grad_y, positive, slope: float):
+    # grad * 1 is grad exactly; a product is faster than a masked copy.
+    one, slope = grad_y.dtype.type(1), grad_y.dtype.type(slope)
+    return grad_y * np.where(positive, one, slope)
+
+
+def leaky_relu_forward(x, slope: float = 0.01):
+    """Elementwise; a ``Windowed`` input also maps its background."""
+    y, positive = _leaky_relu(_as_float(x), slope)
+    if isinstance(x, Windowed):
+        y_bg, positive_bg = _leaky_relu(x.background, slope)
+        y, positive = x.like(y, y_bg), x.like(positive, positive_bg)
     return y, (positive, slope)
 
 
 def leaky_relu_backward(grad_y, cache):
+    """A ``Windowed`` gradient's background sum scales by its channel's
+    slope: every background position has the same sign."""
     positive, slope = cache
-    grad_y = np.asarray(grad_y)
-    out = grad_y * grad_y.dtype.type(slope)
-    np.copyto(out, grad_y, where=positive)
+    out = _leaky_relu_grad(np.asarray(grad_y), np.asarray(positive), slope)
+    if isinstance(grad_y, Windowed):
+        out = grad_y.like(out, _leaky_relu_grad(grad_y.background, positive.background, slope))
     return out
 
 
@@ -296,7 +459,22 @@ def maxpool3d_forward(x, window: int = 2):
     network, which drops every cache, does no index work when it pools
     each conv output before leaky ReLU and batchnorm (exact, because both
     are monotone per channel; see ``network.rnet_forward``).
+
+    A ``Windowed`` input takes a running maximum over its window offsets
+    and gives every other window its background value, in a dense output;
+    the cache then holds the (batch, channels, W) window maxima.
     """
+    if isinstance(x, Windowed):
+        _require(x.window == window, f"input windowed by {x.window}, pooled by {window}")
+        offsets = np.asarray(x).transpose(2, 0, 1, 3)
+        peaks = np.maximum(offsets[0], offsets[1])
+        for view in offsets[2:]:
+            np.maximum(peaks, view, out=peaks)
+        y = np.empty(peaks.shape[:2] + tuple(d // window for d in x.dims), dtype=peaks.dtype)
+        flat = y.reshape(peaks.shape[:2] + (-1,))
+        flat[...] = x.background[:, None]
+        np.put_along_axis(flat, x.windows[:, None, :], peaks, axis=2)
+        return y, (peaks, x, window)
     x = _as_float(x)
     dx, dy, dz = x.shape[2:]
     _require(
@@ -314,6 +492,15 @@ def maxpool3d_forward(x, window: int = 2):
     return y, (y, x, window)
 
 
+def _route_to_first_max(grad_y, y, x_views, grad_views) -> None:
+    free = np.ones(y.shape, dtype=bool)  # windows whose maximum is not yet found
+    for x_view, grad_view in zip(x_views, grad_views):
+        hit = x_view == y
+        hit &= free
+        np.copyto(grad_view, grad_y, where=hit)
+        free ^= hit
+
+
 def maxpool3d_backward(grad_y, cache):
     """Route each window's gradient to its first maximum.
 
@@ -321,17 +508,47 @@ def maxpool3d_backward(grad_y, cache):
     ``argmax`` over the flattened window would pick; background voxels tie
     in every block-0 window, so this rule decides where their gradients go.
     A window whose output is NaN passes no gradient.
+
+    For a ``Windowed`` input the rule is applied inside its windows. An
+    all-background window that is not carried sends its gradient to its
+    first offset, a background position, so the background's gradient sum
+    is the sum of grad_y over all windows minus the carried ones.
     """
     y, x, window = cache
     grad_y = np.asarray(grad_y)
+    if isinstance(x, Windowed):
+        flat = grad_y.reshape(y.shape[:2] + (-1,))
+        carried = np.take_along_axis(flat, x.windows[:, None, :], axis=2)
+        grad_bg = flat.sum(axis=(0, 2)) - carried.sum(axis=(0, 2))
+        grad_bg[np.isnan(x.background)] = 0
+        grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
+        _route_to_first_max(carried, y, np.asarray(x).transpose(2, 0, 1, 3),
+                            grad_x.transpose(2, 0, 1, 3))
+        return x.like(grad_x, grad_bg)
     grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
-    free = np.ones(y.shape, dtype=bool)  # windows whose maximum is not yet found
-    for x_view, grad_view in zip(_window_views(x, window), _window_views(grad_x, window)):
-        hit = x_view == y
-        hit &= free
-        np.copyto(grad_view, grad_y, where=hit)
-        free ^= hit
+    _route_to_first_max(grad_y, y, _window_views(x, window), _window_views(grad_x, window))
     return grad_x
+
+
+def _channels(v, ndim: int):
+    """A per-channel vector shaped to broadcast along axis 1 of an ndim
+    tensor (a 1-D background is already per channel)."""
+    return v.reshape((-1,) + (1,) * max(ndim - 2, 0))
+
+
+def _channel_dot(a, b):
+    """Per-channel sum of a * b; einsum does not materialize the product."""
+    subscripts = "bcxyz,bcxyz->c" if a.ndim == 5 else "bcow,bcow->c"
+    return np.einsum(subscripts, a, b, optimize=True)
+
+
+def _normalize(x, mean, inv_std, gamma, beta):
+    """(gamma * x_hat + beta, x_hat), x_hat = (x - mean) * inv_std per channel."""
+    x_hat = np.subtract(x, _channels(mean, x.ndim))
+    x_hat *= _channels(inv_std, x.ndim)
+    y = x_hat * _channels(gamma, x.ndim)
+    y += _channels(beta, x.ndim)
+    return y, x_hat
 
 
 def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, training=True):
@@ -341,50 +558,84 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, mom
     returns updated running statistics; eval mode normalizes by the running
     statistics and returns them unchanged. Only a training-mode cache feeds
     ``batchnorm3d_backward``: eval mode has no backward.
+
+    The statistics of a ``Windowed`` input count its background value once
+    per background position: the mean adds count * value to the window sum,
+    and the variance, taken about that mean (two passes, not
+    E[x^2] - E[x]^2), adds count * (value - mean)^2. Window values and the
+    background are then normalized alike, and the cached x_hat is
+    ``Windowed`` too.
     """
-    x = _as_float(x)
-    channels = x.shape[1]
+    values = _as_float(x)
+    channels = values.shape[1]
     for name, arr in (("gamma", gamma), ("beta", beta),
                       ("running_mean", running_mean), ("running_var", running_var)):
         _require(np.shape(arr) == (channels,), f"{name} must have shape ({channels},)")
-    gamma = _as_float(gamma, like=x)
-    beta = _as_float(beta, like=x)
-    running_mean = _as_float(running_mean, like=x)
-    running_var = _as_float(running_var, like=x)
-    axes = (0, 2, 3, 4)
+    gamma = _as_float(gamma, like=values)
+    beta = _as_float(beta, like=values)
+    running_mean = _as_float(running_mean, like=values)
+    running_var = _as_float(running_var, like=values)
+    axes = (0,) + tuple(range(2, values.ndim))
+    windowed = isinstance(x, Windowed)
     if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        if windowed:
+            count, background = x.background_count, x.background
+            n = values.size // channels + count
+            mean = (values.sum(axis=axes) + count * background) / n
+            deviation = values - _channels(mean, values.ndim)
+            np.square(deviation, out=deviation)
+            var = (deviation.sum(axis=axes) + count * (background - mean) ** 2) / n
+        else:
+            mean = values.mean(axis=axes)
+            var = values.var(axis=axes)
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = np.subtract(x, mean[:, None, None, None])
-    x_hat *= inv_std[:, None, None, None]
-    y = x_hat * gamma[:, None, None, None]
-    y += beta[:, None, None, None]
+    y, x_hat = _normalize(values, mean, inv_std, gamma, beta)
+    if windowed:
+        y_bg, x_hat_bg = _normalize(x.background, mean, inv_std, gamma, beta)
+        y, x_hat = x.like(y, y_bg), x.like(x_hat, x_hat_bg)
     return y, (x_hat, inv_std, gamma), new_mean, new_var
 
 
 def batchnorm3d_backward(grad_y, cache):
-    """Gradients w.r.t. input, gamma and beta of a training-mode forward."""
+    """Gradients w.r.t. input, gamma and beta of a training-mode forward.
+
+    For a ``Windowed`` gradient the background adds its gradient sum G to
+    the sums of g (beta's gradient) and of g * x_hat (gamma's), as G times
+    the background's x_hat, and to the two sums of the input gradient
+    likewise. The background's input-gradient sum then follows in closed
+    form from G and the background count.
+    """
     x_hat, inv_std, gamma = cache
-    grad_y = _as_float(grad_y, like=x_hat)
-    axes = (0, 2, 3, 4)
-    # Channel reductions via einsum avoid materializing the products.
-    grad_gamma = np.einsum("bcxyz,bcxyz->c", grad_y, x_hat, optimize=True)
-    grad_beta = grad_y.sum(axis=axes)
-    grad_hat = grad_y * gamma[:, None, None, None]
-    n = grad_y.size // grad_y.shape[1]
+    g = _as_float(grad_y, like=x_hat)
+    xh = np.asarray(x_hat)
+    axes = (0,) + tuple(range(2, g.ndim))
+    grad_gamma = _channel_dot(g, xh)
+    grad_beta = g.sum(axis=axes)
+    grad_hat = g * _channels(gamma, g.ndim)
+    n = g.size // g.shape[1]
     sum_gh = grad_hat.sum(axis=axes)
-    sum_ghx = np.einsum("bcxyz,bcxyz->c", grad_hat, x_hat, optimize=True)
+    sum_ghx = _channel_dot(grad_hat, xh)
+    windowed = isinstance(grad_y, Windowed)
+    if windowed:
+        grad_bg, x_hat_bg, count = grad_y.background, x_hat.background, x_hat.background_count
+        grad_gamma += grad_bg * x_hat_bg
+        grad_beta += grad_bg
+        sum_gh += gamma * grad_bg
+        sum_ghx += gamma * grad_bg * x_hat_bg
+        n += count
     grad_x = grad_hat  # owned temporary, reused in place
     grad_x *= n
-    grad_x -= sum_gh[:, None, None, None]
-    grad_x -= x_hat * sum_ghx[:, None, None, None]
-    grad_x *= (inv_std / n)[:, None, None, None]
+    grad_x -= _channels(sum_gh, g.ndim)
+    grad_x -= xh * _channels(sum_ghx, g.ndim)
+    grad_x *= _channels(inv_std / n, g.ndim)
+    if windowed:
+        bg_sum = (n * gamma * grad_bg - count * (sum_gh + x_hat_bg * sum_ghx)) * (inv_std / n)
+        grad_x = grad_y.like(grad_x, bg_sum)
     return grad_x, grad_gamma, grad_beta
 
 

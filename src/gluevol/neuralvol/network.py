@@ -136,6 +136,14 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     ``rnet_backward`` and carry updated batchnorm running statistics,
     applied to ``weights`` by ``apply_running_stats``.
 
+    Training passes the pool window to every conv. A block whose input is a
+    sparse binary grid (the first block, on height fields) then runs leaky
+    ReLU, batchnorm and max-pool as ``layers.Windowed`` tensors: its active
+    pool windows plus one background value per channel, about an eighth of
+    the full-resolution positions on tiny grids. The pooled output is
+    dense. Batchnorm statistics and the block's gradients sum in another
+    order than the dense layers, so they match them to float rounding.
+
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
     batchnorm touch 1/window^3 of the conv output. The result is bit for bit
@@ -159,7 +167,9 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     caches = []
     h = x
     for blk in weights.blocks:
-        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, cfg.stride, cfg.padding)
+        h, conv_cache = layers.conv3d_forward(
+            h, blk.conv_w, blk.conv_b, cfg.stride, cfg.padding, pool=cfg.pool
+        )
         h, relu_cache = layers.leaky_relu_forward(h, cfg.leaky_slope)
         h, bn_cache, new_mean, new_var = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
@@ -196,7 +206,12 @@ def _eval_forward(x, weights: ModelWeights, cfg: NetConfig) -> np.ndarray:
 
 
 def rnet_backward(grad_pred, caches):
-    """Backward pass; returns per-parameter gradients in trainable() order."""
+    """Backward pass; returns per-parameter gradients in trainable() order.
+
+    A block that ran on ``layers.Windowed`` tensors gets its gradients in
+    that form from max-pool back to its conv, whose weight gradient is a
+    gather at the occupied voxels.
+    """
     dense_cache, pre_flat_shape = caches[-1]
     grad_out = np.asarray(grad_pred, dtype=np.float64)[:, None]
     grad_flat, grad_dw, grad_db = layers.dense_backward(grad_out, dense_cache)

@@ -48,13 +48,11 @@ def write_weights(weights: ModelWeights, path) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
-def read_weights(path) -> ModelWeights:
-    data = Path(path).read_bytes()
-    if data[:5] != GGNN_MAGIC:
-        raise WeightsFormatError(f"{path}: bad magic {data[:5]!r}")
+def _read_entries(data: bytes):
+    """({name: array}, end offset) of the entries after the magic."""
     version, count = struct.unpack_from("<II", data, 5)
     if version != GGNN_VERSION:
-        raise WeightsFormatError(f"{path}: unsupported version {version}")
+        raise ValueError(f"unsupported version {version}")
     offset = 13
     headers = []
     for _ in range(count):
@@ -73,6 +71,17 @@ def read_weights(path) -> ModelWeights:
         arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
         offset += size * 8
         table[name] = arr.reshape(shape).astype(np.float64)
+    return table, offset
+
+
+def read_weights(path) -> ModelWeights:
+    data = Path(path).read_bytes()
+    if data[:5] != GGNN_MAGIC:
+        raise WeightsFormatError(f"{path}: bad magic {data[:5]!r}")
+    try:
+        table, offset = _read_entries(data)
+    except (struct.error, ValueError) as exc:  # truncated or garbled entries
+        raise WeightsFormatError(f"{path}: {exc}") from exc
     if offset != len(data):
         raise WeightsFormatError(f"{path}: {len(data) - offset} trailing bytes")
 

@@ -82,7 +82,10 @@ def stage_annotate(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
                 path = scan_dir / scansim.scan_filename(pcb.index, region, scan_pass)
                 if not path.exists():
                     raise MissingInput(f"annotate: missing scan {path}")
-                volume = dataset.annotate(cloudio.read_xyz(path))
+                try:
+                    volume = dataset.annotate(cloudio.read_xyz(path))
+                except KeyError as exc:  # annotate's missing-metadata error
+                    raise cloudio.CloudFormatError(f"{path}: no {exc} metadata") from exc
                 table.add(
                     AnnotationRecord(
                         pcb=pcb.index,

@@ -128,6 +128,8 @@ def read_ggvg(path) -> VoxelGrid:
     data = Path(path).read_bytes()
     if data[:5] != GGVG_MAGIC:
         raise GridFormatError(f"{path}: bad magic {data[:5]!r}")
+    if len(data) < 65:
+        raise GridFormatError(f"{path}: {len(data)} bytes, shorter than the 65-byte header")
     nx, ny, nz = struct.unpack_from("<III", data, 5)
     voxel_size = np.array(struct.unpack_from("<3d", data, 17))
     origin = np.array(struct.unpack_from("<3d", data, 41))

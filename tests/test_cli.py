@@ -191,3 +191,36 @@ class TestNumericFailure:
         weights_io.write_weights(weights, path)
         assert run_stage(micro.cfg_path, "eval", ws) == cli.EXIT_NUMERIC
         assert "non-finite MSE for A_unattached" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """A workspace file that does not parse exits 3 with a one-line message."""
+
+    @staticmethod
+    def assert_exit_3(cfg_path, stage, ws, capsys, needle):
+        assert run_stage(cfg_path, stage, ws) == cli.EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+    def test_xyz_line_with_two_fields(self, micro, ws, capsys):
+        scan = sorted((ws / "scans").glob("*.xyz"))[0]
+        scan.write_text(scan.read_text() + "0.1 0.2\n")
+        self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, "expected 3 fields, got 2")
+
+    def test_scan_without_footprint(self, micro, ws, capsys):
+        scan = sorted((ws / "scans").glob("*.xyz"))[0]
+        lines = scan.read_text().splitlines(keepends=True)
+        scan.write_text("".join(l for l in lines if not l.startswith("# meta footprint=")))
+        self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, "'footprint'")
+
+    def test_truncated_grid(self, micro, ws, capsys):
+        grid = sorted((ws / "grids").glob("*.ggvg"))[0]
+        grid.write_bytes(grid.read_bytes()[:40])
+        self.assert_exit_3(micro.cfg_path, "train", ws, capsys, grid.name)
+
+    @pytest.mark.parametrize("keep", [20, 300])
+    def test_corrupted_weights(self, micro, ws, capsys, keep):
+        path = ws / "models" / "weights_A_unattached.ggnn"
+        data = path.read_bytes()
+        path.write_bytes(data[:keep] + b"\xff" * 4 + data[keep + 4 :])
+        self.assert_exit_3(micro.cfg_path, "eval", ws, capsys, path.name)

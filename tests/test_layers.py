@@ -205,6 +205,9 @@ class TestBinaryConv:
             x = voxelizer.build_grid(cloud, cfg.grid).occupancy[None, None].astype(dtype)
             y = self.sparse_forward(monkeypatch, x, w, b)
             assert_same_bits(y, dense_conv(x, w, b, 1))
+            # a batch-1 inspect grid is one step of the sparse path
+            _, active = layers._binary_active(x, 3, 1, 1, x.shape[2:])
+            assert np.count_nonzero(active) <= layers._BINARY_CHUNK
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_voxels_on_every_face_match_gemm(self, monkeypatch, k):
@@ -235,6 +238,156 @@ class TestBinaryConv:
         x[1, 0, 4, 4, 4] = value
         w, b = conv_weights(np.float64)
         assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunks_match_gemm(self, monkeypatch, dtype):
+        # 37 active positions per step: the batch spans dozens of steps,
+        # and steps split samples
+        rng = np.random.default_rng(11)
+        x = np.zeros((6, 1, 12, 12, 24), dtype=dtype)
+        s, i, j = np.nonzero(rng.random((6, 12, 12)) < 0.1)
+        x[s, 0, i, j, rng.integers(0, 24, s.size)] = 1
+        w = rng.standard_normal((8, 1, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(8).astype(dtype)
+        monkeypatch.setattr(layers, "_BINARY_CHUNK", 37)
+        _, active = layers._binary_active(x, 3, 1, 1, x.shape[2:])
+        assert np.count_nonzero(active) > 50 * 37
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+
+
+def densify(t: layers.Windowed) -> np.ndarray:
+    """The full-resolution tensor a forward ``Windowed`` stands for."""
+    values = np.asarray(t)
+    batch, channels = values.shape[:2]
+    out = np.empty((batch, channels) + t.dims, dtype=values.dtype)
+    flat = out.reshape(batch, channels, -1)
+    flat[...] = t.background[:, None]
+    i, j, l = (c.ravel() for c in np.indices(t.dims))
+    for sample in range(batch):
+        index = t.index(sample, i, j, l)
+        carried = index >= 0
+        flat[sample][:, carried] = values[sample].reshape(channels, -1)[:, index[carried]]
+    return out
+
+
+def block0(x, w, b, gamma, beta, grad, pool):
+    """conv -> leaky ReLU -> batchnorm -> max-pool and back, as the
+    network's first block trains; ``pool=None`` is the dense oracle."""
+    c = len(b)
+    h, conv_cache = layers.conv3d_forward(x, w, b, 1, 1, pool=pool)
+    h, relu_cache = layers.leaky_relu_forward(h, 0.01)
+    h, bn_cache, mean, var = layers.batchnorm3d_forward(
+        h, gamma, beta, np.zeros(c), np.ones(c), training=True
+    )
+    y, pool_cache = layers.maxpool3d_forward(h, 2)
+    g = layers.maxpool3d_backward(grad, pool_cache)
+    g, grad_gamma, grad_beta = layers.batchnorm3d_backward(g, bn_cache)
+    g = layers.leaky_relu_backward(g, relu_cache)
+    _, grad_w, grad_b = layers.conv3d_backward(g, conv_cache, need_input_grad=False)
+    out = dict(y=y, mean=mean, var=var, grad_gamma=grad_gamma, grad_beta=grad_beta,
+               grad_w=grad_w, grad_b=grad_b)
+    return out, h, g
+
+
+class TestWindowed:
+    """Block 0 on its active pool windows against the dense layers.
+
+    Tolerances: every output and parameter gradient is within
+    RTOL[dtype] * max|dense| of the dense path, except the conv bias
+    gradient, a sum that mostly cancels, which is within
+    RTOL[dtype] / 10 of the per-channel sum of |conv-output gradient|.
+    Over 90 random batches per dtype (12x12x24 grids, batches 1, 4 and
+    32) the worst were 3.6e-6 and 2.3e-7 in float32, 5.3e-15 and 7.9e-16
+    in float64.
+    """
+
+    RTOL = {np.float64: 1e-13, np.float32: 2e-5}
+
+    @staticmethod
+    def params(rng, dtype):
+        w = rng.standard_normal((8, 1, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(8).astype(dtype)
+        b[:2] = [0.0, -0.0]
+        gamma = rng.normal(1.0, 0.5, 8).astype(dtype)
+        gamma[1] = -abs(gamma[1])
+        beta = rng.standard_normal(8).astype(dtype)
+        return w, b, gamma, beta
+
+    def compare(self, x, seed=0, windowed=True, atol=0.0):
+        dtype = x.dtype.type
+        rng = np.random.default_rng(seed)
+        w, b, gamma, beta = self.params(rng, dtype)
+        grad = rng.standard_normal(x.shape[:1] + (8,) + tuple(d // 2 for d in x.shape[2:]))
+        grad = grad.astype(dtype)
+        dense, h_dense, g_dense = block0(x, w, b, gamma, beta, grad, None)
+        got, h, g = block0(x, w, b, gamma, beta, grad, 2)
+        assert isinstance(h, layers.Windowed) == windowed
+        assert isinstance(g, layers.Windowed) == windowed
+        rtol = self.RTOL[dtype]
+        if windowed:
+            assert np.abs(densify(h) - h_dense).max() <= rtol * np.abs(h_dense).max()
+        for name, want in dense.items():
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape, name
+            if name == "grad_b":
+                scale = np.abs(g_dense).sum(axis=(0, 2, 3, 4)) * rtol / 10
+            else:
+                scale = rtol * np.abs(want).max()
+            assert np.all(np.abs(got[name] - want) <= scale + atol), name
+        return got, dense
+
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_height_fields_match_dense(self, dtype, batch):
+        rng = np.random.default_rng(batch)
+        for seed in range(3):
+            x = np.zeros((batch, 1, 12, 12, 24), dtype=dtype)
+            s, i, j = np.nonzero(rng.random((batch, 12, 12)) < 0.05)
+            x[s, 0, i, j, rng.integers(0, 24, s.size)] = 1
+            self.compare(x, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_voxels_on_faces_and_corners(self, dtype):
+        x = np.zeros((2, 1, 8, 10, 12), dtype=dtype)
+        x[0, 0, 0, 4, 5] = x[0, 0, -1, 3, 2] = 1  # x faces
+        x[0, 0, 5, 0, 7] = x[1, 0, 2, -1, 1] = 1  # y faces
+        x[1, 0, 6, 6, 0] = x[1, 0, 3, 8, -1] = 1  # z faces
+        x[1, 0, -1, -1, -1] = x[1, 0, 0, 0, 0] = x[0, 0, 0, -1, 0] = 1  # corners
+        self.compare(x)
+
+    def test_empty_grid_is_all_background(self):
+        # Zero variance: x_hat is rounding noise of the mean times
+        # 1/sqrt(eps), so the batchnorm gradients get an absolute bound.
+        x = np.zeros((3, 1, 8, 8, 16))
+        got, _ = self.compare(x, atol=1e-11)
+        assert np.all(got["grad_w"] == 0)
+        h, _ = layers.conv3d_forward(x, *self.params(np.random.default_rng(0), np.float64)[:2],
+                                     pool=2)
+        assert h.shape == (3, 8, 8, 0) and h.background_count == 3 * 8 * 8 * 16
+
+    def test_above_cutoff_takes_dense_path(self):
+        x = (np.random.default_rng(3).random((4, 1, 8, 8, 16)) < 0.3).astype(np.float64)
+        got, dense = self.compare(x, windowed=False)
+        for name, want in dense.items():
+            assert_same_bits(got[name], want)
+
+    def test_background_maximum_takes_first_offset(self):
+        # Pooled grid (1, 1, 2): window 0 is all background (0.5); window 1
+        # is active, and its maximum is the background value, at offsets 2
+        # and 5 in (x, y, z) order.
+        values = np.array([0.1, -1.0, 0.5, 0.3, 0.2, 0.5, -2.0, 0.0])
+        x = layers._windowed(values.reshape(1, 1, 8, 1), np.array([0.5]), np.array([[1]]),
+                             (2, 2, 4), 2)
+        dense = np.full((1, 1, 2, 2, 4), 0.5)
+        dense[0, 0, :, :, 2:] = values.reshape(2, 2, 2)
+        y, cache = layers.maxpool3d_forward(x, 2)
+        y_dense, cache_dense = layers.maxpool3d_forward(dense, 2)
+        assert_same_bits(y, y_dense)
+        grad = np.array([3.0, 7.0]).reshape(1, 1, 1, 1, 2)
+        g = layers.maxpool3d_backward(grad, cache)
+        g_dense = layers.maxpool3d_backward(grad, cache_dense)
+        assert np.flatnonzero(g_dense).tolist() == [0, 6]  # (0,0,0) and (0,1,2)
+        assert np.asarray(g).ravel().tolist() == [0, 0, 7.0, 0, 0, 0, 0, 0]
+        assert g.background.tolist() == [3.0]
 
 
 class TestLeakyRelu:

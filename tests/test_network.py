@@ -138,6 +138,42 @@ class TestForward:
                 numeric = (up - down) / (2 * h)
                 assert abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-8) < 1e-4
 
+    def test_full_net_gradients_on_height_fields(self):
+        # Binary height fields take the sparse conv path and the windowed
+        # first block; finite differences check that whole backward.
+        cfg = NetConfig(channels=(2, 3), input_dims=(8, 8, 16))
+        rng = np.random.default_rng(6)
+        weights = init_weights(cfg, seed=2)
+        for blk in weights.blocks:
+            blk.conv_w[:] = rng.normal(0.0, 0.5, blk.conv_w.shape)
+            blk.conv_b[:] = rng.normal(0.0, 0.1, blk.conv_b.shape)
+        x = np.zeros((3, 1, 8, 8, 16))
+        for sample in x:
+            cols = rng.choice(64, 4, replace=False)
+            sample[0, cols // 8, cols % 8, rng.integers(0, 16, 4)] = 1
+        target = rng.standard_normal(3)
+
+        def loss():
+            pred, _ = rnet_forward(x, weights, cfg, training=True)
+            return layers.loss_mse(pred, target)[0]
+
+        pred, caches = rnet_forward(x, weights, cfg, training=True)
+        assert isinstance(caches[0][1][0], layers.Windowed)  # first block's ReLU mask
+        _, grad = layers.loss_mse(pred, target)
+        grads = rnet_backward(grad, caches)
+        h = 1e-6
+        for arr, g in zip(weights.trainable(), grads):
+            flat, gflat = arr.ravel(), g.ravel()
+            for i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+                original = flat[i]
+                flat[i] = original + h
+                up = loss()
+                flat[i] = original - h
+                down = loss()
+                flat[i] = original
+                numeric = (up - down) / (2 * h)
+                assert abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-8) < 1e-4
+
     def test_predict_applies_target_scaling(self):
         weights = init_weights(SMALL, seed=0)
         for blk in weights.blocks:
