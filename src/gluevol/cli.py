@@ -5,11 +5,12 @@ and ``config`` (print the resolved defaults). Logs are line-oriented
 ``key=value`` pairs on stdout; files under the output directory are the
 deterministic artifacts.
 
-Exit codes: 0 success, 2 config error (an unknown or missing config key
-and a glue type without thresholds included), 3 missing or malformed input
-(a workspace file that is absent, or a scan, grid or weights file that does
-not parse, including a scan without its ``footprint`` or ``step_um``
-metadata), 4 numeric failure. Every error exit prints one line to stderr.
+Exit codes: 0 success, 2 config error (an unknown, missing or retired
+config key, a glue type without thresholds and no training samples
+included), 3 missing or malformed input (a workspace file that is absent,
+or a scan, grid or weights file that does not parse or fit, including a
+scan without its ``footprint`` or ``step_um`` metadata), 4 numeric
+failure. Every error exit prints one line to stderr.
 
 Heavy imports happen after thread-count environment variables are set, so
 ``--threads 1`` pins the BLAS pool for fully reproducible runs.

@@ -20,8 +20,8 @@ the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
 GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
 the dense GEMM is faster and runs instead.
 
-In training, the network passes ``pool`` to ``conv3d_forward``. A binary
-input that takes the sparse path then comes out as a ``Windowed`` tensor:
+The network passes ``pool`` to ``conv3d_forward``. A binary input that
+takes the sparse path then comes out as a ``Windowed`` tensor:
 per sample, the values of the pool windows that touch an active position,
 plus one background value per channel (0 + bias) for every other
 position. Leaky ReLU, batchnorm and max-pool take that form forward and
@@ -309,7 +309,7 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1, pool: int | None 
     positions are processed ``_BINARY_CHUNK`` at a time, which changes no
     sum.
 
-    With ``pool`` (the network's training forward passes its pool window),
+    With ``pool`` (the network's forward passes its pool window),
     the sparse path returns a ``Windowed``: per sample, the pool windows
     that touch its active positions, holding those values and 0 + bias,
     and 0 + bias as the background. Dense inputs and inputs above the

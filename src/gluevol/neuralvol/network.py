@@ -1,10 +1,13 @@
 """The volume-regression network: blocks of conv/leaky-ReLU/batchnorm/pool,
 then flatten and a single dense output.
 
-The canonical configuration (channels 32..512 over a 32x32x64 occupancy
+The topology is fixed, save the channel counts and the grid size: a 3x3x3
+"same" conv, leaky ReLU, batchnorm and a 2x2x2 max-pool per block, on a
+one-channel grid, with the ``layers`` defaults for stride, padding, slope
+and batchnorm. The canonical configuration (channels 32..512 over a 32x32x64
 grid) halves each spatial dimension per block and flattens to 1024
-features. A tiny profile keeps the identical topology at reduced channel
-counts so the network trains on a desk CPU.
+features. The tiny profile (see ``config``) keeps the identical topology at
+reduced channel counts so the network trains on a desk CPU.
 """
 
 from __future__ import annotations
@@ -16,43 +19,34 @@ import numpy as np
 from . import layers
 from .layers import ShapeMismatch
 
-TINY_CHANNELS = (8, 16, 32, 64, 128)
+KERNEL = 3  # conv kernel edge
+POOL = 2  # max-pool window edge
 
 
 @dataclass(frozen=True)
 class NetConfig:
     channels: tuple[int, ...] = (32, 64, 128, 256, 512)
-    kernel: int = 3
-    stride: int = 1
-    padding: int = 1
-    pool: int = 2
-    leaky_slope: float = 0.01
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     input_dims: tuple[int, int, int] = (32, 32, 64)
-    in_channels: int = 1
+
+    RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
+        "kernel": KERNEL, "stride": 1, "padding": 1, "pool": POOL, "in_channels": 1,
+        "leaky_slope": 0.01, "bn_eps": 1e-5, "bn_momentum": 0.1}
 
     def block_shapes(self) -> list[tuple[int, int, int, int]]:
         """(channels, x, y, z) after each block, input first."""
-        shapes = [(self.in_channels,) + tuple(self.input_dims)]
         dims = tuple(self.input_dims)
+        shapes = [(1,) + dims]
         for c_out in self.channels:
-            dims = tuple(
-                (d + 2 * self.padding - self.kernel) // self.stride + 1 for d in dims
-            )
-            if any(d % self.pool for d in dims):
-                raise ShapeMismatch(f"dims {dims} not divisible by pool {self.pool}")
-            dims = tuple(d // self.pool for d in dims)
+            # A "same" conv keeps the dims; the pool divides them.
+            if any(d % POOL for d in dims):
+                raise ShapeMismatch(f"dims {dims} not divisible by pool {POOL}")
+            dims = tuple(d // POOL for d in dims)
             shapes.append((c_out,) + dims)
         return shapes
 
     @property
     def flatten_length(self) -> int:
         return int(np.prod(self.block_shapes()[-1]))
-
-
-def tiny_config() -> NetConfig:
-    return NetConfig(channels=TINY_CHANNELS)
 
 
 @dataclass
@@ -110,11 +104,11 @@ def init_weights(cfg: NetConfig, seed: int = 0) -> ModelWeights:
     N(1, 0.02^2), biases and shifts zero. Deterministic per seed."""
     rng = np.random.default_rng(seed)
     blocks = []
-    c_in = cfg.in_channels
+    c_in = 1
     for c_out in cfg.channels:
         blocks.append(
             BlockWeights(
-                conv_w=rng.normal(0.0, 0.02, (c_out, c_in) + (cfg.kernel,) * 3),
+                conv_w=rng.normal(0.0, 0.02, (c_out, c_in) + (KERNEL,) * 3),
                 conv_b=np.zeros(c_out),
                 bn_gamma=rng.normal(1.0, 0.02, c_out),
                 bn_beta=np.zeros(c_out),
@@ -146,7 +140,10 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
-    batchnorm touch 1/window^3 of the conv output. The result is bit for bit
+    batchnorm touch 1/window^3 of the conv output. Like training, it passes
+    the pool window to the conv, so a sparse binary input's full-resolution
+    conv output is never built: it is pooled as a ``layers.Windowed``, with
+    the dense conv's values. The result is bit for bit
     that of the training order: float rounding is monotone, so leaky ReLU
     and the running-statistics batchnorm affine are non-decreasing per
     channel where ``bn_gamma >= 0`` and non-increasing where it is negative,
@@ -159,23 +156,20 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     x = np.asarray(x)
     if x.dtype != weights.dense_w.dtype:
         x = x.astype(weights.dense_w.dtype)
-    expected = (cfg.in_channels,) + tuple(cfg.input_dims)
+    expected = (1,) + tuple(cfg.input_dims)
     if x.ndim != 5 or x.shape[1:] != expected:
         raise ShapeMismatch(f"input shape {x.shape[1:]} != expected {expected}")
     if not training:
-        return _eval_forward(x, weights, cfg), None
+        return _eval_forward(x, weights), None
     caches = []
     h = x
     for blk in weights.blocks:
-        h, conv_cache = layers.conv3d_forward(
-            h, blk.conv_w, blk.conv_b, cfg.stride, cfg.padding, pool=cfg.pool
-        )
-        h, relu_cache = layers.leaky_relu_forward(h, cfg.leaky_slope)
+        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, pool=POOL)
+        h, relu_cache = layers.leaky_relu_forward(h)
         h, bn_cache, new_mean, new_var = layers.batchnorm3d_forward(
-            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
-            eps=cfg.bn_eps, momentum=cfg.bn_momentum, training=True,
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=True
         )
-        h, pool_cache = layers.maxpool3d_forward(h, cfg.pool)
+        h, pool_cache = layers.maxpool3d_forward(h, POOL)
         caches.append((conv_cache, relu_cache, bn_cache, pool_cache, new_mean, new_var))
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = layers.dense_forward(flat, weights.dense_w, weights.dense_b)
@@ -183,7 +177,7 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     return out[:, 0], caches
 
 
-def _eval_forward(x, weights: ModelWeights, cfg: NetConfig) -> np.ndarray:
+def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
     """Eval-mode predictions, pooling each conv output first (see rnet_forward)."""
     h = x
     for blk in weights.blocks:
@@ -192,14 +186,13 @@ def _eval_forward(x, weights: ModelWeights, cfg: NetConfig) -> np.ndarray:
         if flip.any():
             conv_w = np.where(flip[:, None, None, None, None], -conv_w, conv_w)
             conv_b = np.where(flip, -conv_b, conv_b)
-        h, _ = layers.conv3d_forward(h, conv_w, conv_b, cfg.stride, cfg.padding)
-        h, _ = layers.maxpool3d_forward(h, cfg.pool)
+        h, _ = layers.conv3d_forward(h, conv_w, conv_b, pool=POOL)
+        h, _ = layers.maxpool3d_forward(h, POOL)
         if flip.any():
             np.negative(h, out=h, where=flip[:, None, None, None])
-        h, _ = layers.leaky_relu_forward(h, cfg.leaky_slope)
+        h, _ = layers.leaky_relu_forward(h)
         h, _, _, _ = layers.batchnorm3d_forward(
-            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
-            eps=cfg.bn_eps, training=False,
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
     out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
     return out[:, 0]

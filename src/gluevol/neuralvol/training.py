@@ -1,9 +1,9 @@
 """Training and evaluation harness for the regression network.
 
-Epoch-shuffled minibatch optimization with Adam on the MSE loss. A fixed
-seed and single-threaded BLAS give bit-identical histories and weights.
-Targets can be standardized for desk-scale runs; predictions and reported
-errors are always in raw mm^3 units.
+Epoch-shuffled minibatch optimization with Adam on the MSE loss, in
+float32. A fixed seed and single-threaded BLAS give bit-identical histories
+and weights. Targets can be standardized for desk-scale runs; predictions
+and reported errors are always in raw mm^3 units.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util import DOMAIN_INIT, DOMAIN_TRAIN, configure_allocator, derived_rng
+from ..util import ANY_VALUE, DOMAIN_INIT, DOMAIN_TRAIN, configure_allocator, derived_rng
 from . import layers
 from .network import (
     ModelWeights,
@@ -24,7 +24,9 @@ from .network import (
     rnet_backward,
     rnet_forward,
 )
-from .optim import AdamConfig, adam_init, adam_step
+from .optim import BETA1, BETA2, EPS, adam_init, adam_step
+
+_DTYPE = np.dtype(np.float32)  # the loop's; returned weights are float64
 
 
 class EmptySplit(ValueError):
@@ -36,32 +38,12 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    profile: str = "paper"
     standardize_targets: bool = False
-    shuffle: bool = True
-    # Working precision of the optimization loop; persisted weights are
-    # always float64.
-    compute_dtype: str = "float32"
 
-    def adam(self) -> AdamConfig:
-        return AdamConfig(self.learning_rate, self.beta1, self.beta2, self.eps)
-
-
-def tiny_train_config(seed: int = 0) -> TrainConfig:
-    """Desk-scale defaults: small batches, faster learning rate, and
-    standardized targets so raw-mm^3 magnitudes do not throttle Adam."""
-    return TrainConfig(
-        epochs=12,
-        batch_size=32,
-        learning_rate=1e-3,
-        seed=seed,
-        profile="tiny",
-        standardize_targets=True,
-    )
+    RETIRED_KEYS = {  # nothing ever read ``profile``
+        "beta1": BETA1, "beta2": BETA2, "eps": EPS, "profile": ANY_VALUE,
+        "shuffle": True, "compute_dtype": _DTYPE.name}
 
 
 @dataclass
@@ -76,7 +58,6 @@ class EpochStats:
 class TrainResult:
     weights: ModelWeights
     history: list[EpochStats]
-    config: TrainConfig
 
 
 @dataclass
@@ -116,28 +97,26 @@ def train(
     if len(train_x) != n:
         raise layers.LengthMismatch(f"{len(train_x)} grids vs {n} labels")
     configure_allocator()
-    dtype = np.dtype(cfg.compute_dtype)
 
     init = init_weights(net_cfg, seed=int(derived_rng(cfg.seed, DOMAIN_INIT).integers(2**31)))
     if cfg.standardize_targets:
         std = float(train_y.std())
         init.target_mean = float(train_y.mean())
         init.target_std = std if std > 1e-12 else 1.0
-    scaled_y = ((train_y - init.target_mean) / init.target_std).astype(dtype)
+    scaled_y = ((train_y - init.target_mean) / init.target_std).astype(_DTYPE)
 
-    work = init.cast(dtype)
+    work = init.cast(_DTYPE)
     params = work.trainable()
     state = adam_init(params)
-    adam_cfg = cfg.adam()
     rng = derived_rng(cfg.seed, DOMAIN_TRAIN)
     history: list[EpochStats] = []
     start = time.perf_counter()
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         sq_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            batch_x = np.asarray(train_x[idx], dtype=dtype)
+            batch_x = np.asarray(train_x[idx], dtype=_DTYPE)
             pred, caches = rnet_forward(batch_x, work, net_cfg, training=True)
             apply_running_stats(work, caches)
             loss, grad = layers.loss_mse(pred, scaled_y[idx])
@@ -146,7 +125,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
             grads = rnet_backward(grad, caches)
-            adam_step(params, grads, state, adam_cfg)
+            adam_step(params, grads, state, cfg.learning_rate)
             sq_sum += loss * len(idx)
         train_mse = sq_sum / n * work.target_std**2
         if test_x is not None and len(test_x):
@@ -156,7 +135,7 @@ def train(
         history.append(
             EpochStats(epoch, train_mse, test_mse, time.perf_counter() - start)
         )
-    return TrainResult(weights=work.cast(np.float64), history=history, config=cfg)
+    return TrainResult(weights=work.cast(np.float64), history=history)
 
 
 def evaluate(weights: ModelWeights, net_cfg: NetConfig, x, y, batch_size: int = 64) -> EvalResult:

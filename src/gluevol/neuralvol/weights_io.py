@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import BlockWeights, ModelWeights
+from .network import BlockWeights, ModelWeights, NetConfig, init_weights
 
 GGNN_MAGIC = b"GGNN1"
 GGNN_VERSION = 1
@@ -100,3 +100,13 @@ def read_weights(path) -> ModelWeights:
         )
     except KeyError as exc:
         raise WeightsFormatError(f"{path}: missing entry {exc}") from exc
+
+
+def check_fits(weights: ModelWeights, cfg: NetConfig, path) -> None:
+    """Raise WeightsFormatError unless ``weights`` has the entries (so the
+    block count) and the array shapes of ``cfg``'s net."""
+    for (name, arr), (want, like) in zip(_entries(weights), _entries(init_weights(cfg))):
+        if (name, arr.shape) != (want, like.shape):
+            raise WeightsFormatError(
+                f"{path}: {name} {arr.shape} where the configured net has {want} {like.shape}"
+            )

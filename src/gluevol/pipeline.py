@@ -28,7 +28,7 @@ from . import cloudio, dataset, diagnose, scansim, voxelizer
 from .config import RunConfig
 from .dataset import AnnotationRecord, AnnotationTable, Manifest
 from .neuralvol import training, weights_io
-from .util import encode
+from .util import ConfigError, encode
 
 
 class MissingInput(FileNotFoundError):
@@ -217,12 +217,15 @@ def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     model_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest.from_json(manifest_path)
     for glue_type, attached in _groups(manifest):
+        name = _group_name(glue_type, attached)
         train_x, train_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "train")
+        if not len(train_y):  # each type's last deposit is its test split
+            raise ConfigError(f"train: {name} has no training samples "
+                              "(layout.deposits_per_type must be at least 2)")
         test_x, test_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "test")
         result = training.train(train_x, train_y, cfg.net, cfg.train, test_x, test_y)
         if result.history and not np.isfinite(result.history[-1].train_mse):
-            raise NumericError(f"training diverged for {_group_name(glue_type, attached)}")
-        name = _group_name(glue_type, attached)
+            raise NumericError(f"training diverged for {name}")
         weights_io.write_weights(result.weights, model_dir / f"weights_{name}.ggnn")
         with open(model_dir / f"history_{name}.csv", "w") as fh:
             fh.write("epoch,train_mse,test_mse,wall_seconds\n")
@@ -250,6 +253,7 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
         if not weights_path.exists():
             raise MissingInput(f"eval: missing weights {weights_path} (run `train` first)")
         weights = weights_io.read_weights(weights_path)
+        weights_io.check_fits(weights, cfg.net, weights_path)
         test_x, test_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "test")
         result = training.evaluate(weights, cfg.net, test_x, test_y)
         if not np.isfinite(result.mse):

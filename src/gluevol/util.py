@@ -6,10 +6,11 @@ Every JSON document the package writes (the run config,
 ``encode``; the typed ones are read back with ``decode``. Decoding follows
 one rule for every dataclass: an unknown key, a missing key, a value of
 another JSON type than the field's (``true`` is not an int, ``1`` not a
-bool) and a non-finite float are each a ``ConfigError``. The one
-exception is ``LayoutConfig.column_scale_range``, marked
-``JSON_OPTIONAL``: documents written before the range was stored carry
-materialized ``column_scales`` without it, and load with the default range.
+bool) and a non-finite float are each a ``ConfigError``. Two legacy rules
+keep older documents loading. A field marked ``JSON_OPTIONAL`` may be
+absent: documents written before ``LayoutConfig.column_scale_range`` was
+stored carry materialized ``column_scales`` and load with the default
+range. A key that a dataclass lists in ``RETIRED_KEYS`` may be present.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def configure_allocator() -> None:
 
 # Field metadata key: the field may be absent from a decoded document.
 JSON_OPTIONAL = "json_optional"
+# A dataclass's ``RETIRED_KEYS`` maps the keys it no longer has to the value
+# the code now fixes. Such a key is dropped when it holds that value, of the
+# same type (``1`` is not ``true``), or any value where it is ANY_VALUE;
+# another value is a ConfigError naming ``Class.key``, so no document runs
+# with a setting the code ignores.
+ANY_VALUE = object()
 
 
 class ConfigError(ValueError):
@@ -168,9 +175,14 @@ def _dataclass_decoder(tp):
     names = frozenset(f.name for f in fields)
     required = frozenset(f.name for f in fields if not f.metadata.get(JSON_OPTIONAL))
     convert = [(f.name, _decoder(hints[f.name])) for f in fields]
+    retired = getattr(tp, "RETIRED_KEYS", {})
 
     def decode_fields(doc):
         kwargs = dict(_expect(doc, dict, f"a {tp.__name__} object"))
+        for key in retired.keys() & kwargs.keys():
+            value, fixed = kwargs.pop(key), retired[key]
+            if fixed is not ANY_VALUE and (type(value), value) != (type(fixed), fixed):
+                raise ConfigError(f"{tp.__name__}.{key}: got {value!r}, fixed at {fixed!r}")
         if kwargs.keys() != names:
             for what, keys in (("unknown", kwargs.keys() - names),
                                ("missing", required - kwargs.keys())):

@@ -193,6 +193,31 @@ class TestNumericFailure:
         assert "non-finite MSE for A_unattached" in capsys.readouterr().err
 
 
+class TestMisfitConfig:
+    """A config that does not fit the workspace or the split rule exits with
+    one line, not a traceback or a silently wrong run."""
+
+    def test_weights_of_another_net_exit_3(self, micro, ws, tmp_path, capsys):
+        cfg = micro_config()
+        cfg = replace(cfg, net=replace(cfg.net, channels=(3, 4)))
+        cfg_path = tmp_path / "wider.json"
+        cfg_path.write_text(encode(cfg))
+        needle = "weights_A_unattached.ggnn: block0.conv_w (2, 1, 3, 3, 3) where"
+        TestMalformedInput.assert_exit_3(cfg_path, "eval", ws, capsys, needle)
+        name = "eval/eval_A_unattached.json"
+        assert (ws / name).read_bytes() == (micro.first / name).read_bytes()
+
+    def test_empty_training_split_exits_2(self, tmp_path, capsys):
+        cfg = micro_config()
+        cfg = replace(cfg, layout=replace(cfg.layout, deposits_per_type=1))
+        cfg_path = tmp_path / "one_deposit.json"
+        cfg_path.write_text(encode(cfg))
+        assert run_stage(cfg_path, "pipeline", tmp_path / "ws") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: train: A_unattached has no training samples")
+        assert err.count("\n") == 1, err
+
+
 class TestMalformedInput:
     """A workspace file that does not parse exits 3 with a one-line message."""
 

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from gluevol.config import (
 )
 from gluevol.diagnose import VolumeThresholds
 from gluevol.util import decode, encode
+
+
+# ``config --print-defaults`` output of the tiny and paper profiles from
+# before the net topology and the optimizer constants were fixed in code.
+LEGACY = Path(__file__).parent / "data"
 
 
 def to_doc(cfg: RunConfig) -> dict:
@@ -192,8 +198,9 @@ def set_value(*path, value):
 
 
 class TestCodecRule:
-    """Every dataclass in a document is complete, has no unknown key and
-    holds values of its fields' JSON types, floats finite. Codecs that took
+    """Every dataclass in a document is complete, has no unknown key, holds
+    values of its fields' JSON types, floats finite, and a retired key only
+    at the value the code fixes (``1`` is not ``true``). Codecs that took
     values as parsed, or filled in what was missing, accepted every edit
     here: misspelled keys were dropped, missing ones defaulted, and wrongly
     typed values failed later in a stage, or ran (``"seed": "3"``)."""
@@ -212,10 +219,19 @@ class TestCodecRule:
             (set_value("train", "standardize_targets", value=1), "standardize_targets"),
             (set_value("layout", "base_volume_mm3", "A", value=float("nan")), "base_volume_mm3"),
             (set_value("prediction_s_per_region", value=float("inf")), "prediction_s_per_region"),
+            (set_value("net", "stride", value=2), "NetConfig.stride: got 2,"),
+            (set_value("net", "kernel", value=3.0), "NetConfig.kernel: got 3.0,"),
+            (set_value("net", "leaky_slope", value=0.2), "NetConfig.leaky_slope: got 0.2,"),
+            (set_value("net", "in_channels", value=True), "NetConfig.in_channels: got True,"),
+            (set_value("train", "shuffle", value=False), "TrainConfig.shuffle: got False,"),
+            (set_value("train", "compute_dtype", value="float64"), "TrainConfig.compute_dtype"),
+            (set_value("train", "beta1", value=0.8), "TrainConfig.beta1: got 0.8,"),
         ],
         ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile",
              "float_as_int", "str_as_int", "bool_as_int", "int_as_str", "int_as_bool",
-             "nan", "infinity"],
+             "nan", "infinity", "retired_stride", "retired_kernel_as_float",
+             "retired_leaky_slope", "retired_bool_as_int", "retired_shuffle",
+             "retired_compute_dtype", "retired_beta1"],
     )
 
     @EDITS
@@ -232,3 +248,19 @@ class TestCodecRule:
         path = write_doc(tmp_path / "run.json", doc)
         assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+
+class TestRetiredKeys:
+    """Keys the code no longer reads load when they hold the value it fixes
+    (``TestCodecRule`` refuses other values)."""
+
+    @pytest.mark.parametrize("profile", ["tiny", "paper"])
+    def test_documents_from_before_load(self, profile):
+        text = (LEGACY / f"legacy_{profile}.json").read_text()
+        assert "bn_momentum" in text and "compute_dtype" in text
+        assert decode(RunConfig, text) == profile_config(profile).resolved()
+
+    def test_train_profile_loads_whatever_it_holds(self, tmp_path):
+        doc = json.loads((LEGACY / "legacy_tiny.json").read_text())
+        doc["train"]["profile"] = "paper"
+        assert load_config(write_doc(tmp_path / "run.json", doc)) == tiny_profile_config()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gluevol.config import tiny_profile_config
 from gluevol.neuralvol import layers, network
 from gluevol.neuralvol.network import (
     ModelWeights,
@@ -9,12 +10,12 @@ from gluevol.neuralvol.network import (
     predict,
     rnet_backward,
     rnet_forward,
-    tiny_config,
 )
 from gluevol.neuralvol.weights_io import read_weights, write_weights
 
 # Small net over a small grid keeps forward passes cheap.
 SMALL = NetConfig(channels=(2, 3), input_dims=(8, 8, 8))
+TINY = tiny_profile_config().net
 
 
 class TestShapes:
@@ -33,7 +34,7 @@ class TestShapes:
         assert NetConfig().flatten_length == 1024
 
     def test_tiny_same_topology(self):
-        shapes = tiny_config().block_shapes()
+        shapes = TINY.block_shapes()
         assert [s[1:] for s in shapes] == [s[1:] for s in NetConfig().block_shapes()]
 
     def test_indivisible_dims_rejected(self):
@@ -48,9 +49,9 @@ def trainable_count(cfg: NetConfig) -> int:
 def expected_count(cfg: NetConfig) -> int:
     """Independent oracle: literal per-layer arithmetic."""
     expected = 0
-    c_in = cfg.in_channels
+    c_in = 1
     for c_out in cfg.channels:
-        expected += c_out * c_in * cfg.kernel**3 + c_out  # conv
+        expected += c_out * c_in * 3**3 + c_out  # conv
         expected += 2 * c_out  # batchnorm scale/shift
         c_in = c_out
     return expected + cfg.flatten_length + 1  # dense
@@ -61,7 +62,7 @@ class TestParamCount:
         assert trainable_count(NetConfig()) == expected_count(NetConfig()) == 4_705_025
 
     def test_counts_match_actual_arrays(self):
-        for cfg in (SMALL, tiny_config()):
+        for cfg in (SMALL, TINY):
             assert trainable_count(cfg) == expected_count(cfg)
 
     def test_zero_blocks_dense_only(self):
@@ -187,18 +188,18 @@ class TestForward:
         assert np.allclose(predict(x, weights, SMALL), 0.06)
 
 
-def reference_eval_forward(x, weights, cfg):
+def reference_eval_forward(x, weights):
     """Eval forward built from the layer functions in the training order:
-    conv -> leaky ReLU -> batchnorm (running statistics) -> max-pool."""
+    conv (stride 1, padding 1) -> leaky ReLU (slope 0.01) -> batchnorm
+    (running statistics, eps 1e-5) -> max-pool (window 2)."""
     h = np.asarray(x, dtype=weights.dense_w.dtype)
     for blk in weights.blocks:
-        h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, cfg.stride, cfg.padding)
-        h, _ = layers.leaky_relu_forward(h, cfg.leaky_slope)
+        h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, 1, 1)
+        h, _ = layers.leaky_relu_forward(h, 0.01)
         h, _, _, _ = layers.batchnorm3d_forward(
-            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var,
-            eps=cfg.bn_eps, training=False,
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, eps=1e-5, training=False
         )
-        h, _ = layers.maxpool3d_forward(h, cfg.pool)
+        h, _ = layers.maxpool3d_forward(h, 2)
     out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
     return out[:, 0]
 
@@ -246,15 +247,41 @@ class TestEvalOrder:
         assert (gammas > 0).any() and (gammas < 0).any() and (gammas == 0).any()
         x = self.inputs(kind, batch)
         pred, caches = rnet_forward(x, weights, self.CFG, training=False)
-        expected = reference_eval_forward(x, weights, self.CFG)
+        expected = reference_eval_forward(x, weights)
         assert caches is None
         assert pred.dtype == dtype
         assert np.array_equal(pred, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_windowed_first_block_equals_dense_conv(self, monkeypatch, dtype):
+        # Sparse height fields: block 0's conv output comes out Windowed and
+        # is pooled in that form. The oracle runs the same eval forward on
+        # the dense conv output (pool=None); the two agree byte for byte.
+        weights = self.weights().cast(dtype)
+        assert (weights.blocks[0].bn_gamma < 0).any()
+        rng = np.random.default_rng(8)
+        x = np.zeros((4, 1, 8, 8, 16))
+        for sample in x:
+            cols = rng.choice(64, 4, replace=False)
+            sample[0, cols // 8, cols % 8, rng.integers(0, 16, 4)] = 1
+        expected = reference_eval_forward(x, weights)
+        conv, pool = layers.conv3d_forward, layers.maxpool3d_forward
+        pooled = []
+        monkeypatch.setattr(layers, "maxpool3d_forward",
+                            lambda h, window: pooled.append(type(h)) or pool(h, window))
+        windowed, _ = rnet_forward(x, weights, self.CFG)
+        assert pooled[0] is layers.Windowed
+        monkeypatch.setattr(layers, "conv3d_forward",
+                            lambda x, w, b, pool=None: conv(x, w, b))
+        dense, _ = rnet_forward(x, weights, self.CFG)
+        assert pooled[len(weights.blocks)] is np.ndarray
+        assert windowed.tobytes() == dense.tobytes()
+        assert windowed.tobytes() == expected.tobytes()
+
 
 class TestWeightsIo:
     def test_round_trip_bit_exact(self, tmp_path):
-        weights = init_weights(tiny_config(), seed=9)
+        weights = init_weights(TINY, seed=9)
         weights.target_mean = 0.034
         weights.target_std = 0.011
         path = tmp_path / "model.ggnn"
