@@ -1,15 +1,23 @@
-"""Tensor layers with exact forward and backward passes (float64 numpy).
+"""Tensor layers with exact forward and backward passes in numpy.
 
-Tensors are (batch, channels, x, y, z) C-order arrays. Every forward
-returns (output, cache); the matching backward consumes the upstream
-gradient plus the cache and returns gradients for its inputs and
+Tensors are (batch, channels, x, y, z) C-order arrays, float32 in training
+and float64 elsewhere: every layer keeps the dtype of its input. Every
+forward returns (output, cache); the matching backward consumes the
+upstream gradient plus the cache and returns gradients for its inputs and
 parameters.
 
-3D convolution is cross-correlation lowered to GEMM: patches are gathered
-by k^3 large slice copies into a patch matrix, chunked over the batch to
-bound its size. Each chunk allocates its own buffers, so the layer
-functions keep no state between calls; ``util.configure_allocator`` keeps
-those large buffers on the reusable heap.
+3D convolution is cross-correlation lowered to GEMM, cache-blocked in the
+manner of Goto & van de Geijn: the forward gathers patches by k^3 slice
+copies into one ``_TILE_BYTES`` (1 MB) patch-matrix tile at a time,
+several whole samples or a slab of x-planes of one sample, and runs its
+GEMM while the tile is still in L2. The weight gradient builds one
+sample's patch matrix at a time; the input gradient needs none (see
+``conv3d_backward``). Every output element is the same dot product as in
+one GEMM per sample, so on the network's shapes tiling changes no bits
+on the BLAS these layers were measured with
+(``tests/test_layers.py::TestDenseConvBits``). Each
+call allocates its own buffers, so the layer functions keep no state
+between calls.
 
 The network's first block reads binary height-field grids, under 1%
 occupied. Such one-channel 0/1 inputs take an exact sparse path (see
@@ -47,7 +55,13 @@ class LengthMismatch(ValueError):
     """Prediction/target vectors of different lengths."""
 
 
-# Upper bound on one chunk's im2col patch matrix (bytes).
+# Upper bound on one forward patch-matrix tile (bytes), about half of a
+# 2 MB per-core L2, so the GEMM reads the tile from cache right after
+# im2col writes it.
+_TILE_BYTES = 1024 * 1024
+
+# The conv weight gradient adds its per-sample terms in groups of as many
+# samples as this many bytes of patch matrix hold, which fixes its bits.
 _COL_BUDGET = 96 * 1024 * 1024
 
 # Largest share of output positions that may be active for a binary input
@@ -153,18 +167,24 @@ def _im2col(x_pad: np.ndarray, k: int, stride: int, out_dims) -> np.ndarray:
 
 
 def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int, stride: int, out_dims):
-    """Batched GEMM correlation of padded input with a (Cout, Cin*k^3) kernel."""
+    """GEMM correlation of padded input with a (Cout, Cin*k^3) kernel, one
+    ``_TILE_BYTES`` patch-matrix tile at a time: several whole samples, or
+    a slab of x-planes of one sample, each GEMM written into its slice of y."""
     batch = x_pad.shape[0]
     c_out = w_mat.shape[0]
-    n_positions = int(np.prod(out_dims))
-    per_sample = w_mat.shape[1] * n_positions * x_pad.itemsize
-    chunk = max(1, _COL_BUDGET // max(per_sample, 1))
+    ox, oy, oz = out_dims
+    plane = w_mat.shape[1] * oy * oz * x_pad.itemsize  # patch bytes per x-plane
+    planes = min(ox, max(1, _TILE_BYTES // max(plane, 1)))
+    samples = max(1, _TILE_BYTES // max(plane * ox, 1))
     y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
-    flat = y.reshape(batch, c_out, n_positions)
-    for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
-        col = _im2col(x_pad[lo:hi], k, stride, out_dims)
-        np.matmul(w_mat, col, out=flat[lo:hi])
+    flat = y.reshape(batch, c_out, ox * oy * oz)
+    for lo in range(0, batch, samples):
+        hi = min(lo + samples, batch)
+        for i in range(0, ox, planes):
+            n = min(planes, ox - i)
+            slab = x_pad[lo:hi, :, i * stride : (i + n - 1) * stride + k]
+            col = _im2col(slab, k, stride, (n, oy, oz))
+            np.matmul(w_mat, col, out=flat[lo:hi, :, i * oy * oz : (i + n) * oy * oz])
     return y
 
 
@@ -196,6 +216,13 @@ def _binary_active(x, k: int, stride: int, padding: int, out_dims):
     if np.count_nonzero(active) > _BINARY_MAX_ACTIVE * active.size:
         return None
     return padded, active
+
+
+def _tap_offsets(k: int, py: int, pz: int) -> np.ndarray:
+    """Flat offset of each tap (a, b, c), in that order, in a grid of
+    (y, z) extent (py, pz)."""
+    r = np.arange(k)
+    return ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
 
 
 def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims, pool):
@@ -234,8 +261,7 @@ def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims, 
     flat = np.asarray(y).reshape(batch, c_out, -1)
     flat[...] = fill[:, None]
 
-    r = np.arange(k)
-    offsets = ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
+    offsets = _tap_offsets(k, py, pz)
     for lo in range(0, sample.size, _BINARY_CHUNK):
         step = slice(lo, lo + _BINARY_CHUNK)
         # (k^3, n): the patch-matrix rows at these active positions.
@@ -341,6 +367,25 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     ``need_input_grad=False`` skips the input gradient (None in its slot),
     which the network uses for its first block.
 
+    The dense weight gradient builds one sample's (Cin*k^3, positions)
+    patch matrix at a time and adds its GEMM ``col @ grad_y.T`` to the
+    others in order within each ``_COL_BUDGET`` group of samples, then
+    group by group. The input gradient builds no patch matrix: each
+    sample's grad_y sits in a zero frame whose rows have the padded input's
+    (y, z) width, so in flat padded coordinates every output's tap (a, b, c)
+    is the same offset. One GEMM ``W^T @ frame`` lifts the frame onto patch
+    space, and k^3 contiguous adds, in (a, b, c) order, scatter it back;
+    the frame's zeros add exactly. This holds at stride 1 only, the
+    network's stride; any other stride raises ``ShapeMismatch``.
+
+    All three gradients are bit-identical to an im2col GEMM per batch chunk
+    and a col2im of k^3 strided slice-adds (the oracle of the test below).
+    That rests on a property of the BLAS:
+    a GEMM element's sum over K is the same for any N that is a multiple of
+    16 and for either orientation. It held on the single-thread OpenBLAS
+    these were measured with, and ``tests/test_layers.py::TestDenseConvBits``
+    asserts it.
+
     A ``Windowed`` gradient (from a binary input's training forward, which
     only the first block sees) gives no input gradient. Its weight gradient
     gathers, for each tap, the gradient at every occupied voxel minus that
@@ -353,55 +398,47 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     if isinstance(grad_y, Windowed):
         grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
         return None, _binary_weight_grad(grad_y, x, w.shape[2], padding), grad_b
+    _require(stride == 1, f"conv3d backward supports stride 1, got {stride}")
     grad_y = _as_float(grad_y, like=x)
     batch, c_in = x.shape[:2]
     c_out, k = w.shape[0], w.shape[2]
     out_dims = grad_y.shape[2:]
-    n_positions = int(np.prod(out_dims))
-
+    grad_flat = grad_y.reshape(batch, c_out, -1)
     grad_b = grad_y.sum(axis=(0, 2, 3, 4))
 
+    # (Cin*k^3, Cout) <- sum over samples and positions
     x_pad = _pad_spatial(x, padding)
-    grad_w_mat = np.zeros((c_out, c_in * k**3), dtype=x.dtype)
-    grad_flat = grad_y.reshape(batch, c_out, n_positions)
-    per_sample = c_in * k**3 * n_positions * x_pad.itemsize
-    chunk = max(1, _COL_BUDGET // max(per_sample, 1))
-    for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
-        col = _im2col(x_pad[lo:hi], k, stride, out_dims)
-        # (Cout, Cin*k^3) <- sum over batch and positions; the transposed
-        # view maps straight onto GEMM strides, no copy.
-        grad_w_mat += np.matmul(grad_flat[lo:hi], col.transpose(0, 2, 1)).sum(axis=0)
-    grad_w = grad_w_mat.reshape(w.shape)
+    grad_w_t = np.zeros((c_in * k**3, c_out), dtype=x.dtype)
+    group = max(1, _COL_BUDGET // (c_in * k**3 * grad_flat.shape[2] * x.itemsize))
+    for lo in range(0, batch, group):
+        part = np.zeros_like(grad_w_t)
+        for s in range(lo, min(lo + group, batch)):
+            part += _im2col(x_pad[s : s + 1], k, 1, out_dims)[0] @ grad_flat[s].T
+        grad_w_t += part
+    grad_w = np.ascontiguousarray(grad_w_t.T).reshape(w.shape)
 
     if not need_input_grad:
         return None, grad_w, grad_b
 
-    # Input gradient by col2im: per chunk, one GEMM lifts the upstream
-    # gradient onto patch space, then k^3 slice-adds scatter it back onto
-    # the padded input (the exact adjoint of _im2col, any stride).
+    # Input gradient by the flat frame. Its GEMM runs through the last
+    # output position, rounded up to a multiple of 16 columns: OpenBLAS sums
+    # the last N mod 8 columns of a float64 GEMM in another order.
     ox, oy, oz = out_dims
-    grad_x_pad = np.zeros_like(x_pad)
+    px, py, pz = x_pad.shape[2:]
+    offsets = _tap_offsets(k, py, pz)
+    n = -(-(px * py * pz - offsets[-1]) // 16) * 16
+    grad_x_flat = np.zeros((batch, c_in, n + offsets[-1]), dtype=x.dtype)
+    frame = np.zeros((c_out, max(n, ox * py * pz)), dtype=x.dtype)
+    framed = frame[:, : ox * py * pz].reshape(c_out, ox, py, pz)[:, :, :oy, :oz]
     w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)  # (Cin*k^3, Cout)
-    for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
-        col_grad = np.matmul(w_t, grad_flat[lo:hi])
-        col_view = col_grad.reshape(hi - lo, c_in, k, k, k, ox, oy, oz)
-        for a in range(k):
-            for b_ in range(k):
-                for c in range(k):
-                    grad_x_pad[
-                        lo:hi,
-                        :,
-                        a : a + (ox - 1) * stride + 1 : stride,
-                        b_ : b_ + (oy - 1) * stride + 1 : stride,
-                        c : c + (oz - 1) * stride + 1 : stride,
-                    ] += col_view[:, :, a, b_, c]
-    if padding:
-        p = padding
-        grad_x = np.ascontiguousarray(grad_x_pad[:, :, p:-p, p:-p, p:-p])
-    else:
-        grad_x = grad_x_pad
+    for s in range(batch):
+        framed[...] = grad_y[s]
+        col_grad = (w_t @ frame[:, :n]).reshape(c_in, k**3, n)
+        for tap, offset in enumerate(offsets):
+            grad_x_flat[s, :, offset : offset + n] += col_grad[:, tap]
+    grad_x_pad = grad_x_flat[:, :, : px * py * pz].reshape(x_pad.shape)
+    p = padding
+    grad_x = np.ascontiguousarray(grad_x_pad[:, :, p : px - p, p : py - p, p : pz - p])
     return grad_x, grad_w, grad_b
 
 

@@ -255,6 +255,129 @@ class TestBinaryConv:
         assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
 
 
+# Dense-conv inputs draw from their own generator as well.
+TILE_RNG = np.random.default_rng(10)
+
+
+def chunked_correlate(x_pad, w_mat, k, out_dims):
+    """The forward GEMM before tiling: one im2col patch matrix and one
+    batched GEMM per ``_COL_BUDGET`` chunk of samples (stride 1)."""
+    batch, c_out = x_pad.shape[0], w_mat.shape[0]
+    n_positions = int(np.prod(out_dims))
+    chunk = max(1, layers._COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
+    y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
+    flat = y.reshape(batch, c_out, n_positions)
+    for lo in range(0, batch, chunk):
+        col = layers._im2col(x_pad[lo : lo + chunk], k, 1, out_dims)
+        np.matmul(w_mat, col, out=flat[lo : lo + chunk])
+    return y
+
+
+def col2im_backward(grad_y, x, w, padding):
+    """The dense backward before tiling (stride 1): per chunk, the weight
+    gradient as one batched GEMM summed over the chunk, and the input
+    gradient lifted by one GEMM and scattered back by k^3 strided slice-adds."""
+    batch, c_in = x.shape[:2]
+    c_out, k = w.shape[0], w.shape[2]
+    ox, oy, oz = out_dims = grad_y.shape[2:]
+    grad_flat = grad_y.reshape(batch, c_out, -1)
+    x_pad = layers._pad_spatial(x, padding)
+    chunk = max(1, layers._COL_BUDGET // (c_in * k**3 * ox * oy * oz * x.itemsize))
+    grad_w = np.zeros((c_out, c_in * k**3), dtype=x.dtype)
+    grad_x = np.zeros_like(x_pad)
+    w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)
+    for lo in range(0, batch, chunk):
+        hi = min(lo + chunk, batch)
+        col = layers._im2col(x_pad[lo:hi], k, 1, out_dims)
+        grad_w += np.matmul(grad_flat[lo:hi], col.transpose(0, 2, 1)).sum(axis=0)
+        col_grad = np.matmul(w_t, grad_flat[lo:hi]).reshape(hi - lo, c_in, k, k, k, ox, oy, oz)
+        for a in range(k):
+            for b in range(k):
+                for c in range(k):
+                    grad_x[lo:hi, :, a : a + ox, b : b + oy, c : c + oz] += col_grad[:, :, a, b, c]
+    p = padding
+    grad_x = grad_x[:, :, p : grad_x.shape[2] - p, p : grad_x.shape[3] - p, p : grad_x.shape[4] - p]
+    return grad_x, grad_w.reshape(w.shape), grad_y.sum(axis=(0, 2, 3, 4))
+
+
+class TestDenseConvBits:
+    """The tiled forward and the flat-frame backward are bit-identical to
+    the chunked im2col GEMM and col2im they replaced, on the dense tiny-net
+    blocks 1-4.
+
+    They compute every output element, weight-gradient element and lifted
+    input-gradient element as the same dot product, only in GEMMs of
+    another N (tiles, one sample, a zero-framed row) and, for the weight
+    gradient, the other orientation (col @ g.T, not g @ col.T). So these
+    tests assert a property of the BLAS: a GEMM element's sum over K is
+    the same for any N that is a multiple of 16 (the tiny net's patch
+    counts are) and for either orientation. It held on the single-thread
+    OpenBLAS 0.3.31 these were written with, whose float64 GEMM sums the
+    last N mod 8 columns in another order; on a BLAS where it fails, these
+    tests and ``TestBinaryConv`` fail together.
+    """
+
+    # (c_in, c_out, input dims) of blocks 1-4 of the tiny net
+    BLOCKS = [(8, 16, (16, 16, 32)), (16, 32, (8, 8, 16)), (32, 64, (4, 4, 8)), (64, 128, (2, 2, 4))]
+
+    @staticmethod
+    def compare(x, w, b, padding=1, need_input_grad=True):
+        y, cache = layers.conv3d_forward(x, w, b, 1, padding)
+        k = w.shape[2]
+        w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
+        out_dims = layers._conv_out_dims(x.shape[2:], k, 1, padding)
+        expected = chunked_correlate(layers._pad_spatial(x, padding), w_mat, k, out_dims)
+        expected += b[:, None, None, None]
+        assert_same_bits(y, expected)
+        grad_y = TILE_RNG.standard_normal(y.shape).astype(x.dtype)
+        grads = layers.conv3d_backward(grad_y, cache, need_input_grad=need_input_grad)
+        oracle = col2im_backward(grad_y, x, w, padding)
+        if not need_input_grad:
+            assert grads[0] is None
+            grads, oracle = grads[1:], oracle[1:]
+        for grad, expected in zip(grads, oracle):
+            assert_same_bits(grad, expected)
+
+    @staticmethod
+    def inputs(c_in, c_out, dims, batch, dtype):
+        x = TILE_RNG.standard_normal((batch, c_in) + dims).astype(dtype)
+        w = TILE_RNG.standard_normal((c_out, c_in, 3, 3, 3)).astype(dtype)
+        b = TILE_RNG.standard_normal(c_out).astype(dtype)
+        return x, w, b
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out,dims", BLOCKS)
+    def test_blocks_match_im2col(self, c_in, c_out, dims, dtype, batch):
+        self.compare(*self.inputs(c_in, c_out, dims, batch, dtype))
+
+    @pytest.mark.parametrize("tile", ["slabs", "samples"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out,dims", BLOCKS)
+    def test_tile_sizes_match_im2col(self, monkeypatch, c_in, c_out, dims, dtype, tile):
+        # slabs of 3 x-planes (1 where x has 2) that leave a shorter last
+        # slab, or tiles of 2 samples that leave a single one at batch 3
+        plane = c_in * 27 * dims[1] * dims[2] * np.dtype(dtype).itemsize
+        if tile == "slabs":
+            budget = plane * (3 if dims[0] > 3 else 1)
+        else:
+            budget = plane * dims[0] * 5 // 2
+        monkeypatch.setattr(layers, "_TILE_BYTES", budget)
+        self.compare(*self.inputs(c_in, c_out, dims, 3, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_padding_and_no_input_grad(self, dtype):
+        x, w, b = self.inputs(8, 16, (10, 6, 18), 3, dtype)
+        self.compare(x, w, b, padding=0)
+        self.compare(x, w, b, need_input_grad=False)
+
+    def test_strided_backward_raises(self):
+        x, w, b = self.inputs(2, 3, (5, 5, 5), 2, np.float64)
+        y, cache = layers.conv3d_forward(x, w, b, stride=2, padding=1)
+        with pytest.raises(ShapeMismatch):
+            layers.conv3d_backward(np.ones_like(y), cache)
+
+
 def densify(t: layers.Windowed) -> np.ndarray:
     """The full-resolution tensor a forward ``Windowed`` stands for."""
     values = np.asarray(t)
