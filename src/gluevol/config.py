@@ -1,13 +1,15 @@
 """Run configuration: per-module sections, profiles, JSON loading.
 
 A run is one JSON document with a global seed; stage functions derive
-every module seed from it so a whole pipeline reruns bit-identically.
+every module seed from it so a whole pipeline reruns bit-identically. The
+profiles copy it into the ``scan``, ``augment`` and ``train`` sections.
 Documents are written with ``util.encode`` and read with ``load_config``,
 which holds them to the codec's rule: every key present, none unknown,
 save its two legacy rules: ``layout.column_scale_range`` may be absent, and
 the net's and train's retired keys may be present at the values the code
-now fixes. The ``paper`` profile mirrors the full three-panel replication;
-``tiny`` is the desk-scale single-type profile used by the acceptance runs.
+now fixes. It also refuses a section seed that differs from the run seed.
+The ``paper`` profile mirrors the full three-panel replication; ``tiny`` is
+the desk-scale single-type profile used by the acceptance runs.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def paper_config(seed: int = 0) -> RunConfig:
         profile="paper",
         passes=5,
         attach_patterns=("attached", "unattached", "half"),
-    )
+    ).resolved()
 
 
 def tiny_profile_config(seed: int = 0) -> RunConfig:
@@ -122,9 +124,9 @@ def tiny_profile_config(seed: int = 0) -> RunConfig:
         scan=ScanConfig(step_um=50.0, margin_mm=0.15),
         augment=AugmentParams(min_step_um=50.0),
         net=NetConfig(channels=(8, 16, 32, 64, 128)),
-        train=TrainConfig(epochs=12, batch_size=32, learning_rate=1e-3, seed=seed,
+        train=TrainConfig(epochs=12, batch_size=32, learning_rate=1e-3,
                           standardize_targets=True),
-    )
+    ).resolved()
 
 
 def profile_config(profile: str, seed: int = 0) -> RunConfig:
@@ -140,4 +142,9 @@ def load_config(path) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return decode(RunConfig, text)
+    cfg = decode(RunConfig, text)
+    for section in ("scan", "augment", "train"):
+        seed = getattr(cfg, section).seed
+        if seed != cfg.seed:
+            raise ConfigError(f"{section}.seed is {seed}, not the run seed {cfg.seed}")
+    return cfg

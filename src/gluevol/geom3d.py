@@ -173,25 +173,24 @@ def _lsq_plane(points: np.ndarray) -> Plane:
     return Plane(normal, float(normal @ centroid))
 
 
-def fit_plane_ransac(
-    cloud: PointCloud,
-    inlier_threshold: float = 0.005,
-    iterations: int = 500,
-    seed: int = 0,
-):
+RANSAC_ITERATIONS = 500  # 3-point plane hypotheses per fit
+RANSAC_THRESHOLD_MM = 0.005  # largest distance of an inlier from the plane
+
+
+def fit_plane_ransac(cloud: PointCloud):
     """RANSAC plane fit with least-squares refinement over the inliers.
 
-    Draws ``iterations`` random 3-point hypotheses, keeps the one with the
-    most points within ``inlier_threshold`` of it, refines by total least
-    squares over those inliers, and orients the normal so the off-plane mass
-    of the cloud sits on the positive side. Deterministic for a fixed seed.
+    Draws ``RANSAC_ITERATIONS`` random 3-point hypotheses from a generator
+    seeded 0, keeps the one with the most points within
+    ``RANSAC_THRESHOLD_MM`` of it, refines by total least squares over
+    those inliers, and orients the normal so the off-plane mass of the
+    cloud sits on the positive side. The same cloud always gives the same
+    fit.
 
     Returns:
         (plane, inlier_indices) where the indices are evaluated against the
         refined plane, in ascending order.
     """
-    if inlier_threshold <= 0:
-        raise GeometryError("inlier_threshold must be positive")
     pts = cloud.xyz
     n_pts = len(pts)
     if n_pts < 3:
@@ -200,11 +199,11 @@ def fit_plane_ransac(
     if singular[1] <= max(singular[0] * 1e-10, 1e-14):
         raise DegenerateCloud("all points are collinear")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_normal = None
     best_offset = 0.0
     best_count = -1
-    for _ in range(iterations):
+    for _ in range(RANSAC_ITERATIONS):
         i, j, k = rng.choice(n_pts, size=3, replace=False)
         normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
         norm = np.linalg.norm(normal)
@@ -212,14 +211,14 @@ def fit_plane_ransac(
             continue  # collinear triple, hypothesis wasted
         normal = normal / norm
         offset = float(normal @ pts[i])
-        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= inlier_threshold))
+        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= RANSAC_THRESHOLD_MM))
         if count > best_count:
             best_count = count
             best_normal, best_offset = normal, offset
     if best_normal is None:
         raise DegenerateCloud("no valid 3-point hypothesis found")
 
-    inlier_mask = np.abs(pts @ best_normal - best_offset) <= inlier_threshold
+    inlier_mask = np.abs(pts @ best_normal - best_offset) <= RANSAC_THRESHOLD_MM
     plane = _lsq_plane(pts[inlier_mask])
 
     mean_sd = float(plane.signed_distance(pts).mean())
@@ -231,7 +230,7 @@ def fit_plane_ransac(
         if plane.normal[comp] < 0:
             plane = plane.flipped()
 
-    inliers = np.flatnonzero(np.abs(plane.signed_distance(pts)) <= inlier_threshold)
+    inliers = np.flatnonzero(np.abs(plane.signed_distance(pts)) <= RANSAC_THRESHOLD_MM)
     return plane, inliers
 
 

@@ -4,7 +4,10 @@ Tensors are (batch, channels, x, y, z) C-order arrays, float32 in training
 and float64 elsewhere: every layer keeps the dtype of its input. Every
 forward returns (output, cache); the matching backward consumes the
 upstream gradient plus the cache and returns gradients for its inputs and
-parameters.
+parameters. The layers carry RNet's fixed settings, one constant each: a
+stride-1 conv padded by k // 2 (a "same" conv for its odd kernel edge k),
+leaky ReLU with slope ``SLOPE``, batchnorm with ``BN_EPS`` and
+``BN_MOMENTUM``, and a ``POOL``^3 max-pool.
 
 3D convolution is cross-correlation lowered to GEMM, cache-blocked in the
 manner of Goto & van de Geijn: the forward gathers patches by k^3 slice
@@ -28,14 +31,13 @@ the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
 GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
 the dense GEMM is faster and runs instead.
 
-The network passes ``pool`` to ``conv3d_forward``. A binary input that
-takes the sparse path then comes out as a ``Windowed`` tensor:
-per sample, the values of the pool windows that touch an active position,
-plus one background value per channel (0 + bias) for every other
-position. Leaky ReLU, batchnorm and max-pool take that form forward and
-backward, so on tiny height-field grids they touch about an eighth of
-the positions of the full-resolution tensor; max-pool returns a dense pooled
-tensor, so the next block is unchanged.
+The sparse path's output is a ``Windowed`` tensor: per sample, the values
+of the pool windows that touch an active position, plus one background
+value per channel (0 + bias) for every other position. Leaky ReLU,
+batchnorm and max-pool take that form forward and backward, so on tiny
+height-field grids they touch about an eighth of the positions of the
+full-resolution tensor; max-pool returns a dense pooled tensor, so the
+next block is unchanged.
 Per element the arithmetic is that of the dense layers. The batchnorm
 statistics and the gradients of batchnorm and of the conv weights and bias
 are sums in another order, so they agree with the dense path to float
@@ -54,6 +56,11 @@ class ShapeMismatch(ValueError):
 class LengthMismatch(ValueError):
     """Prediction/target vectors of different lengths."""
 
+
+POOL = 2  # max-pool window edge
+SLOPE = 0.01  # leaky ReLU slope below zero
+BN_EPS = 1e-5  # added to the variance before its square root
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
 
 # Upper bound on one forward patch-matrix tile (bytes), about half of a
 # 2 MB per-core L2, so the GEMM reads the tile from cache right after
@@ -83,7 +90,7 @@ _BINARY_CHUNK = 8192
 class Windowed(np.ndarray):
     """A full-resolution first-block tensor held on its active pool windows.
 
-    The array is (batch, channels, window^3, W): for each sample, the
+    The array is (batch, channels, POOL^3, W): for each sample, the
     values of W windows of the pooled grid, ``windows[sample]`` (flat
     indices into it, ascending), by in-window offset in (x, y, z) order, so
     that each offset is one contiguous run per channel. A sample with fewer
@@ -97,11 +104,11 @@ class Windowed(np.ndarray):
     ``like``.
     """
 
-    background = windows = dims = window = None
+    background = windows = dims = None
 
     def like(self, values, background) -> "Windowed":
         """``values`` on the same windows, with the given background."""
-        return _windowed(values, background, self.windows, self.dims, self.window)
+        return _windowed(values, background, self.windows, self.dims)
 
     @property
     def background_count(self) -> int:
@@ -109,10 +116,10 @@ class Windowed(np.ndarray):
         return self.shape[0] * (int(np.prod(self.dims)) - self.shape[2] * self.shape[3])
 
     def index(self, sample, i, j, l) -> np.ndarray:
-        """Index into one sample's flattened (window^3, W) values of each
+        """Index into one sample's flattened (POOL^3, W) values of each
         full-resolution position (i, j, l) of the given samples (arrays
         that broadcast together); -1 where that window is not carried."""
-        w, n = self.window, self.shape[3]
+        w, n = POOL, self.shape[3]
         pooled = [d // w for d in self.dims]
         slot = np.full((self.shape[0], int(np.prod(pooled))), -1, dtype=np.intp)
         np.put_along_axis(slot, self.windows, np.arange(n)[None, :], axis=1)
@@ -121,24 +128,15 @@ class Windowed(np.ndarray):
         return np.where(window < 0, -1, offset * n + window)
 
 
-def _windowed(values, background, windows, dims, window) -> Windowed:
+def _windowed(values, background, windows, dims) -> Windowed:
     out = np.asarray(values).view(Windowed)
-    out.background, out.windows, out.dims, out.window = background, windows, dims, window
+    out.background, out.windows, out.dims = background, windows, dims
     return out
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ShapeMismatch(message)
-
-
-def _conv_out_dims(dims, kernel: int, stride: int, padding: int):
-    out = []
-    for d in dims:
-        span = d + 2 * padding - kernel
-        _require(span >= 0, f"kernel {kernel} larger than padded input {d + 2 * padding}")
-        out.append(span // stride + 1)
-    return tuple(out)
 
 
 def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
@@ -148,66 +146,60 @@ def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, width)
 
 
-def _im2col(x_pad: np.ndarray, k: int, stride: int, out_dims) -> np.ndarray:
-    """(B, Cin*k^3, n_positions) patch matrix."""
+def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
+    """(B, Cin*k^3, n_positions) patch matrix of every k^3 patch of x_pad."""
     batch, c_in = x_pad.shape[:2]
-    ox, oy, oz = out_dims
+    ox, oy, oz = (d - k + 1 for d in x_pad.shape[2:])
     col = np.empty((batch, c_in, k, k, k, ox, oy, oz), dtype=x_pad.dtype)
     for a in range(k):
         for b in range(k):
             for c in range(k):
-                col[:, :, a, b, c] = x_pad[
-                    :,
-                    :,
-                    a : a + (ox - 1) * stride + 1 : stride,
-                    b : b + (oy - 1) * stride + 1 : stride,
-                    c : c + (oz - 1) * stride + 1 : stride,
-                ]
+                col[:, :, a, b, c] = x_pad[:, :, a : a + ox, b : b + oy, c : c + oz]
     return col.reshape(batch, c_in * k**3, ox * oy * oz)
 
 
-def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int, stride: int, out_dims):
+def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
     """GEMM correlation of padded input with a (Cout, Cin*k^3) kernel, one
     ``_TILE_BYTES`` patch-matrix tile at a time: several whole samples, or
     a slab of x-planes of one sample, each GEMM written into its slice of y."""
     batch = x_pad.shape[0]
     c_out = w_mat.shape[0]
+    out_dims = tuple(d - k + 1 for d in x_pad.shape[2:])
     ox, oy, oz = out_dims
     plane = w_mat.shape[1] * oy * oz * x_pad.itemsize  # patch bytes per x-plane
     planes = min(ox, max(1, _TILE_BYTES // max(plane, 1)))
     samples = max(1, _TILE_BYTES // max(plane * ox, 1))
-    y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
+    y = np.empty((batch, c_out) + out_dims, dtype=x_pad.dtype)
     flat = y.reshape(batch, c_out, ox * oy * oz)
     for lo in range(0, batch, samples):
         hi = min(lo + samples, batch)
         for i in range(0, ox, planes):
             n = min(planes, ox - i)
-            slab = x_pad[lo:hi, :, i * stride : (i + n - 1) * stride + k]
-            col = _im2col(slab, k, stride, (n, oy, oz))
+            col = _im2col(x_pad[lo:hi, :, i : i + n + k - 1], k)
             np.matmul(w_mat, col, out=flat[lo:hi, :, i * oy * oz : (i + n) * oy * oz])
     return y
 
 
-def _binary_active(x, k: int, stride: int, padding: int, out_dims):
+def _binary_active(x, k: int):
     """(padded occupancy, active output positions) of a one-channel 0/1 input.
 
-    Returns None, for the dense GEMM to run, unless x has one channel, only
-    0 and 1 values, stride 1 and padding k // 2, and at most
+    Returns None, for the dense GEMM to run, unless x has one channel, dims
+    that ``POOL`` divides and only 0 and 1 values, and at most
     ``_BINARY_MAX_ACTIVE`` of the output positions are active.
     """
-    if x.shape[1] != 1 or stride != 1 or padding != k // 2:
+    if x.shape[1] != 1 or any(d % POOL for d in x.shape[2:]):
         return None
     occupied = x[:, 0] != 0
     if not np.all(x[:, 0][occupied] == 1):
         return None
-    batch, p = x.shape[0], padding
+    batch, p = x.shape[0], k // 2
     dx, dy, dz = x.shape[2:]
     padded = np.zeros((batch, dx + 2 * p, dy + 2 * p, dz + 2 * p), dtype=bool)
     padded[:, p : p + dx, p : p + dy, p : p + dz] = occupied
     # Separable box dilation: output o is active when its patch
     # padded[o : o + k] (along each axis) holds an occupied voxel.
     active = padded
-    for axis, n in enumerate(out_dims, start=1):
+    for axis, n in enumerate(x.shape[2:], start=1):
         lead = (slice(None),) * axis
         dilated = active[lead + (slice(0, n),)].copy()
         for a in range(1, k):
@@ -225,39 +217,35 @@ def _tap_offsets(k: int, py: int, pz: int) -> np.ndarray:
     return ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
 
 
-def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims, pool):
+def _correlate_binary(x, w_mat, b, k: int):
     """Exact sparse correlation plus bias of a one-channel 0/1 input.
 
-    None where ``_binary_active`` is. With ``pool`` dividing every output
-    dim, the result is a ``Windowed`` on each sample's pool windows that
-    touch one of its active positions, padded with its first background
-    windows to the batch's largest count; otherwise a dense array.
+    None where ``_binary_active`` is. Otherwise a ``Windowed`` on each
+    sample's pool windows that touch one of its active positions, padded
+    with its first background windows to the batch's largest count.
     """
-    found = _binary_active(x, k, stride, padding, out_dims)
+    found = _binary_active(x, k)
     if found is None:
         return None
     padded, active = found
-    batch, c_out = x.shape[0], w_mat.shape[0]
+    batch, c_out, dims = x.shape[0], w_mat.shape[0], x.shape[2:]
     # 0 + b, as the GEMM path computes it: a -0.0 bias gives +0.0.
     fill = b + 0
     sample, position = np.divmod(np.flatnonzero(active), active[0].size)
-    i, j, l = np.unravel_index(position, out_dims)
+    i, j, l = np.unravel_index(position, dims)
     px, py, pz = padded.shape[1:]
     corner = ((sample * px + i) * py + j) * pz + l  # flat index of tap (0, 0, 0)
-    if pool and not any(n % pool for n in out_dims):
-        views = _window_views(active[:, None], pool)
-        touched = views[0] | views[1]
-        for view in views[2:]:
-            touched |= view
-        touched = touched.reshape(batch, -1)
-        # Each sample's touched windows, then its untouched ones, ascending.
-        order = np.argsort(~touched, axis=1, kind="stable")
-        windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
-        y = _windowed(np.empty((batch, c_out, pool**3, windows.shape[1]), dtype=x.dtype),
-                      fill, windows, tuple(out_dims), pool)
-        position = y.index(sample, i, j, l)
-    else:
-        y = np.empty((batch, c_out) + tuple(out_dims), dtype=x.dtype)
+    views = _window_views(active[:, None])
+    touched = views[0] | views[1]
+    for view in views[2:]:
+        touched |= view
+    touched = touched.reshape(batch, -1)
+    # Each sample's touched windows, then its untouched ones, ascending.
+    order = np.argsort(~touched, axis=1, kind="stable")
+    windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
+    y = _windowed(np.empty((batch, c_out, POOL**3, windows.shape[1]), dtype=x.dtype),
+                  fill, windows, dims)
+    position = y.index(sample, i, j, l)
     flat = np.asarray(y).reshape(batch, c_out, -1)
     flat[...] = fill[:, None]
 
@@ -278,11 +266,11 @@ def _correlate_binary(x, w_mat, b, k: int, stride: int, padding: int, out_dims, 
     return y
 
 
-def _binary_weight_grad(grad_y: Windowed, x, k: int, padding: int) -> np.ndarray:
-    """Weight gradient of a stride-1 conv of a one-channel 0/1 input.
+def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
+    """Weight gradient of the conv of a one-channel 0/1 input.
 
-    Tap t of the kernel sees input o - padding + t at output o, so its
-    gradient is the sum of grad_y at (v + padding - t) over the occupied
+    Tap t of the kernel sees input o - k // 2 + t at output o, so its
+    gradient is the sum of grad_y at (v + k // 2 - t) over the occupied
     voxels v (inside the output grid). Those positions are active, so they
     lie in grad_y's windows. Each tap sums its gathered values over the
     voxels in (sample, x, y, z) order, pairwise as ``np.sum`` adds.
@@ -296,7 +284,7 @@ def _binary_weight_grad(grad_y: Windowed, x, k: int, padding: int) -> np.ndarray
     rows[:, :, :per_sample] = g.reshape(batch, c_out, per_sample).transpose(1, 0, 2)
     dims = grad_y.dims
     sample, voxel = np.divmod(np.flatnonzero(x[:, 0] != 0), int(np.prod(dims)))
-    shift = padding - np.arange(k)[:, None]
+    shift = k // 2 - np.arange(k)[:, None]
     # (k, n) output coordinates per axis, and whether they are on the grid
     coords = [v + shift for v in np.unravel_index(voxel, dims)]
     on_grid = [(c >= 0) & (c < d) for c, d in zip(coords, dims)]
@@ -318,11 +306,12 @@ def _as_float(arr, like=None) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1, pool: int | None = None):
+def conv3d_forward(x, w, b):
     """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
 
-    A one-channel input holding only 0 and 1, at stride 1 and padding
-    k // 2, takes the sparse path of ``_correlate_binary`` when at most
+    Stride 1 and padding k // 2 for an odd k, so the output keeps x's dims.
+    A one-channel input holding only 0 and 1, with dims that ``POOL``
+    divides, takes the sparse path of ``_correlate_binary`` when at most
     ``_BINARY_MAX_ACTIVE`` (15%) of the output positions lie in the k^3
     box dilation of its occupied voxels. Each active position then starts
     from 0 and adds its k^3 exact products w * 0 or w * 1 in patch-matrix
@@ -335,12 +324,10 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1, pool: int | None 
     positions are processed ``_BINARY_CHUNK`` at a time, which changes no
     sum.
 
-    With ``pool`` (the network's forward passes its pool window),
-    the sparse path returns a ``Windowed``: per sample, the pool windows
+    The sparse path returns a ``Windowed``: per sample, the pool windows
     that touch its active positions, holding those values and 0 + bias,
-    and 0 + bias as the background. Dense inputs and inputs above the
-    cutoff return the dense array either way. The cache is the same on all
-    paths.
+    and 0 + bias as the background. Every other input returns the dense
+    array. The cache is the same on both paths.
     """
     x = _as_float(x)
     w = _as_float(w, like=x)
@@ -348,17 +335,17 @@ def conv3d_forward(x, w, b, stride: int = 1, padding: int = 1, pool: int | None 
     _require(x.ndim == 5 and w.ndim == 5, "conv3d expects 5D input and kernel")
     c_in = x.shape[1]
     c_out, kc_in, k = w.shape[0], w.shape[1], w.shape[2]
-    _require(w.shape[2:] == (k, k, k), "conv3d kernel must be cubic")
+    _require(w.shape[2:] == (k, k, k) and k % 2 == 1, "conv3d kernel must be cubic, odd-edged")
     _require(kc_in == c_in, f"kernel expects {kc_in} input channels, got {c_in}")
     _require(b.shape == (c_out,), "bias shape must be (c_out,)")
-    out_dims = _conv_out_dims(x.shape[2:], k, stride, padding)
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
-    y = _correlate_binary(x, w_mat, b, k, stride, padding, out_dims, pool)
+    y = _correlate_binary(x, w_mat, b, k)
     if y is None:
-        y = _correlate(_pad_spatial(x, padding), w_mat, k, stride, out_dims)
+        y = _correlate(_pad_spatial(x, k // 2), w_mat, k)
         y += b[:, None, None, None]
-    return y, (x, w, stride, padding)
+    # Four entries, as perfbench/spans.py unpacks them.
+    return y, (x, w, None, None)
 
 
 def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
@@ -375,8 +362,7 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     (y, z) width, so in flat padded coordinates every output's tap (a, b, c)
     is the same offset. One GEMM ``W^T @ frame`` lifts the frame onto patch
     space, and k^3 contiguous adds, in (a, b, c) order, scatter it back;
-    the frame's zeros add exactly. This holds at stride 1 only, the
-    network's stride; any other stride raises ``ShapeMismatch``.
+    the frame's zeros add exactly, because the conv's stride is 1.
 
     All three gradients are bit-identical to an im2col GEMM per batch chunk
     and a col2im of k^3 strided slice-adds (the oracle of the test below).
@@ -394,11 +380,10 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     background's sum. Both sum in another order than the dense path, so
     they agree with it to float rounding.
     """
-    x, w, stride, padding = cache
+    x, w, _, _ = cache
     if isinstance(grad_y, Windowed):
         grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
-        return None, _binary_weight_grad(grad_y, x, w.shape[2], padding), grad_b
-    _require(stride == 1, f"conv3d backward supports stride 1, got {stride}")
+        return None, _binary_weight_grad(grad_y, x, w.shape[2]), grad_b
     grad_y = _as_float(grad_y, like=x)
     batch, c_in = x.shape[:2]
     c_out, k = w.shape[0], w.shape[2]
@@ -407,13 +392,14 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
     grad_b = grad_y.sum(axis=(0, 2, 3, 4))
 
     # (Cin*k^3, Cout) <- sum over samples and positions
-    x_pad = _pad_spatial(x, padding)
+    p = k // 2
+    x_pad = _pad_spatial(x, p)
     grad_w_t = np.zeros((c_in * k**3, c_out), dtype=x.dtype)
     group = max(1, _COL_BUDGET // (c_in * k**3 * grad_flat.shape[2] * x.itemsize))
     for lo in range(0, batch, group):
         part = np.zeros_like(grad_w_t)
         for s in range(lo, min(lo + group, batch)):
-            part += _im2col(x_pad[s : s + 1], k, 1, out_dims)[0] @ grad_flat[s].T
+            part += _im2col(x_pad[s : s + 1], k)[0] @ grad_flat[s].T
         grad_w_t += part
     grad_w = np.ascontiguousarray(grad_w_t.T).reshape(w.shape)
 
@@ -437,59 +423,59 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True):
         for tap, offset in enumerate(offsets):
             grad_x_flat[s, :, offset : offset + n] += col_grad[:, tap]
     grad_x_pad = grad_x_flat[:, :, : px * py * pz].reshape(x_pad.shape)
-    p = padding
     grad_x = np.ascontiguousarray(grad_x_pad[:, :, p : px - p, p : py - p, p : pz - p])
     return grad_x, grad_w, grad_b
 
 
-def _leaky_relu(x, slope: float):
+def _leaky_relu(x):
     positive = x > 0
-    # For slope <= 1, leaky ReLU is max(x, slope*x).
-    y = x * x.dtype.type(slope)
+    # For a slope <= 1, leaky ReLU is max(x, slope*x).
+    y = x * x.dtype.type(SLOPE)
     np.maximum(y, x, out=y)
     return y, positive
 
 
-def _leaky_relu_grad(grad_y, positive, slope: float):
+def _leaky_relu_grad(grad_y, positive):
     # grad * 1 is grad exactly; a product is faster than a masked copy.
-    one, slope = grad_y.dtype.type(1), grad_y.dtype.type(slope)
+    one, slope = grad_y.dtype.type(1), grad_y.dtype.type(SLOPE)
     return grad_y * np.where(positive, one, slope)
 
 
-def leaky_relu_forward(x, slope: float = 0.01):
+def leaky_relu_forward(x):
     """Elementwise; a ``Windowed`` input also maps its background."""
-    y, positive = _leaky_relu(_as_float(x), slope)
+    y, positive = _leaky_relu(_as_float(x))
     if isinstance(x, Windowed):
-        y_bg, positive_bg = _leaky_relu(x.background, slope)
+        y_bg, positive_bg = _leaky_relu(x.background)
         y, positive = x.like(y, y_bg), x.like(positive, positive_bg)
-    return y, (positive, slope)
+    return y, (positive,)
 
 
 def leaky_relu_backward(grad_y, cache):
     """A ``Windowed`` gradient's background sum scales by its channel's
     slope: every background position has the same sign."""
-    positive, slope = cache
-    out = _leaky_relu_grad(np.asarray(grad_y), np.asarray(positive), slope)
+    (positive,) = cache
+    out = _leaky_relu_grad(np.asarray(grad_y), np.asarray(positive))
     if isinstance(grad_y, Windowed):
-        out = grad_y.like(out, _leaky_relu_grad(grad_y.background, positive.background, slope))
+        out = grad_y.like(out, _leaky_relu_grad(grad_y.background, positive.background))
     return out
 
 
-def _window_views(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The window^3 strided views of x, one per in-window offset (a, b, c),
-    in (x, y, z) window order: view[i, j, l] is x[i*window+a, j*window+b, l*window+c]."""
-    offsets = range(window)
-    return [x[:, :, a::window, b::window, c::window]
+def _window_views(x: np.ndarray) -> list[np.ndarray]:
+    """The POOL^3 strided views of x, one per in-window offset (a, b, c),
+    in (x, y, z) window order: view[i, j, l] is x[i*POOL+a, j*POOL+b, l*POOL+c]."""
+    offsets = range(POOL)
+    return [x[:, :, a::POOL, b::POOL, c::POOL]
             for a in offsets for b in offsets for c in offsets]
 
 
-def maxpool3d_forward(x, window: int = 2):
-    """Non-overlapping max pooling; spatial dims must divide the window.
+def maxpool3d_forward(x):
+    """Non-overlapping ``POOL``^3 max pooling; ``POOL`` must divide the
+    spatial dims.
 
     The output is three passes of ``np.maximum`` over the window's strided
     views along z, then y, then x, each pass shrinking one axis; maximum
     does not depend on the order, so this equals a running maximum over
-    the window^3 offsets. It keeps x's dtype, and a NaN anywhere in a
+    the POOL^3 offsets. It keeps x's dtype, and a NaN anywhere in a
     window makes that window's output NaN. The cache holds the output and
     x itself, not an argmax index: the backward finds each window's first
     maximum, in (x, y, z) window order, from them. So the eval-mode
@@ -502,31 +488,26 @@ def maxpool3d_forward(x, window: int = 2):
     the cache then holds the (batch, channels, W) window maxima.
     """
     if isinstance(x, Windowed):
-        _require(x.window == window, f"input windowed by {x.window}, pooled by {window}")
         offsets = np.asarray(x).transpose(2, 0, 1, 3)
         peaks = np.maximum(offsets[0], offsets[1])
         for view in offsets[2:]:
             np.maximum(peaks, view, out=peaks)
-        y = np.empty(peaks.shape[:2] + tuple(d // window for d in x.dims), dtype=peaks.dtype)
+        y = np.empty(peaks.shape[:2] + tuple(d // POOL for d in x.dims), dtype=peaks.dtype)
         flat = y.reshape(peaks.shape[:2] + (-1,))
         flat[...] = x.background[:, None]
         np.put_along_axis(flat, x.windows[:, None, :], peaks, axis=2)
-        return y, (peaks, x, window)
+        return y, (peaks, x)
     x = _as_float(x)
-    dx, dy, dz = x.shape[2:]
-    _require(
-        dx % window == 0 and dy % window == 0 and dz % window == 0,
-        f"dims {(dx, dy, dz)} not divisible by pool window {window}",
-    )
+    _require(not any(d % POOL for d in x.shape[2:]),
+             f"dims {x.shape[2:]} not divisible by pool window {POOL}")
     y = x
     for axis in (4, 3, 2):
         lead = (slice(None),) * axis
-        views = [y[lead + (slice(a, None, window),)] for a in range(window)]
-        # max(first, last) is a new array for every window, 1 included.
-        y = np.maximum(views[0], views[-1])
-        for view in views[1:-1]:
+        views = [y[lead + (slice(a, None, POOL),)] for a in range(POOL)]
+        y = np.maximum(views[0], views[1])  # a new array
+        for view in views[2:]:
             np.maximum(y, view, out=y)
-    return y, (y, x, window)
+    return y, (y, x)
 
 
 def _route_to_first_max(grad_y, y, x_views, grad_views) -> None:
@@ -551,7 +532,7 @@ def maxpool3d_backward(grad_y, cache):
     first offset, a background position, so the background's gradient sum
     is the sum of grad_y over all windows minus the carried ones.
     """
-    y, x, window = cache
+    y, x = cache
     grad_y = np.asarray(grad_y)
     if isinstance(x, Windowed):
         flat = grad_y.reshape(y.shape[:2] + (-1,))
@@ -563,7 +544,7 @@ def maxpool3d_backward(grad_y, cache):
                             grad_x.transpose(2, 0, 1, 3))
         return x.like(grad_x, grad_bg)
     grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
-    _route_to_first_max(grad_y, y, _window_views(x, window), _window_views(grad_x, window))
+    _route_to_first_max(grad_y, y, _window_views(x), _window_views(grad_x))
     return grad_x
 
 
@@ -588,7 +569,7 @@ def _normalize(x, mean, inv_std, gamma, beta):
     return y, x_hat
 
 
-def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, training=True):
+def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: bool):
     """Per-channel batch normalization over (batch, x, y, z).
 
     Training mode normalizes by batch statistics (population variance) and
@@ -625,12 +606,12 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, eps=1e-5, mom
         else:
             mean = values.mean(axis=axes)
             var = values.var(axis=axes)
-        new_mean = (1.0 - momentum) * running_mean + momentum * mean
-        new_var = (1.0 - momentum) * running_var + momentum * var
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     y, x_hat = _normalize(values, mean, inv_std, gamma, beta)
     if windowed:
         y_bg, x_hat_bg = _normalize(x.background, mean, inv_std, gamma, beta)

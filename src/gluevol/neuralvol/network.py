@@ -3,11 +3,11 @@ then flatten and a single dense output.
 
 The topology is fixed, save the channel counts and the grid size: a 3x3x3
 "same" conv, leaky ReLU, batchnorm and a 2x2x2 max-pool per block, on a
-one-channel grid, with the ``layers`` defaults for stride, padding, slope
-and batchnorm. The canonical configuration (channels 32..512 over a 32x32x64
-grid) halves each spatial dimension per block and flattens to 1024
-features. The tiny profile (see ``config``) keeps the identical topology at
-reduced channel counts so the network trains on a desk CPU.
+one-channel grid, with the settings that ``layers`` fixes. The canonical
+configuration (channels 32..512 over a 32x32x64 grid) halves each spatial
+dimension per block and flattens to 1024 features. The tiny profile (see
+``config``) keeps the identical topology at reduced channel counts so the
+network trains on a desk CPU.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .layers import ShapeMismatch
+from .layers import POOL, ShapeMismatch
 
 KERNEL = 3  # conv kernel edge
-POOL = 2  # max-pool window edge
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,8 @@ class NetConfig:
     input_dims: tuple[int, int, int] = (32, 32, 64)
 
     RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
-        "kernel": KERNEL, "stride": 1, "padding": 1, "pool": POOL, "in_channels": 1,
-        "leaky_slope": 0.01, "bn_eps": 1e-5, "bn_momentum": 0.1}
+        "kernel": KERNEL, "stride": 1, "padding": KERNEL // 2, "pool": POOL, "in_channels": 1,
+        "leaky_slope": layers.SLOPE, "bn_eps": layers.BN_EPS, "bn_momentum": layers.BN_MOMENTUM}
 
     def block_shapes(self) -> list[tuple[int, int, int, int]]:
         """(channels, x, y, z) after each block, input first."""
@@ -130,28 +129,28 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     ``rnet_backward`` and carry updated batchnorm running statistics,
     applied to ``weights`` by ``apply_running_stats``.
 
-    Training passes the pool window to every conv. A block whose input is a
-    sparse binary grid (the first block, on height fields) then runs leaky
-    ReLU, batchnorm and max-pool as ``layers.Windowed`` tensors: its active
-    pool windows plus one background value per channel, about an eighth of
-    the full-resolution positions on tiny grids. The pooled output is
-    dense. Batchnorm statistics and the block's gradients sum in another
-    order than the dense layers, so they match them to float rounding.
+    A block whose input is a sparse binary grid (the first block, on height
+    fields) runs leaky ReLU, batchnorm and max-pool on the conv's
+    ``layers.Windowed`` output: its active pool windows plus one background
+    value per channel, about an eighth of the full-resolution positions on
+    tiny grids. The pooled output is dense. Batchnorm statistics and the
+    block's gradients sum in another order than the dense layers, so they
+    match them to float rounding.
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
-    batchnorm touch 1/window^3 of the conv output. Like training, it passes
-    the pool window to the conv, so a sparse binary input's full-resolution
-    conv output is never built: it is pooled as a ``layers.Windowed``, with
-    the dense conv's values. The result is bit for bit
-    that of the training order: float rounding is monotone, so leaky ReLU
-    and the running-statistics batchnorm affine are non-decreasing per
-    channel where ``bn_gamma >= 0`` and non-increasing where it is negative,
-    and pooling picks the same element before or after them. Channels with
-    negative ``bn_gamma`` need a min-pool, taken exactly as the negated
-    max-pool of the conv with negated kernel and bias. This holds wherever
-    the normalized values (x - running_mean) / sqrt(running_var + eps) are
-    finite; NaN propagates through both orders alike.
+    batchnorm touch 1/POOL^3 of the conv output. As in training, a sparse
+    binary input's full-resolution conv output is never built: it is pooled
+    as a ``layers.Windowed``, with the dense conv's values. The result is
+    bit for bit that of the training order: float rounding is monotone, so
+    leaky ReLU and the running-statistics batchnorm affine are
+    non-decreasing per channel where ``bn_gamma >= 0`` and non-increasing
+    where it is negative, and pooling picks the same element before or
+    after them. Channels with negative ``bn_gamma`` need a min-pool, taken
+    exactly as the negated max-pool of the conv with negated kernel and
+    bias. This holds wherever the normalized values (x - running_mean) /
+    sqrt(running_var + eps) are finite; NaN propagates through both orders
+    alike.
     """
     x = np.asarray(x)
     if x.dtype != weights.dense_w.dtype:
@@ -164,12 +163,12 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     caches = []
     h = x
     for blk in weights.blocks:
-        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, pool=POOL)
+        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b)
         h, relu_cache = layers.leaky_relu_forward(h)
         h, bn_cache, new_mean, new_var = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=True
         )
-        h, pool_cache = layers.maxpool3d_forward(h, POOL)
+        h, pool_cache = layers.maxpool3d_forward(h)
         caches.append((conv_cache, relu_cache, bn_cache, pool_cache, new_mean, new_var))
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = layers.dense_forward(flat, weights.dense_w, weights.dense_b)
@@ -186,8 +185,8 @@ def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
         if flip.any():
             conv_w = np.where(flip[:, None, None, None, None], -conv_w, conv_w)
             conv_b = np.where(flip, -conv_b, conv_b)
-        h, _ = layers.conv3d_forward(h, conv_w, conv_b, pool=POOL)
-        h, _ = layers.maxpool3d_forward(h, POOL)
+        h, _ = layers.conv3d_forward(h, conv_w, conv_b)
+        h, _ = layers.maxpool3d_forward(h)
         if flip.any():
             np.negative(h, out=h, where=flip[:, None, None, None])
         h, _ = layers.leaky_relu_forward(h)

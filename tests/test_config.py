@@ -61,6 +61,20 @@ class TestProfiles:
         assert all(r.attached for r in pcbs[0].regions())
         assert not any(r.attached for r in pcbs[1].regions())
 
+    @pytest.mark.parametrize("profile", ["tiny", "paper"])
+    def test_sections_take_the_run_seed(self, profile):
+        cfg = profile_config(profile, seed=3)
+        assert cfg.scan.seed == cfg.augment.seed == cfg.train.seed == 3
+
+    def test_printed_defaults_with_another_train_seed_exit_2(self, tmp_path, capsys):
+        # The run seed used to overwrite the section seeds silently.
+        assert cli.main(["config", "--print-defaults"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        doc["train"]["seed"] = 7
+        path = write_doc(tmp_path / "run.json", doc)
+        assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "train.seed is 7, not the run seed 0" in capsys.readouterr().err
+
     def test_resolved_propagates_seed(self):
         resolved = replace(tiny_profile_config(seed=0), seed=9).resolved()
         assert resolved.scan.seed == 9
@@ -226,12 +240,16 @@ class TestCodecRule:
             (set_value("train", "shuffle", value=False), "TrainConfig.shuffle: got False,"),
             (set_value("train", "compute_dtype", value="float64"), "TrainConfig.compute_dtype"),
             (set_value("train", "beta1", value=0.8), "TrainConfig.beta1: got 0.8,"),
+            (set_value("scan", "seed", value=9), "scan.seed is 9, not the run seed 0"),
+            (set_value("augment", "seed", value=9), "augment.seed is 9,"),
+            (set_value("train", "seed", value=7), "train.seed is 7,"),
         ],
         ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile",
              "float_as_int", "str_as_int", "bool_as_int", "int_as_str", "int_as_bool",
              "nan", "infinity", "retired_stride", "retired_kernel_as_float",
              "retired_leaky_slope", "retired_bool_as_int", "retired_shuffle",
-             "retired_compute_dtype", "retired_beta1"],
+             "retired_compute_dtype", "retired_beta1", "scan_seed", "augment_seed",
+             "train_seed"],
     )
 
     @EDITS

@@ -31,38 +31,33 @@ def central_diff_check(loss_fn, arrays, grads, h=1e-5, rel_tol=1e-4, probes=8):
             assert abs(numeric - gflat[i]) / denom < rel_tol
 
 
-def conv3d_bruteforce(x, w, b, stride, pad):
-    """Direct seven-loop cross-correlation."""
+def conv3d_bruteforce(x, w, b):
+    """Direct seven-loop cross-correlation, stride 1, padding k // 2."""
     batch, _, dx, dy, dz = x.shape
     c_out, _, k, _, _ = w.shape
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    ox = (dx + 2 * pad - k) // stride + 1
-    oy = (dy + 2 * pad - k) // stride + 1
-    oz = (dz + 2 * pad - k) // stride + 1
-    y = np.zeros((batch, c_out, ox, oy, oz))
+    y = np.zeros((batch, c_out, dx, dy, dz))
     for bi in range(batch):
         for o in range(c_out):
-            for i in range(ox):
-                for j in range(oy):
-                    for l in range(oz):
-                        patch = xp[
-                            bi,
-                            :,
-                            i * stride : i * stride + k,
-                            j * stride : j * stride + k,
-                            l * stride : l * stride + k,
-                        ]
+            for i in range(dx):
+                for j in range(dy):
+                    for l in range(dz):
+                        patch = xp[bi, :, i : i + k, j : j + k, l : l + k]
                         y[bi, o, i, j, l] = (patch * w[o]).sum() + b[o]
     return y
 
 
 class TestConv3d:
     def test_all_ones_cube_sums(self):
-        x = np.ones((1, 1, 2, 2, 2))
-        w = np.ones((1, 1, 2, 2, 2))
-        y, _ = layers.conv3d_forward(x, w, np.zeros(1), stride=1, padding=0)
-        assert y.shape == (1, 1, 1, 1, 1)
-        assert y[0, 0, 0, 0, 0] == 8.0
+        # each output counts the ones its 3^3 patch covers inside the grid
+        x = np.ones((1, 2, 3, 3, 3))
+        w = np.ones((1, 2, 3, 3, 3))
+        y, _ = layers.conv3d_forward(x, w, np.zeros(1))
+        assert y.shape == (1, 1, 3, 3, 3)
+        assert y[0, 0, 1, 1, 1] == 2 * 27.0
+        assert y[0, 0, 0, 0, 0] == 2 * 8.0
+        assert y[0, 0, 0, 1, 2] == 2 * 12.0
 
     def test_zero_input_gives_bias(self):
         x = np.zeros((2, 3, 4, 4, 4))
@@ -71,16 +66,18 @@ class TestConv3d:
         y, _ = layers.conv3d_forward(x, w, b)
         assert np.allclose(y, b[:, None, None, None])
 
-    @pytest.mark.parametrize(
-        "shape,c_out,stride,pad",
-        [((1, 2, 4, 4, 4), 3, 1, 1), ((2, 1, 5, 4, 6), 2, 1, 0), ((2, 2, 5, 5, 5), 3, 2, 1)],
-    )
-    def test_matches_bruteforce(self, shape, c_out, stride, pad):
+    @pytest.mark.parametrize("shape,c_out", [((1, 2, 4, 4, 4), 3), ((2, 1, 5, 4, 6), 2)])
+    def test_matches_bruteforce(self, shape, c_out):
         x = RNG.standard_normal(shape)
         w = RNG.standard_normal((c_out, shape[1], 3, 3, 3))
         b = RNG.standard_normal(c_out)
-        y, _ = layers.conv3d_forward(x, w, b, stride, pad)
-        assert np.allclose(y, conv3d_bruteforce(x, w, b, stride, pad), atol=1e-12)
+        y, _ = layers.conv3d_forward(x, w, b)
+        assert np.allclose(y, conv3d_bruteforce(x, w, b), atol=1e-12)
+
+    def test_even_kernel_raises(self):
+        x, w = np.zeros((1, 1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2))
+        with pytest.raises(ShapeMismatch):
+            layers.conv3d_forward(x, w, np.zeros(1))
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
@@ -119,12 +116,11 @@ class TestConv3d:
         assert gx.dtype == np.float32 and gw.dtype == np.float32
 
 
-def dense_conv(x, w, b, padding):
-    """The GEMM path of conv3d_forward at stride 1: im2col, matmul, bias."""
+def dense_conv(x, w, b):
+    """The GEMM path of conv3d_forward: pad, im2col, matmul, bias."""
     k = w.shape[2]
-    out_dims = layers._conv_out_dims(x.shape[2:], k, 1, padding)
     w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
-    y = layers._correlate(layers._pad_spatial(x, padding), w_mat, k, 1, out_dims)
+    y = layers._correlate(layers._pad_spatial(x, k // 2), w_mat, k)
     y += b[:, None, None, None]
     return y
 
@@ -157,19 +153,21 @@ def assert_same_bits(y, expected):
 
 class TestBinaryConv:
     """The sparse path for one-channel 0/1 inputs is bit-identical to the
-    dense GEMM path. The GEMM is made to raise where the sparse path must
-    run, and counted where the input must fall back to it."""
+    dense GEMM path: its ``Windowed`` output, made dense by ``densify``,
+    has the GEMM's bytes. The GEMM is made to raise where the sparse path
+    must run, and counted where the input must fall back to it."""
 
     @staticmethod
-    def sparse_forward(monkeypatch, x, w, b, padding=1):
+    def sparse_forward(monkeypatch, x, w, b):
         def no_gemm(*args):
             raise AssertionError("dense GEMM ran on a sparse binary input")
 
         with monkeypatch.context() as m:
             m.setattr(layers, "_correlate", no_gemm)
-            y, cache = layers.conv3d_forward(x, w, b, 1, padding)
-        assert cache[0] is x and cache[2:] == (1, padding)
-        return y
+            y, cache = layers.conv3d_forward(x, w, b)
+        assert isinstance(y, layers.Windowed)
+        assert cache[0] is x and cache[2:] == (None, None)
+        return densify(y)
 
     @staticmethod
     def gemm_forward(monkeypatch, x, w, b):
@@ -182,8 +180,9 @@ class TestBinaryConv:
 
         with monkeypatch.context() as m:
             m.setattr(layers, "_correlate", counted)
-            y, _ = layers.conv3d_forward(x, w, b, 1, 1)
+            y, _ = layers.conv3d_forward(x, w, b)
         assert calls, "the input should have taken the dense GEMM path"
+        assert not isinstance(y, layers.Windowed)
         return y
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
@@ -191,53 +190,62 @@ class TestBinaryConv:
     def test_height_fields_match_gemm(self, monkeypatch, dtype, batch):
         x = height_fields(batch, dtype=dtype)
         w, b = conv_weights(dtype)
-        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_voxelized_scans_match_gemm(self, monkeypatch, dtype):
         # every region of the tiny panel, one grid at a time as in
         # inspection (a compact GEMM over the active columns fails here)
-        cfg = config.tiny_profile_config(0).resolved()
+        cfg = config.tiny_profile_config(0)
         pcb = cfg.pcbs()[0]
         w, b = conv_weights(dtype)
         for region in pcb.regions():
             cloud = scansim.raster_scan(pcb, region, cfg.scan)
             x = voxelizer.build_grid(cloud, cfg.grid).occupancy[None, None].astype(dtype)
             y = self.sparse_forward(monkeypatch, x, w, b)
-            assert_same_bits(y, dense_conv(x, w, b, 1))
+            assert_same_bits(y, dense_conv(x, w, b))
             # a batch-1 inspect grid is one step of the sparse path
-            _, active = layers._binary_active(x, 3, 1, 1, x.shape[2:])
+            _, active = layers._binary_active(x, 3)
             assert np.count_nonzero(active) <= layers._BINARY_CHUNK
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_voxels_on_every_face_match_gemm(self, monkeypatch, k):
-        x = np.zeros((2, 1, 16, 17, 18))
+    @staticmethod
+    def voxels_on_every_face(dims):
+        x = np.zeros((2, 1) + dims)
         x[0, 0, 0, 4, 5] = x[0, 0, -1, 3, 2] = 1  # x faces
         x[0, 0, 5, 0, 7] = x[1, 0, 2, -1, 1] = 1  # y faces
         x[1, 0, 6, 6, 0] = x[1, 0, 3, 8, -1] = 1  # z faces
         x[1, 0, -1, -1, -1] = x[1, 0, 0, 0, 0] = 1  # corners
+        return x
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_voxels_on_every_face_match_gemm(self, monkeypatch, k):
+        x = self.voxels_on_every_face((16, 18, 20))
         w, b = conv_weights(np.float64, k=k)
-        y = self.sparse_forward(monkeypatch, x, w, b, padding=k // 2)
-        assert_same_bits(y, dense_conv(x, w, b, k // 2))
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+
+    def test_dims_the_pool_does_not_divide_take_gemm(self, monkeypatch):
+        x = self.voxels_on_every_face((16, 17, 18))
+        w, b = conv_weights(np.float64)
+        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_empty_grid_is_bias(self, monkeypatch):
         x = np.zeros((2, 1, 8, 8, 16))
         w, b = conv_weights(np.float64)
         y = self.sparse_forward(monkeypatch, x, w, b)
-        assert_same_bits(y, dense_conv(x, w, b, 1))
+        assert_same_bits(y, dense_conv(x, w, b))
         assert np.array_equal(y, np.broadcast_to(b[:, None, None, None], y.shape))
 
     def test_dense_binary_input_falls_back_to_gemm(self, monkeypatch):
         x = (BINARY_RNG.random((2, 1, 8, 8, 16)) < 0.3).astype(np.float64)
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("value", [0.5, np.nan])
     def test_non_binary_input_takes_gemm(self, monkeypatch, value):
         x = height_fields(2)
         x[1, 0, 4, 4, 4] = value
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_chunks_match_gemm(self, monkeypatch, dtype):
@@ -250,9 +258,9 @@ class TestBinaryConv:
         w = rng.standard_normal((8, 1, 3, 3, 3)).astype(dtype)
         b = rng.standard_normal(8).astype(dtype)
         monkeypatch.setattr(layers, "_BINARY_CHUNK", 37)
-        _, active = layers._binary_active(x, 3, 1, 1, x.shape[2:])
+        _, active = layers._binary_active(x, 3)
         assert np.count_nonzero(active) > 50 * 37
-        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b, 1))
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
 
 # Dense-conv inputs draw from their own generator as well.
@@ -261,41 +269,41 @@ TILE_RNG = np.random.default_rng(10)
 
 def chunked_correlate(x_pad, w_mat, k, out_dims):
     """The forward GEMM before tiling: one im2col patch matrix and one
-    batched GEMM per ``_COL_BUDGET`` chunk of samples (stride 1)."""
+    batched GEMM per ``_COL_BUDGET`` chunk of samples."""
     batch, c_out = x_pad.shape[0], w_mat.shape[0]
     n_positions = int(np.prod(out_dims))
     chunk = max(1, layers._COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
     y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
     flat = y.reshape(batch, c_out, n_positions)
     for lo in range(0, batch, chunk):
-        col = layers._im2col(x_pad[lo : lo + chunk], k, 1, out_dims)
+        col = layers._im2col(x_pad[lo : lo + chunk], k)
         np.matmul(w_mat, col, out=flat[lo : lo + chunk])
     return y
 
 
-def col2im_backward(grad_y, x, w, padding):
-    """The dense backward before tiling (stride 1): per chunk, the weight
+def col2im_backward(grad_y, x, w):
+    """The dense backward before tiling: per chunk, the weight
     gradient as one batched GEMM summed over the chunk, and the input
     gradient lifted by one GEMM and scattered back by k^3 strided slice-adds."""
     batch, c_in = x.shape[:2]
     c_out, k = w.shape[0], w.shape[2]
     ox, oy, oz = out_dims = grad_y.shape[2:]
     grad_flat = grad_y.reshape(batch, c_out, -1)
-    x_pad = layers._pad_spatial(x, padding)
+    p = k // 2
+    x_pad = layers._pad_spatial(x, p)
     chunk = max(1, layers._COL_BUDGET // (c_in * k**3 * ox * oy * oz * x.itemsize))
     grad_w = np.zeros((c_out, c_in * k**3), dtype=x.dtype)
     grad_x = np.zeros_like(x_pad)
     w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)
     for lo in range(0, batch, chunk):
         hi = min(lo + chunk, batch)
-        col = layers._im2col(x_pad[lo:hi], k, 1, out_dims)
+        col = layers._im2col(x_pad[lo:hi], k)
         grad_w += np.matmul(grad_flat[lo:hi], col.transpose(0, 2, 1)).sum(axis=0)
         col_grad = np.matmul(w_t, grad_flat[lo:hi]).reshape(hi - lo, c_in, k, k, k, ox, oy, oz)
         for a in range(k):
             for b in range(k):
                 for c in range(k):
                     grad_x[lo:hi, :, a : a + ox, b : b + oy, c : c + oz] += col_grad[:, :, a, b, c]
-    p = padding
     grad_x = grad_x[:, :, p : grad_x.shape[2] - p, p : grad_x.shape[3] - p, p : grad_x.shape[4] - p]
     return grad_x, grad_w.reshape(w.shape), grad_y.sum(axis=(0, 2, 3, 4))
 
@@ -321,17 +329,15 @@ class TestDenseConvBits:
     BLOCKS = [(8, 16, (16, 16, 32)), (16, 32, (8, 8, 16)), (32, 64, (4, 4, 8)), (64, 128, (2, 2, 4))]
 
     @staticmethod
-    def compare(x, w, b, padding=1, need_input_grad=True):
-        y, cache = layers.conv3d_forward(x, w, b, 1, padding)
-        k = w.shape[2]
+    def compare(x, w, b, need_input_grad=True):
+        y, cache = layers.conv3d_forward(x, w, b)
         w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
-        out_dims = layers._conv_out_dims(x.shape[2:], k, 1, padding)
-        expected = chunked_correlate(layers._pad_spatial(x, padding), w_mat, k, out_dims)
+        expected = chunked_correlate(layers._pad_spatial(x, 1), w_mat, 3, x.shape[2:])
         expected += b[:, None, None, None]
         assert_same_bits(y, expected)
         grad_y = TILE_RNG.standard_normal(y.shape).astype(x.dtype)
         grads = layers.conv3d_backward(grad_y, cache, need_input_grad=need_input_grad)
-        oracle = col2im_backward(grad_y, x, w, padding)
+        oracle = col2im_backward(grad_y, x, w)
         if not need_input_grad:
             assert grads[0] is None
             grads, oracle = grads[1:], oracle[1:]
@@ -366,16 +372,8 @@ class TestDenseConvBits:
         self.compare(*self.inputs(c_in, c_out, dims, 3, dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_no_padding_and_no_input_grad(self, dtype):
-        x, w, b = self.inputs(8, 16, (10, 6, 18), 3, dtype)
-        self.compare(x, w, b, padding=0)
-        self.compare(x, w, b, need_input_grad=False)
-
-    def test_strided_backward_raises(self):
-        x, w, b = self.inputs(2, 3, (5, 5, 5), 2, np.float64)
-        y, cache = layers.conv3d_forward(x, w, b, stride=2, padding=1)
-        with pytest.raises(ShapeMismatch):
-            layers.conv3d_backward(np.ones_like(y), cache)
+    def test_no_input_grad(self, dtype):
+        self.compare(*self.inputs(8, 16, (10, 6, 18), 3, dtype), need_input_grad=False)
 
 
 def densify(t: layers.Windowed) -> np.ndarray:
@@ -393,16 +391,19 @@ def densify(t: layers.Windowed) -> np.ndarray:
     return out
 
 
-def block0(x, w, b, gamma, beta, grad, pool):
+def block0(x, w, b, gamma, beta, grad, dense):
     """conv -> leaky ReLU -> batchnorm -> max-pool and back, as the
-    network's first block trains; ``pool=None`` is the dense oracle."""
+    network's first block trains; ``dense`` runs the layers after the conv
+    on its densified output, the oracle."""
     c = len(b)
-    h, conv_cache = layers.conv3d_forward(x, w, b, 1, 1, pool=pool)
-    h, relu_cache = layers.leaky_relu_forward(h, 0.01)
+    h, conv_cache = layers.conv3d_forward(x, w, b)
+    if dense and isinstance(h, layers.Windowed):
+        h = densify(h)
+    h, relu_cache = layers.leaky_relu_forward(h)
     h, bn_cache, mean, var = layers.batchnorm3d_forward(
         h, gamma, beta, np.zeros(c), np.ones(c), training=True
     )
-    y, pool_cache = layers.maxpool3d_forward(h, 2)
+    y, pool_cache = layers.maxpool3d_forward(h)
     g = layers.maxpool3d_backward(grad, pool_cache)
     g, grad_gamma, grad_beta = layers.batchnorm3d_backward(g, bn_cache)
     g = layers.leaky_relu_backward(g, relu_cache)
@@ -442,8 +443,8 @@ class TestWindowed:
         w, b, gamma, beta = self.params(rng, dtype)
         grad = rng.standard_normal(x.shape[:1] + (8,) + tuple(d // 2 for d in x.shape[2:]))
         grad = grad.astype(dtype)
-        dense, h_dense, g_dense = block0(x, w, b, gamma, beta, grad, None)
-        got, h, g = block0(x, w, b, gamma, beta, grad, 2)
+        dense, h_dense, g_dense = block0(x, w, b, gamma, beta, grad, dense=True)
+        got, h, g = block0(x, w, b, gamma, beta, grad, dense=False)
         assert isinstance(h, layers.Windowed) == windowed
         assert isinstance(g, layers.Windowed) == windowed
         rtol = self.RTOL[dtype]
@@ -483,8 +484,7 @@ class TestWindowed:
         x = np.zeros((3, 1, 8, 8, 16))
         got, _ = self.compare(x, atol=1e-11)
         assert np.all(got["grad_w"] == 0)
-        h, _ = layers.conv3d_forward(x, *self.params(np.random.default_rng(0), np.float64)[:2],
-                                     pool=2)
+        h, _ = layers.conv3d_forward(x, *self.params(np.random.default_rng(0), np.float64)[:2])
         assert h.shape == (3, 8, 8, 0) and h.background_count == 3 * 8 * 8 * 16
 
     def test_above_cutoff_takes_dense_path(self):
@@ -499,11 +499,11 @@ class TestWindowed:
         # and 5 in (x, y, z) order.
         values = np.array([0.1, -1.0, 0.5, 0.3, 0.2, 0.5, -2.0, 0.0])
         x = layers._windowed(values.reshape(1, 1, 8, 1), np.array([0.5]), np.array([[1]]),
-                             (2, 2, 4), 2)
+                             (2, 2, 4))
         dense = np.full((1, 1, 2, 2, 4), 0.5)
         dense[0, 0, :, :, 2:] = values.reshape(2, 2, 2)
-        y, cache = layers.maxpool3d_forward(x, 2)
-        y_dense, cache_dense = layers.maxpool3d_forward(dense, 2)
+        y, cache = layers.maxpool3d_forward(x)
+        y_dense, cache_dense = layers.maxpool3d_forward(dense)
         assert_same_bits(y, y_dense)
         grad = np.array([3.0, 7.0]).reshape(1, 1, 1, 1, 2)
         g = layers.maxpool3d_backward(grad, cache)
@@ -515,8 +515,8 @@ class TestWindowed:
 
 class TestLeakyRelu:
     def test_values(self):
-        y, _ = layers.leaky_relu_forward(np.array([-1.0, 2.0]), 0.01)
-        assert y[0] == pytest.approx(-0.01)
+        y, _ = layers.leaky_relu_forward(np.array([-1.0, 2.0]))
+        assert y[0] == -layers.SLOPE
         assert y[1] == 2.0
 
     def test_gradient(self):
@@ -524,10 +524,10 @@ class TestLeakyRelu:
         proj = RNG.standard_normal(x.shape)
 
         def loss():
-            y, _ = layers.leaky_relu_forward(x, 0.01)
+            y, _ = layers.leaky_relu_forward(x)
             return float((y * proj).sum())
 
-        _, cache = layers.leaky_relu_forward(x, 0.01)
+        _, cache = layers.leaky_relu_forward(x)
         gx = layers.leaky_relu_backward(proj, cache)
         central_diff_check(loss, (x,), (gx,))
 
@@ -535,17 +535,17 @@ class TestLeakyRelu:
 class TestMaxPool3d:
     def test_constant_tensor(self):
         x = np.full((1, 2, 4, 4, 4), 3.5)
-        y, _ = layers.maxpool3d_forward(x, 2)
+        y, _ = layers.maxpool3d_forward(x)
         assert y.shape == (1, 2, 2, 2, 2)
         assert np.all(y == 3.5)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeMismatch):
-            layers.maxpool3d_forward(np.zeros((1, 1, 3, 4, 4)), 2)
+            layers.maxpool3d_forward(np.zeros((1, 1, 3, 4, 4)))
 
     def test_gradient_routes_to_single_max(self):
         x = RNG.standard_normal((2, 2, 4, 4, 4))
-        _, cache = layers.maxpool3d_forward(x, 2)
+        _, cache = layers.maxpool3d_forward(x)
         grad = layers.maxpool3d_backward(np.ones((2, 2, 2, 2, 2)), cache)
         assert grad.shape == x.shape
         assert grad.sum() == pytest.approx(2 * 2 * 8)  # one route per window
@@ -556,10 +556,10 @@ class TestMaxPool3d:
         proj = RNG.standard_normal((1, 2, 2, 2, 2))
 
         def loss():
-            y, _ = layers.maxpool3d_forward(x, 2)
+            y, _ = layers.maxpool3d_forward(x)
             return float((y * proj).sum())
 
-        _, cache = layers.maxpool3d_forward(x, 2)
+        _, cache = layers.maxpool3d_forward(x)
         gx = layers.maxpool3d_backward(proj, cache)
         central_diff_check(loss, (x,), (gx,))
 
@@ -567,19 +567,19 @@ class TestMaxPool3d:
     def test_ties_go_to_first_offset(self):
         # constant window: the whole gradient goes to offset (0, 0, 0)
         x = np.full((1, 1, 2, 2, 2), 1.5)
-        _, cache = layers.maxpool3d_forward(x, 2)
+        _, cache = layers.maxpool3d_forward(x)
         grad = layers.maxpool3d_backward(np.full((1, 1, 1, 1, 1), 3.0), cache)
         assert np.flatnonzero(grad).tolist() == [0] and grad.sum() == 3.0
         # maximum at window offsets 3 and 5 ((x, y, z) order): offset 3 wins
         x = np.zeros((1, 1, 2, 2, 2))
         x.ravel()[[3, 5]] = 2.0
-        _, cache = layers.maxpool3d_forward(x, 2)
+        _, cache = layers.maxpool3d_forward(x)
         grad = layers.maxpool3d_backward(np.full((1, 1, 1, 1, 1), 3.0), cache)
         assert np.flatnonzero(grad).tolist() == [3] and grad.sum() == 3.0
 
     def test_keeps_float32(self):
         x = RNG.standard_normal((2, 3, 4, 4, 4)).astype(np.float32)
-        y, cache = layers.maxpool3d_forward(x, 2)
+        y, cache = layers.maxpool3d_forward(x)
         assert y.dtype == np.float32
         grad = layers.maxpool3d_backward(np.ones(y.shape, dtype=np.float32), cache)
         assert grad.dtype == np.float32
@@ -587,24 +587,23 @@ class TestMaxPool3d:
     def test_nan_poisons_its_window(self):
         x = RNG.standard_normal((1, 1, 4, 4, 4))
         x[0, 0, 2, 1, 3] = np.nan
-        y, _ = layers.maxpool3d_forward(x, 2)
+        y, _ = layers.maxpool3d_forward(x)
         assert np.isnan(y[0, 0, 1, 0, 1])
         assert np.isnan(y).sum() == 1
 
-    @pytest.mark.parametrize("window", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pairwise_passes_match_running_maximum(self, window, dtype):
+    def test_pairwise_passes_match_running_maximum(self, dtype):
         # integer values tie within windows, normals break ties, NaNs poison
-        rng = np.random.default_rng(window)
+        rng = np.random.default_rng(2)
         x = rng.integers(-2, 3, (2, 3, 6, 6, 6)).astype(dtype)
         noisy = rng.random(x.shape) < 0.5
         x[noisy] += rng.standard_normal(int(noisy.sum())).astype(dtype)
         x.ravel()[rng.choice(x.size, 5, replace=False)] = np.nan
-        views = layers._window_views(x, window)
+        views = layers._window_views(x)
         expected = views[0].copy()
         for view in views[1:]:
             np.maximum(expected, view, out=expected)
-        y, _ = layers.maxpool3d_forward(x, window)
+        y, _ = layers.maxpool3d_forward(x)
         assert y.dtype == dtype
         assert np.array_equal(y, expected, equal_nan=True)
 
@@ -624,19 +623,20 @@ class TestBatchNorm3d:
         mean = np.array([1.0, -1.0])
         var = np.array([4.0, 9.0])
         y, _, rm, rv = layers.batchnorm3d_forward(
-            x, np.ones(2), np.zeros(2), mean, var, eps=0.0, training=False
+            x, np.ones(2), np.zeros(2), mean, var, training=False
         )
-        expected = (x - mean[:, None, None, None]) / np.sqrt(var)[:, None, None, None]
+        expected = (x - mean[:, None, None, None]) / np.sqrt(var + layers.BN_EPS)[:, None, None, None]
         assert np.allclose(y, expected)
         assert np.array_equal(rm, mean) and np.array_equal(rv, var)
 
     def test_running_stats_update(self):
         x = RNG.standard_normal((8, 2, 2, 2, 2))
         _, _, rm, rv = layers.batchnorm3d_forward(
-            x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), momentum=0.1, training=True
+            x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), training=True
         )
-        assert np.allclose(rm, 0.1 * x.mean(axis=(0, 2, 3, 4)))
-        assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3, 4)))
+        m = layers.BN_MOMENTUM
+        assert np.allclose(rm, m * x.mean(axis=(0, 2, 3, 4)))
+        assert np.allclose(rv, 1 - m + m * x.var(axis=(0, 2, 3, 4)))
 
     def test_gradients_against_finite_differences(self):
         x = RNG.standard_normal((3, 2, 2, 2, 2))

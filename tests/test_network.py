@@ -190,16 +190,15 @@ class TestForward:
 
 def reference_eval_forward(x, weights):
     """Eval forward built from the layer functions in the training order:
-    conv (stride 1, padding 1) -> leaky ReLU (slope 0.01) -> batchnorm
-    (running statistics, eps 1e-5) -> max-pool (window 2)."""
+    conv -> leaky ReLU -> batchnorm (running statistics) -> max-pool."""
     h = np.asarray(x, dtype=weights.dense_w.dtype)
     for blk in weights.blocks:
-        h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, 1, 1)
-        h, _ = layers.leaky_relu_forward(h, 0.01)
+        h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b)
+        h, _ = layers.leaky_relu_forward(h)
         h, _, _, _ = layers.batchnorm3d_forward(
-            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, eps=1e-5, training=False
+            h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
-        h, _ = layers.maxpool3d_forward(h, 2)
+        h, _ = layers.maxpool3d_forward(h)
     out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
     return out[:, 0]
 
@@ -255,8 +254,9 @@ class TestEvalOrder:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_windowed_first_block_equals_dense_conv(self, monkeypatch, dtype):
         # Sparse height fields: block 0's conv output comes out Windowed and
-        # is pooled in that form. The oracle runs the same eval forward on
-        # the dense conv output (pool=None); the two agree byte for byte.
+        # is pooled in that form. The oracle runs the same eval forward, and
+        # the training-order reference, with the sparse path switched off,
+        # on the dense GEMM's conv output; all three agree byte for byte.
         weights = self.weights().cast(dtype)
         assert (weights.blocks[0].bn_gamma < 0).any()
         rng = np.random.default_rng(8)
@@ -264,16 +264,15 @@ class TestEvalOrder:
         for sample in x:
             cols = rng.choice(64, 4, replace=False)
             sample[0, cols // 8, cols % 8, rng.integers(0, 16, 4)] = 1
-        expected = reference_eval_forward(x, weights)
-        conv, pool = layers.conv3d_forward, layers.maxpool3d_forward
+        pool = layers.maxpool3d_forward
         pooled = []
         monkeypatch.setattr(layers, "maxpool3d_forward",
-                            lambda h, window: pooled.append(type(h)) or pool(h, window))
+                            lambda h: pooled.append(type(h)) or pool(h))
         windowed, _ = rnet_forward(x, weights, self.CFG)
         assert pooled[0] is layers.Windowed
-        monkeypatch.setattr(layers, "conv3d_forward",
-                            lambda x, w, b, pool=None: conv(x, w, b))
+        monkeypatch.setattr(layers, "_binary_active", lambda x, k: None)
         dense, _ = rnet_forward(x, weights, self.CFG)
+        expected = reference_eval_forward(x, weights)
         assert pooled[len(weights.blocks)] is np.ndarray
         assert windowed.tobytes() == dense.tobytes()
         assert windowed.tobytes() == expected.tobytes()
