@@ -7,7 +7,9 @@ Documents are written with ``util.encode`` and read with ``load_config``,
 which holds them to the codec's rule: every key present, none unknown,
 save its two legacy rules: ``layout.column_scale_range`` may be absent, and
 the net's and train's retired keys may be present at the values the code
-now fixes. It also refuses a section seed that differs from the run seed.
+now fixes. It also refuses a section seed that differs from the run seed,
+and a ``layout.attach_pattern`` other than ``"unattached"``: ``pcbs()``
+sets each panel's pattern from ``attach_patterns``.
 The ``paper`` profile mirrors the full three-panel replication; ``tiny`` is
 the desk-scale single-type profile used by the acceptance runs.
 """
@@ -147,4 +149,9 @@ def load_config(path) -> RunConfig:
         seed = getattr(cfg, section).seed
         if seed != cfg.seed:
             raise ConfigError(f"{section}.seed is {seed}, not the run seed {cfg.seed}")
+    if cfg.layout.attach_pattern != "unattached":
+        raise ConfigError(
+            f"layout.attach_pattern is {cfg.layout.attach_pattern!r}; "
+            "panels take theirs from attach_patterns"
+        )
     return cfg

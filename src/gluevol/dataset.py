@@ -1,8 +1,8 @@
 """Annotated, augmented, split dataset construction.
 
 Volume labels come from the geometric annotation pipeline (plane fit,
-frame, crop, close, triangulate, projected-face volume) on unattached
-scans; attached deposits inherit the per-(column, type) mean of those
+frame, crop, triangulate, projected-face volume) on unattached scans;
+attached deposits inherit the per-(column, type) mean of those
 annotations. Each scan is augmented by sliding crop windows plus Gaussian
 z-noise levels, and split train/test by deposit position (the last deposit
 of each circuit/type tests, the rest train) so augmentations never leak
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import geom3d
-from .geom3d import BoundingBox2, EmptyGlueWarning, Plane, PointCloud
+from .geom3d import BoundingBox2, EmptyGlueWarning, PointCloud
 from .scansim import PcbModel, RegionSpec, ScanConfig, analytic_volume, scan_lattice
 from .util import DOMAIN_AUGMENT, decode, derived_rng, encode, floor_ratio, stable_u32
 
@@ -100,24 +100,22 @@ def annotate(cloud: PointCloud) -> float:
     """Estimated deposit volume (mm^3) of an unattached regional scan.
 
     Fits the substrate plane, moves the cloud into the plane frame, crops to
-    the glue footprint, closes the surface against the plane, triangulates
-    the raster lattice and sums projected-face volumes. The footprint and
-    the lattice step come from the scan's ``footprint`` and ``step_um``
-    metadata, which ``scansim.raster_scan`` writes; a cloud without either
-    raises KeyError naming the key.
+    the glue footprint, triangulates the raster lattice and sums the prisms
+    of its faces over the plane. The footprint and the lattice step come
+    from the scan's ``footprint`` and ``step_um`` metadata, which
+    ``scansim.raster_scan`` writes; a cloud without either raises KeyError
+    naming the key.
     """
     footprint = BoundingBox2(*cloud.meta["footprint"])
     step_mm = cloud.meta["step_um"] * 1e-3
     plane, _ = geom3d.fit_plane_ransac(cloud)
     framed = geom3d.to_plane_frame(cloud, plane)
     framed = geom3d.crop_xy(framed, footprint, allow_empty=False)
-    substrate = Plane.xy()
-    closed = geom3d.close_with_projection(framed, substrate)
-    mesh = geom3d.triangulate_lattice(closed, step_mm)
+    mesh = geom3d.triangulate_lattice(framed, step_mm)
     # Substrate points sit a hair below the fitted plane (the RANSAC inlier
     # band includes the deposit skirt, lifting the fit); the volume counts
     # their faces as zero.
-    volume = geom3d.mesh_volume_over_plane(mesh, substrate)
+    volume = geom3d.mesh_volume_over_plane(mesh)
     if volume < EMPTY_GLUE_FLOOR_MM3:
         warnings.warn(
             f"annotated volume {volume:.2e} mm^3 below empty-deposit floor",

@@ -1,5 +1,5 @@
-"""Point-cloud geometry: plane fitting, frame transforms, cropping, surface
-closing, lattice triangulation and volume of a meshed deposit over a plane.
+"""Point-cloud geometry: plane fitting, frame transforms, cropping, lattice
+triangulation and volume of a meshed deposit over the plane-frame substrate.
 
 All coordinates are millimeters. Operations are pure functions; none mutate
 their inputs, so they are safe to call concurrently.
@@ -131,17 +131,8 @@ class Plane:
     def signed_distance(self, xyz):
         return np.asarray(xyz, dtype=np.float64) @ self.normal - self.offset
 
-    def project(self, xyz):
-        xyz = np.asarray(xyz, dtype=np.float64)
-        return xyz - np.outer(self.signed_distance(xyz), self.normal)
-
     def flipped(self) -> "Plane":
         return Plane(-self.normal, -self.offset)
-
-    @classmethod
-    def xy(cls) -> "Plane":
-        """The substrate plane z = 0."""
-        return cls((0.0, 0.0, 1.0), 0.0)
 
     def __repr__(self):
         n = self.normal
@@ -275,27 +266,16 @@ def crop_xy(cloud: PointCloud, box: BoundingBox2, allow_empty: bool = True) -> P
     return out
 
 
-def close_with_projection(cloud: PointCloud, plane: Plane) -> PointCloud:
-    """Append the plane projection of every point; cardinality doubles."""
-    if cloud.is_empty:
-        raise EmptyResult("cannot close an empty cloud")
-    return PointCloud(np.vstack([cloud.xyz, plane.project(cloud.xyz)]), cloud.meta)
-
-
 def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
     """Triangulate a raster scan (plane frame) over its implicit XY lattice.
 
     Points snap to the lattice anchored at the cloud's XY minimum (snap
-    tolerance step/4; off-lattice points are ignored). Every lattice cell
-    with all four corners present emits two triangles. Clouds closed with
-    ``close_with_projection`` are handled: a node holding both an on-plane
-    point (|z| <= 0.002) and surface points becomes a top-sheet node at the
-    surface height, and cells whose four corners are all closed also emit a
-    bottom sheet at z = 0 (which contributes zero volume).
+    tolerance step/4; off-lattice points are ignored). Each node takes the
+    mean z of its points, and every lattice cell with all four corners
+    present emits two triangles.
 
     Raises:
-        InconsistentLattice: same-node points with z spread beyond 0.010 mm
-            that do not form the closed top/bottom pattern.
+        InconsistentLattice: same-node points with z spread beyond 0.010 mm.
     """
     if cloud.is_empty:
         raise EmptyResult("cannot triangulate an empty cloud")
@@ -313,28 +293,11 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
 
     nodes, inv = np.unique(idx, axis=0, return_inverse=True)
     m = len(nodes)
-    on_plane = np.abs(z) <= LATTICE_MERGE_WARN_MM
-
-    def per_node(values, mask, op, init):
-        acc = np.full(m, init, dtype=np.float64)
-        op.at(acc, inv[mask], values[mask])
-        return acc
-
-    all_mask = np.ones_like(on_plane)
-    zmin = per_node(z, all_mask, np.minimum, np.inf)
-    zmax = per_node(z, all_mask, np.maximum, -np.inf)
-    zsum = per_node(z, all_mask, np.add, 0.0)
-    count = np.bincount(inv, minlength=m).astype(np.float64)
-
-    top = ~on_plane
-    top_min = per_node(z, top, np.minimum, np.inf)
-    top_max = per_node(z, top, np.maximum, -np.inf)
-    top_sum = per_node(z, top, np.add, 0.0)
-    top_count = np.bincount(inv[top], minlength=m).astype(np.float64)
-    bottom_count = count - top_count
-
-    closed = (top_count > 0) & (bottom_count > 0)
-    spread = np.where(closed, top_max - top_min, zmax - zmin)
+    zmin = np.full(m, np.inf)
+    zmax = np.full(m, -np.inf)
+    np.minimum.at(zmin, inv, z)
+    np.maximum.at(zmax, inv, z)
+    spread = zmax - zmin
     if np.any(spread > LATTICE_MERGE_FAIL_MM):
         worst = float(spread.max())
         raise InconsistentLattice(
@@ -346,7 +309,7 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
             f"{n_warn} lattice nodes merged with z spread > {LATTICE_MERGE_WARN_MM} mm",
             stacklevel=2,
         )
-    node_z = np.where(closed, top_sum / np.maximum(top_count, 1.0), zsum / count)
+    node_z = np.bincount(inv, weights=z, minlength=m) / np.bincount(inv, minlength=m)
 
     # Dense presence grid over the node index span.
     ni = int(nodes[:, 0].max()) + 1
@@ -370,50 +333,23 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
     faces = np.concatenate(
         [np.column_stack([a, b, c]), np.column_stack([a, c, d])], axis=0
     )
-
-    # Bottom sheet (z = 0) for cells whose four corners all carry closure points.
-    closed_grid = np.zeros((ni, nj), dtype=bool)
-    closed_grid[nodes[closed, 0], nodes[closed, 1]] = True
-    closed_cells = (
-        closed_grid[:-1, :-1]
-        & closed_grid[1:, :-1]
-        & closed_grid[:-1, 1:]
-        & closed_grid[1:, 1:]
-    )
-    bi, bj = np.nonzero(closed_cells)
-    if bi.size:
-        closed_ids = np.flatnonzero(closed)
-        remap = np.full(m, -1, dtype=np.int64)
-        remap[closed_ids] = m + np.arange(closed_ids.size)
-        bottom_vertices = vertices[closed_ids].copy()
-        bottom_vertices[:, 2] = 0.0
-        vertices = np.vstack([vertices, bottom_vertices])
-        a = remap[node_id[bi, bj]]
-        b = remap[node_id[bi + 1, bj]]
-        c = remap[node_id[bi + 1, bj + 1]]
-        d = remap[node_id[bi, bj + 1]]
-        faces = np.concatenate(
-            [faces, np.column_stack([a, c, b]), np.column_stack([a, d, c])], axis=0
-        )
     return TriangleMesh(vertices, faces)
 
 
-def mesh_volume_over_plane(mesh: TriangleMesh, plane: Plane) -> float:
-    """Volume between a meshed surface and a plane, above the plane only.
+def mesh_volume_over_plane(mesh: TriangleMesh) -> float:
+    """Volume between a plane-frame surface and the plane z = 0, above it only.
 
-    Sums, over all faces, the area of the face projected onto the plane times
-    the distance between the face centroid and the projected centroid
-    (centroid = vertex mean). Faces on the plane contribute zero, and so do
-    faces whose centroid lies below it: in a plane-frame scan those are
-    substrate points a hair under the fitted plane, not deposit.
+    Sums, over all faces, the area of the face projected onto z = 0 times
+    the height of its centroid (centroid = vertex mean). Faces on the plane
+    contribute zero, and so do faces whose centroid lies below it: in a
+    plane-frame scan those are substrate points a hair under the fitted
+    plane, not deposit.
     """
     if len(mesh) == 0:
         raise EmptyResult("mesh has no faces")
-    sd = mesh.vertices @ plane.normal - plane.offset
-    tri = mesh.vertices[mesh.faces]
-    sd_tri = sd[mesh.faces]
-    proj = tri - sd_tri[..., None] * plane.normal
-    cross = np.cross(proj[:, 1] - proj[:, 0], proj[:, 2] - proj[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    u = np.maximum(sd_tri.mean(axis=1), 0.0)
+    xy = mesh.vertices[:, :2][mesh.faces]
+    e1 = xy[:, 1] - xy[:, 0]
+    e2 = xy[:, 2] - xy[:, 0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    u = np.maximum(mesh.vertices[:, 2][mesh.faces].mean(axis=1), 0.0)
     return float((areas * u).sum())

@@ -53,6 +53,13 @@ def _require_dir(path: Path, stage: str, hint: str) -> Path:
     return path
 
 
+def _read_manifest(out: Path, stage: str) -> Manifest:
+    path = out / "manifest.json"
+    if not path.exists():
+        raise MissingInput(f"{stage}: missing {path} (run `augment` first)")
+    return Manifest.from_json(path)
+
+
 def stage_simulate(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     """Write every regional scan of every panel and pass to scans/."""
     out = Path(out)
@@ -166,13 +173,10 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
 def stage_voxelize(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     """Grid every sample cloud listed in the manifest."""
     out = Path(out)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingInput(f"voxelize: missing {manifest_path} (run `augment` first)")
+    manifest = _read_manifest(out, "voxelize")
     sample_dir = _require_dir(out / "samples", "voxelize", "augment")
     grid_dir = out / "grids"
     grid_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest.from_json(manifest_path)
     for sample in manifest.samples:
         cloud_path = sample_dir / sample.path
         if not cloud_path.exists():
@@ -209,13 +213,10 @@ def _groups(manifest: Manifest) -> list[tuple[str, bool]]:
 def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     """Train one model per (glue type, attached) group; write weights/history."""
     out = Path(out)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingInput(f"train: missing {manifest_path} (run `augment` first)")
+    manifest = _read_manifest(out, "train")
     grid_dir = _require_dir(out / "grids", "train", "voxelize")
     model_dir = out / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest.from_json(manifest_path)
     for glue_type, attached in _groups(manifest):
         name = _group_name(glue_type, attached)
         train_x, train_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "train")
@@ -239,14 +240,11 @@ def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
 def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     """Evaluate every trained model on its test split; write eval JSONs."""
     out = Path(out)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingInput(f"eval: missing {manifest_path} (run `augment` first)")
+    manifest = _read_manifest(out, "eval")
     grid_dir = _require_dir(out / "grids", "eval", "voxelize")
     model_dir = _require_dir(out / "models", "eval", "train")
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest.from_json(manifest_path)
     for glue_type, attached in _groups(manifest):
         name = _group_name(glue_type, attached)
         weights_path = model_dir / f"weights_{name}.ggnn"
@@ -279,17 +277,14 @@ def _eval_docs(out: Path, stage: str) -> list[tuple[tuple[str, bool], dict]]:
     Groups come from the manifest, not from the files present, so an eval
     file left over from another config is never read.
     """
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingInput(f"{stage}: missing {manifest_path} (run `augment` first)")
     docs = []
-    for group in _groups(Manifest.from_json(manifest_path)):
+    for group in _groups(_read_manifest(out, stage)):
         path = out / "eval" / f"eval_{_group_name(*group)}.json"
         if not path.exists():
             raise MissingInput(f"{stage}: missing {path} (run `eval` first)")
         docs.append((group, json.loads(path.read_text())))
     if not docs:
-        raise MissingInput(f"{stage}: {manifest_path} lists no samples")
+        raise MissingInput(f"{stage}: {out / 'manifest.json'} lists no samples")
     return docs
 
 

@@ -75,6 +75,17 @@ class TestProfiles:
         assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "train.seed is 7, not the run seed 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern", ["bogus", "attached"])
+    def test_printed_defaults_with_a_layout_attach_pattern_exit_2(self, tmp_path, capsys, pattern):
+        # pcbs() sets every panel's pattern from attach_patterns, so any
+        # other layout value would be dropped silently.
+        assert cli.main(["config", "--print-defaults"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        doc["layout"]["attach_pattern"] = pattern
+        path = write_doc(tmp_path / "run.json", doc)
+        assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"layout.attach_pattern is {pattern!r}" in capsys.readouterr().err
+
     def test_resolved_propagates_seed(self):
         resolved = replace(tiny_profile_config(seed=0), seed=9).resolved()
         assert resolved.scan.seed == 9

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gluevol import dataset, scansim
+from gluevol import dataset, geom3d, scansim
 from gluevol.dataset import (
     AnnotationRecord,
     AnnotationTable,
@@ -67,6 +67,24 @@ class TestAnnotate:
         del cloud.meta[key]
         with pytest.raises(KeyError, match=key):
             annotate(cloud)
+
+    def test_volume_is_linear_in_height_below_merge_band(self, monkeypatch):
+        # A noise-free plateau on a z = 0 substrate, cropped with a substrate
+        # rim. Every node is 0 or h, so the volume is h times one constant,
+        # also for a 1.5 um plateau inside the 2 um lattice merge band. The
+        # RANSAC band is narrowed below both heights, so the fit is z = 0.
+        monkeypatch.setattr(geom3d, "RANSAC_THRESHOLD_MM", 0.001)
+
+        def plateau(height):
+            cloud = lattice_cloud(1.0, 1.0, 0.02, height=0.0,
+                                  meta={"footprint": (0.2, 0.8, 0.2, 0.8), "step_um": 20.0})
+            inside = np.all(np.abs(cloud.xyz[:, :2] - 0.5) <= 0.2 + 1e-9, axis=1)
+            cloud.xyz[inside, 2] = height
+            return cloud
+
+        thin, thick = annotate(plateau(0.0015)), annotate(plateau(0.015))
+        assert thick == pytest.approx(0.4 * 0.4 * 0.015, rel=0.2)
+        assert thin / thick == pytest.approx(0.1, rel=1e-9)
 
     def test_pass_invariance_noise_free(self, pcb):
         region = pcb.region(1, 6, "C", 2)

@@ -11,7 +11,6 @@ from gluevol.geom3d import (
     Plane,
     PointCloud,
     TriangleMesh,
-    close_with_projection,
     crop_xy,
     fit_plane_ransac,
     mesh_volume_over_plane,
@@ -79,7 +78,7 @@ class TestFitPlaneRansac:
 class TestToPlaneFrame:
     def test_identity_for_substrate_plane(self):
         cloud = grid_cloud(4, 4, 0.5)
-        out = to_plane_frame(cloud, Plane.xy())
+        out = to_plane_frame(cloud, Plane((0, 0, 1), 0))
         assert np.allclose(out.xyz, cloud.xyz, atol=1e-15)
 
     def test_z_equals_signed_distance(self):
@@ -132,29 +131,13 @@ class TestCropXy:
         assert np.array_equal(out.xyz, pts[mask])
 
 
-class TestCloseWithProjection:
-    def test_single_point(self):
-        out = close_with_projection(PointCloud([[0.3, 0.4, 0.2]]), Plane.xy())
-        assert len(out) == 2
-        assert np.allclose(out.xyz[1], [0.3, 0.4, 0.0])
-
-    def test_point_on_plane_duplicates(self):
-        out = close_with_projection(PointCloud([[1.0, 2.0, 0.0]]), Plane.xy())
-        assert np.array_equal(out.xyz[0], out.xyz[1])
-
-    def test_cardinality_doubles(self):
-        rng = np.random.default_rng(1)
-        cloud = PointCloud(rng.uniform(0, 1, size=(37, 3)))
-        assert len(close_with_projection(cloud, Plane.xy())) == 74
-
-
 class TestTriangulateLattice:
     def test_single_cell_two_triangles(self):
         cloud = grid_cloud(2, 2, 0.1, z=0.05)
         mesh = triangulate_lattice(cloud, 0.1)
         assert len(mesh) == 2
         # Projected area of the pair equals the cell area.
-        area = mesh_volume_over_plane(mesh, Plane.xy()) / 0.05
+        area = mesh_volume_over_plane(mesh) / 0.05
         assert area == pytest.approx(0.01, rel=1e-12)
 
     def test_full_3x3_gives_8_triangles(self):
@@ -169,14 +152,6 @@ class TestTriangulateLattice:
         keep[4] = False  # center of the row-major 3x3
         mesh = triangulate_lattice(PointCloud(cloud.xyz[keep]), 0.1)
         assert len(mesh) == 0
-
-    def test_closed_cloud_top_and_bottom_sheets(self):
-        cloud = grid_cloud(3, 3, 0.1, z=0.05)
-        closed = close_with_projection(cloud, Plane.xy())
-        mesh = triangulate_lattice(closed, 0.1)
-        assert len(mesh) == 16  # 8 top + 8 bottom
-        volume = mesh_volume_over_plane(mesh, Plane.xy())
-        assert volume == pytest.approx(0.04 * 0.05, rel=1e-12)
 
     def test_inconsistent_duplicate_raises(self):
         pts = np.array([[0, 0, 0.05], [0, 0, 0.12], [0.1, 0, 0.05], [0, 0.1, 0.05], [0.1, 0.1, 0.05]])
@@ -203,19 +178,19 @@ class TestMeshVolume:
     def test_prism_exact(self):
         h = 0.37
         mesh = TriangleMesh([[0, 0, h], [1, 0, h], [0, 1, h]], [[0, 1, 2]])
-        assert mesh_volume_over_plane(mesh, Plane.xy()) == pytest.approx(0.5 * h, rel=1e-12)
+        assert mesh_volume_over_plane(mesh) == pytest.approx(0.5 * h, rel=1e-12)
 
     def test_in_plane_mesh_zero(self):
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        assert mesh_volume_over_plane(mesh, Plane.xy()) == 0.0
+        assert mesh_volume_over_plane(mesh) == 0.0
 
     def test_below_plane_faces_count_zero(self):
         below = TriangleMesh([[0, 0, -0.1], [1, 0, -0.1], [0, 1, -0.1]], [[0, 1, 2]])
-        assert mesh_volume_over_plane(below, Plane.xy()) == 0.0
+        assert mesh_volume_over_plane(below) == 0.0
         # a face counts by its centroid: one vertex under the plane only
         # lowers it, and the face still adds its positive prism
         mixed = TriangleMesh([[0, 0, -0.1], [1, 0, 0.4], [0, 1, 0.3]], [[0, 1, 2]])
-        assert mesh_volume_over_plane(mixed, Plane.xy()) == pytest.approx(0.5 * 0.2, rel=1e-12)
+        assert mesh_volume_over_plane(mixed) == pytest.approx(0.5 * 0.2, rel=1e-12)
 
     def test_raster_box_deposit_within_two_percent(self):
         # 1x1 mm flat-top deposit of height 0.1 sampled at 0.02 mm: lattice
@@ -224,7 +199,7 @@ class TestMeshVolume:
         n = int(round(1.0 / step)) + 1
         cloud = grid_cloud(n, n, step, z=0.1)
         mesh = triangulate_lattice(cloud, step)
-        volume = mesh_volume_over_plane(mesh, Plane.xy())
+        volume = mesh_volume_over_plane(mesh)
         assert volume == pytest.approx(0.1, rel=0.02)
 
 
@@ -235,8 +210,8 @@ class TestPipelineProperties:
         # In-plane twist is excluded by design: the plane frame's X axis
         # follows the world X projection, which a twist would break.
         cloud = grid_cloud(8, 8, 0.05, z=0.04)
-        base_mesh = triangulate_lattice(to_plane_frame(cloud, Plane.xy()), 0.05)
-        base_volume = mesh_volume_over_plane(base_mesh, Plane.xy())
+        base_mesh = triangulate_lattice(to_plane_frame(cloud, Plane((0, 0, 1), 0)), 0.05)
+        base_volume = mesh_volume_over_plane(base_mesh)
 
         angle = 0.3
         rot = np.array(
@@ -247,7 +222,7 @@ class TestPipelineProperties:
         normal = rot @ np.array([0.0, 0.0, 1.0])
         plane = Plane(normal, float(normal @ shift))
         mesh = triangulate_lattice(to_plane_frame(moved, plane), 0.05)
-        volume = mesh_volume_over_plane(mesh, Plane.xy())
+        volume = mesh_volume_over_plane(mesh)
         assert volume == pytest.approx(base_volume, rel=1e-6)
 
     def test_volume_non_negative(self):
@@ -258,7 +233,7 @@ class TestPipelineProperties:
             xx, yy = np.meshgrid(xs, xs, indexing="ij")
             cloud = PointCloud(np.column_stack([xx.ravel(), yy.ravel(), z.ravel()]))
             mesh = triangulate_lattice(cloud, 0.05)
-            assert mesh_volume_over_plane(mesh, Plane.xy()) >= 0
+            assert mesh_volume_over_plane(mesh) >= 0
 
     def test_spherical_cap_converges_with_step(self):
         # Deposit shaped as a spherical cap: lattice volume approaches the
@@ -278,7 +253,7 @@ class TestPipelineProperties:
         errors = {}
         for step in (0.05, 0.02):
             mesh = triangulate_lattice(cap_cloud(step), step)
-            volume = mesh_volume_over_plane(mesh, Plane.xy())
+            volume = mesh_volume_over_plane(mesh)
             errors[step] = abs(volume - cap_volume) / cap_volume
         assert errors[0.02] < errors[0.05]
         assert errors[0.02] < 0.02
