@@ -36,6 +36,8 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 
 def read_xyz(path) -> PointCloud:
+    """Raises ``CloudFormatError`` naming the line of a malformed or
+    non-finite point."""
     meta = {}
     rows = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -55,7 +57,23 @@ def read_xyz(path) -> PointCloud:
         if len(values) != 3:
             raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {len(values)}")
         rows.append(values)
-    return PointCloud(np.asarray(rows, dtype=np.float64).reshape(-1, 3), meta)
+    xyz = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    point = _first_non_finite(xyz)
+    if point is not None:
+        lines = enumerate(Path(path).read_text().splitlines(), start=1)
+        data = [n for n, raw in lines if raw.strip()[:1] not in ("", "#")]
+        raise CloudFormatError(f"{path}:{data[point]}: non-finite coordinate in {rows[point]}")
+    return PointCloud(xyz, meta)
+
+
+def _first_non_finite(xyz: np.ndarray):
+    """Index of the first point with a NaN or infinite coordinate, or None.
+
+    min and max propagate NaN, so finite extremes clear the whole cloud
+    without a mask as large as it."""
+    if not xyz.size or np.isfinite(xyz.min()) and np.isfinite(xyz.max()):
+        return None
+    return int(np.argmin(np.isfinite(xyz).all(axis=1)))
 
 
 def write_ggpc(cloud: PointCloud, path) -> None:
@@ -66,6 +84,8 @@ def write_ggpc(cloud: PointCloud, path) -> None:
 
 
 def read_ggpc(path) -> PointCloud:
+    """Raises ``CloudFormatError`` for a bad header, a wrong length or a
+    non-finite point."""
     data = Path(path).read_bytes()
     if data[:5] != GGPC_MAGIC:
         raise CloudFormatError(f"{path}: bad magic {data[:5]!r}")
@@ -74,4 +94,7 @@ def read_ggpc(path) -> PointCloud:
     if len(data) != expected:
         raise CloudFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
     xyz = np.frombuffer(data, dtype="<f8", offset=9).reshape(count, 3)
+    point = _first_non_finite(xyz)
+    if point is not None:
+        raise CloudFormatError(f"{path}: non-finite coordinate in point {point}: {xyz[point].tolist()}")
     return PointCloud(xyz.astype(np.float64))

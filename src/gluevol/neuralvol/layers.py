@@ -31,6 +31,17 @@ the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
 GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
 the dense GEMM is faster and runs instead.
 
+The second block's input is dense but, on height fields, mostly one
+per-channel background vector: block 0 leaves it wherever its windows held
+no voxel. Such a multi-channel input takes an exact background-class path
+(see ``conv3d_forward``): an output whose patch holds only background and
+padding has one of k^3 values per channel, fixed by the grid faces it
+touches, so the GEMM computes those k^3 patch columns and the columns of
+the positions near an off-background one (about a fifth on tiny height
+fields) and no others. Each is the dense GEMM's own dot product, so the
+output is bit-identical. When more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of
+the positions need their own column, the dense GEMM runs instead.
+
 The sparse path's output is a ``Windowed`` tensor: per sample, the values
 of the pool windows that touch an active position, plus one background
 value per channel (0 + bias) for every other position. Leaky ReLU,
@@ -45,6 +56,8 @@ rounding (``tests/test_layers.py::TestWindowed``), not bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -85,6 +98,16 @@ _BINARY_MAX_ACTIVE = 0.15
 # chunked, 70.6 ms. A batch-1 tiny grid (3-4 k active positions) is one
 # step.
 _BINARY_CHUNK = 8192
+
+# Largest share of output positions that may be active (in the k^3 box
+# dilation of the positions off the background) for a multi-channel input
+# to take the background-class conv. Its time is about linear in the
+# active positions. Against the dense GEMM (one BLAS thread) it broke even
+# at 52% active on block 1's shape in float32 at batch 32, and at 60-65% in
+# float64 at batch 1; on block 2's inputs from the 48 tiny-region scans it
+# took 0.8 of the dense time below 45% active and 0.99-1.02 above 50%.
+# There block 1 is 20% active (27% at most) and block 2 48% (30-65%).
+_BACKGROUND_MAX_ACTIVE = 0.45
 
 
 class Windowed(np.ndarray):
@@ -158,6 +181,15 @@ def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
     return col.reshape(batch, c_in * k**3, ox * oy * oz)
 
 
+def _tiles(patch: int, dims, itemsize: int) -> tuple[int, int]:
+    """(samples, x-planes of one sample) per forward tile of a conv with
+    ``patch`` rows per output position and output ``dims``."""
+    ox, oy, oz = dims
+    plane = patch * oy * oz * itemsize  # patch bytes per x-plane
+    return (max(1, _TILE_BYTES // max(plane * ox, 1)),
+            min(ox, max(1, _TILE_BYTES // max(plane, 1))))
+
+
 def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
     """GEMM correlation of padded input with a (Cout, Cin*k^3) kernel, one
     ``_TILE_BYTES`` patch-matrix tile at a time: several whole samples, or
@@ -166,9 +198,7 @@ def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
     c_out = w_mat.shape[0]
     out_dims = tuple(d - k + 1 for d in x_pad.shape[2:])
     ox, oy, oz = out_dims
-    plane = w_mat.shape[1] * oy * oz * x_pad.itemsize  # patch bytes per x-plane
-    planes = min(ox, max(1, _TILE_BYTES // max(plane, 1)))
-    samples = max(1, _TILE_BYTES // max(plane * ox, 1))
+    samples, planes = _tiles(w_mat.shape[1], out_dims, x_pad.itemsize)
     y = np.empty((batch, c_out) + out_dims, dtype=x_pad.dtype)
     flat = y.reshape(batch, c_out, ox * oy * oz)
     for lo in range(0, batch, samples):
@@ -178,6 +208,28 @@ def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
             col = _im2col(x_pad[lo:hi, :, i : i + n + k - 1], k)
             np.matmul(w_mat, col, out=flat[lo:hi, :, i * oy * oz : (i + n) * oy * oz])
     return y
+
+
+def _pad_mask(mask, k: int) -> np.ndarray:
+    """A (batch, x, y, z) bool mask in a frame of k // 2 False voxels."""
+    p = k // 2
+    padded = np.zeros((mask.shape[0],) + tuple(d + 2 * p for d in mask.shape[1:]), dtype=bool)
+    padded[:, p : padded.shape[1] - p, p : padded.shape[2] - p, p : padded.shape[3] - p] = mask
+    return padded
+
+
+def _dilate(padded, k: int) -> np.ndarray:
+    """Separable k^3 box dilation of a ``_pad_mask`` frame: output o is set
+    when its patch padded[o : o + k] (along each axis) holds a set voxel."""
+    active = padded
+    for axis in (1, 2, 3):
+        n = padded.shape[axis] - k + 1
+        lead = (slice(None),) * axis
+        dilated = active[lead + (slice(0, n),)].copy()
+        for a in range(1, k):
+            dilated |= active[lead + (slice(a, a + n),)]
+        active = dilated
+    return active
 
 
 def _binary_active(x, k: int):
@@ -192,19 +244,8 @@ def _binary_active(x, k: int):
     occupied = x[:, 0] != 0
     if not np.all(x[:, 0][occupied] == 1):
         return None
-    batch, p = x.shape[0], k // 2
-    dx, dy, dz = x.shape[2:]
-    padded = np.zeros((batch, dx + 2 * p, dy + 2 * p, dz + 2 * p), dtype=bool)
-    padded[:, p : p + dx, p : p + dy, p : p + dz] = occupied
-    # Separable box dilation: output o is active when its patch
-    # padded[o : o + k] (along each axis) holds an occupied voxel.
-    active = padded
-    for axis, n in enumerate(x.shape[2:], start=1):
-        lead = (slice(None),) * axis
-        dilated = active[lead + (slice(0, n),)].copy()
-        for a in range(1, k):
-            dilated |= active[lead + (slice(a, a + n),)]
-        active = dilated
+    padded = _pad_mask(occupied, k)
+    active = _dilate(padded, k)
     if np.count_nonzero(active) > _BINARY_MAX_ACTIVE * active.size:
         return None
     return padded, active
@@ -296,6 +337,93 @@ def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
     return gathered.sum(axis=-1).reshape(c_out, 1, k, k, k)
 
 
+def _background_active(x, k: int):
+    """(background, active output positions) of a mostly background input.
+
+    The background is the channel vector at the last position of sample 0.
+    A position is off the background when any channel's bits differ from
+    it, so -0.0 against +0.0, or another NaN payload, counts as off; an
+    output position is active when its k^3 patch holds such a position.
+    Returns None, for the dense GEMM to run, for a one-channel input (the
+    binary path's domain), for dims under k, and when more than
+    ``_BACKGROUND_MAX_ACTIVE`` of the output positions are active.
+    """
+    if x.shape[1] == 1 or min(x.shape[2:]) < k:
+        return None
+    bits = x.view(np.dtype(f"u{x.itemsize}"))
+    background = bits[0, :, -1, -1, -1]
+    off = np.any(bits != background[:, None, None, None], axis=1)
+    limit = _BACKGROUND_MAX_ACTIVE * off.size
+    if np.count_nonzero(off) > limit:  # the dilation can only grow
+        return None
+    active = _dilate(_pad_mask(off, k), k)
+    if np.count_nonzero(active) > limit:
+        return None
+    return background.view(x.dtype), active
+
+
+def _correlate_background(x, w_mat, b, k: int):
+    """Exact correlation plus bias of an input that is mostly one
+    per-channel background vector, or None where ``_background_active`` is.
+
+    An inactive output's patch holds the background inside the grid and
+    the zero padding outside it. Along each axis that depends only on
+    whether the position is one of the first k // 2, the interior or one of
+    the last k // 2: k^3 classes (27 for k = 3: the interior, 6 faces, 12
+    edges, 8 corners), each with one representative in a background sample
+    appended to the padded input. The GEMM tiles compute the patch columns
+    of the representatives and of the active positions.
+    """
+    batch, c_in, dims = x.shape[0], x.shape[1], x.shape[2:]
+    c_out, patch = w_mat.shape
+    # GEMMs of the dense path's N (see conv3d_forward); where one covers
+    # the batch, there is none to save.
+    _, planes = _tiles(patch, dims, x.itemsize)
+    n = planes * dims[1] * dims[2]
+    found = None if n % 16 or batch * x[0, 0].size <= n else _background_active(x, k)
+    if found is None:
+        return None
+    background, active = found
+    p = k // 2
+    ix, iy, iz = (slice(p, p + d) for d in dims)
+
+    # Channel-first padded copy, then the background sample: its (batch + 1,
+    # x, y, z) positions are one flat axis, in which tap (a, b, c) of every
+    # output lies at a fixed offset from its tap (0, 0, 0), padded[o].
+    padded = np.zeros((c_in, batch + 1) + tuple(d + 2 * p for d in dims), dtype=x.dtype)
+    padded[:, :batch, ix, iy, iz] = x.transpose(1, 0, 2, 3, 4)
+    padded[:, batch, ix, iy, iz] = background[:, None, None, None]
+    source = padded.reshape(c_in, -1)
+    corners = np.zeros(padded.shape[1:], dtype=bool)
+    corners[:batch, : dims[0], : dims[1], : dims[2]] = active
+    reps = [np.r_[0 : p + 1, d - p : d] for d in dims]  # one per class along each axis
+    corners[(batch,) + np.ix_(*reps)] = True
+    corner = np.flatnonzero(corners)  # active ones, then the classes
+    count = corner.size - k**3
+    sample, position = np.divmod(np.flatnonzero(active), active[0].size)
+
+    corner = np.resize(corner, -(-corner.size // n) * n)
+    offsets = _tap_offsets(k, *padded.shape[3:])
+    col = np.empty((c_in, k**3, n), dtype=x.dtype)
+    values = np.empty((c_out, corner.size), dtype=x.dtype)
+    for lo in range(0, corner.size, n):
+        # mode="clip" lets take write into col unbuffered; no index clips
+        np.take(source, offsets[:, None] + corner[lo : lo + n], axis=1, out=col, mode="clip")
+        np.matmul(w_mat, col.reshape(patch, n), out=values[:, lo : lo + n])
+    values += b[:, None]
+
+    classes = values[:, count : count + k**3].reshape(c_out, k, k, k)
+    spans = [[slice(r, r + 1) for r in rep] for rep in reps]
+    for span, d in zip(spans, dims):
+        span[p] = slice(p, d - p)  # the interior class
+    y = np.empty((batch, c_out) + dims, dtype=x.dtype)
+    for (i, sx), (j, sy), (l, sz) in itertools.product(*map(enumerate, spans)):
+        y[0, :, sx, sy, sz] = classes[:, i, j, l, None, None, None]
+    y[1:] = y[0]
+    y.reshape(batch, c_out, -1)[sample, :, position] = values[:, :count].T
+    return y
+
+
 def _as_float(arr, like=None) -> np.ndarray:
     """float64 by default; float32 inputs stay float32 (training precision)."""
     if like is not None:
@@ -327,7 +455,26 @@ def conv3d_forward(x, w, b):
     The sparse path returns a ``Windowed``: per sample, the pool windows
     that touch its active positions, holding those values and 0 + bias,
     and 0 + bias as the background. Every other input returns the dense
-    array. The cache is the same on both paths.
+    array. The cache is the same on every path.
+
+    An input of several channels takes the background-class path of
+    ``_correlate_background`` when at most ``_BACKGROUND_MAX_ACTIVE`` (45%)
+    of the output positions are active: in the k^3 box dilation of the
+    positions whose bits differ from the background, the channel vector at
+    the last position of sample 0. Comparing bits keeps a +0.0 off a -0.0
+    background and one NaN off another. Inactive outputs fall into k^3
+    classes by the grid faces their patch crosses, and each takes the value
+    of its class's representative in a background sample appended to the
+    padded input. The output is bit-identical to the dense path: every
+    value is the dot product of a kernel row with a patch column of the
+    same bits in (channel, a, b, c) order, an inactive column being that of
+    its representative. Each GEMM has the dense path's N, a multiple of 16,
+    so the BLAS runs the same kernel and sums a column alike wherever it
+    sits (with another N it need not: at N <= 64 a small-matrix kernel
+    summed block 2's K = 432 columns in another order), and the bias is
+    added after the GEMM, as there; ``tests/test_layers.py::TestBackgroundConv``
+    asserts it. The path does not run for dims under k, or when one dense
+    GEMM covers the batch.
     """
     x = _as_float(x)
     w = _as_float(w, like=x)
@@ -341,6 +488,8 @@ def conv3d_forward(x, w, b):
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
     y = _correlate_binary(x, w_mat, b, k)
+    if y is None:
+        y = _correlate_background(x, w_mat, b, k)
     if y is None:
         y = _correlate(_pad_spatial(x, k // 2), w_mat, k)
         y += b[:, None, None, None]

@@ -137,6 +137,13 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     block's gradients sum in another order than the dense layers, so they
     match them to float rounding.
 
+    A block whose input is mostly one per-channel background vector (the
+    second block, on height fields: the first leaves its background wherever
+    no voxel was near) computes its conv only at the positions near an
+    off-background one, plus one value per grid-face class for the rest
+    (``layers._correlate_background``), in training and eval alike. Its
+    output is the dense conv's, byte for byte, so nothing after it changes.
+
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
     batchnorm touch 1/POOL^3 of the conv output. As in training, a sparse

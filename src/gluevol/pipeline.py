@@ -187,7 +187,10 @@ def stage_voxelize(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     return grid_dir
 
 
-def _load_split(manifest: Manifest, grid_dir: Path, glue_type: str, attached: bool, split: str):
+def _load_split(stage: str, manifest: Manifest, grid_dir: Path, cfg: RunConfig,
+                glue_type: str, attached: bool, split: str):
+    """One group's grids of one split, each of ``cfg.grid``'s dims, and their labels."""
+    dims = (cfg.grid.nx, cfg.grid.ny, cfg.grid.nz)
     rows = [
         s
         for s in manifest.samples
@@ -198,8 +201,13 @@ def _load_split(manifest: Manifest, grid_dir: Path, glue_type: str, attached: bo
     for s in rows:
         path = grid_dir / (Path(s.path).stem + ".ggvg")
         if not path.exists():
-            raise MissingInput(f"train: missing grid {path} (run `voxelize` first)")
-        stack.append(voxelizer.read_ggvg(path).occupancy[None].astype(np.uint8))
+            raise MissingInput(f"{stage}: missing grid {path} (run `voxelize` first)")
+        grid = voxelizer.read_ggvg(path)
+        if grid.dims != dims:
+            raise voxelizer.GridFormatError(
+                f"{stage}: grid {path} has dims {grid.dims} where the config's grid has {dims} "
+                "(run `voxelize` again)")
+        stack.append(grid.occupancy[None].astype(np.uint8))
     if stack:
         grids = np.stack(stack)
     labels = np.array([s.volume_mm3 for s in rows], dtype=np.float64)
@@ -219,11 +227,13 @@ def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     model_dir.mkdir(parents=True, exist_ok=True)
     for glue_type, attached in _groups(manifest):
         name = _group_name(glue_type, attached)
-        train_x, train_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "train")
+        train_x, train_y, _ = _load_split(
+            "train", manifest, grid_dir, cfg, glue_type, attached, "train")
         if not len(train_y):  # each type's last deposit is its test split
             raise ConfigError(f"train: {name} has no training samples "
                               "(layout.deposits_per_type must be at least 2)")
-        test_x, test_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "test")
+        test_x, test_y, _ = _load_split(
+            "train", manifest, grid_dir, cfg, glue_type, attached, "test")
         result = training.train(train_x, train_y, cfg.net, cfg.train, test_x, test_y)
         if result.history and not np.isfinite(result.history[-1].train_mse):
             raise NumericError(f"training diverged for {name}")
@@ -252,7 +262,8 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
             raise MissingInput(f"eval: missing weights {weights_path} (run `train` first)")
         weights = weights_io.read_weights(weights_path)
         weights_io.check_fits(weights, cfg.net, weights_path)
-        test_x, test_y, _ = _load_split(manifest, grid_dir, glue_type, attached, "test")
+        test_x, test_y, _ = _load_split(
+            "eval", manifest, grid_dir, cfg, glue_type, attached, "test")
         result = training.evaluate(weights, cfg.net, test_x, test_y)
         if not np.isfinite(result.mse):
             raise NumericError(f"evaluation produced non-finite MSE for {name}")

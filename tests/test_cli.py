@@ -207,6 +207,15 @@ class TestMisfitConfig:
         name = "eval/eval_A_unattached.json"
         assert (ws / name).read_bytes() == (micro.first / name).read_bytes()
 
+    def test_grids_of_other_dims_exit_3(self, micro, ws, tmp_path, capsys):
+        cfg = micro_config()
+        cfg = replace(cfg, grid=replace(cfg.grid, nx=16, ny=16),
+                      net=replace(cfg.net, input_dims=(16, 16, 16)))
+        cfg_path = tmp_path / "larger_grid.json"
+        cfg_path.write_text(encode(cfg))
+        needle = ".ggvg has dims (8, 8, 16) where the config's grid has (16, 16, 16)"
+        TestMalformedInput.assert_exit_3(cfg_path, "train", ws, capsys, needle)
+
     def test_empty_training_split_exits_2(self, tmp_path, capsys):
         cfg = micro_config()
         cfg = replace(cfg, layout=replace(cfg.layout, deposits_per_type=1))
@@ -231,6 +240,24 @@ class TestMalformedInput:
         scan = sorted((ws / "scans").glob("*.xyz"))[0]
         scan.write_text(scan.read_text() + "0.1 0.2\n")
         self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, "expected 3 fields, got 2")
+
+    def test_xyz_non_finite_coordinate(self, micro, ws, capsys):
+        scan = sorted((ws / "scans").glob("*.xyz"))[0]
+        lines = scan.read_text().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        x, y, _ = lines[lineno].split()
+        lines[lineno] = f"{x} {y} nan\n"
+        scan.write_text("".join(lines))
+        needle = f"{scan.name}:{lineno + 1}: non-finite coordinate"
+        self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, needle)
+
+    def test_ggpc_non_finite_coordinate(self, micro, ws, capsys):
+        sample = sorted((ws / "samples").glob("*.ggpc"))[0]
+        data = bytearray(sample.read_bytes())
+        data[9 + 24 * 3 : 9 + 24 * 3 + 8] = np.float64(np.inf).tobytes()
+        sample.write_bytes(bytes(data))
+        needle = f"{sample.name}: non-finite coordinate in point 3"
+        self.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)
 
     def test_scan_without_footprint(self, micro, ws, capsys):
         scan = sorted((ws / "scans").glob("*.xyz"))[0]

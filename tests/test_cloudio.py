@@ -47,6 +47,13 @@ class TestXyz:
         with pytest.raises(CloudFormatError):
             read_xyz(path)
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "1e999"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, value):
+        path = tmp_path / "bad.xyz"
+        path.write_text(f"# meta step_um=50.0\n0.1 0.2 0.3\n\n0.4 {value} 0.6\n0.7 0.8 0.9\n")
+        with pytest.raises(CloudFormatError, match="bad.xyz:4: non-finite coordinate"):
+            read_xyz(path)
+
 
 class TestGgpc:
     def test_round_trip_bit_exact(self, tmp_path, cloud):
@@ -60,6 +67,14 @@ class TestGgpc:
         write_ggpc(cloud, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CloudFormatError):
+            read_ggpc(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, tmp_path, cloud, value):
+        cloud.xyz[57, 2] = value
+        path = tmp_path / "scan.ggpc"
+        write_ggpc(cloud, path)
+        with pytest.raises(CloudFormatError, match="scan.ggpc: non-finite coordinate in point 57"):
             read_ggpc(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gluevol import config, scansim, voxelizer
-from gluevol.neuralvol import layers
+from gluevol.neuralvol import layers, network
 from gluevol.neuralvol.layers import LengthMismatch, ShapeMismatch
 
 RNG = np.random.default_rng(2024)
@@ -374,6 +374,156 @@ class TestDenseConvBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_input_grad(self, dtype):
         self.compare(*self.inputs(8, 16, (10, 6, 18), 3, dtype), need_input_grad=False)
+
+
+# Background-conv inputs draw from their own generator too.
+BACKGROUND_RNG = np.random.default_rng(13)
+
+
+def background_input(batch, dims=(16, 16, 32), c_in=8, dtype=np.float64, columns=0.15):
+    """Block 1's input form: one per-channel background vector, and in a
+    share of the (x, y) columns a z-run of 1-3 positions off it."""
+    background = BACKGROUND_RNG.standard_normal(c_in)
+    x = np.empty((batch, c_in) + dims)
+    x[...] = background[:, None, None, None]
+    s, i, j = np.nonzero(BACKGROUND_RNG.random((batch,) + dims[:2]) < columns)
+    z = BACKGROUND_RNG.integers(0, dims[2] - 3, s.size)
+    for run in range(3):
+        keep = BACKGROUND_RNG.random(s.size) < 0.7 if run else slice(None)
+        x[s[keep], :, i[keep], j[keep], z[keep] + run] = BACKGROUND_RNG.standard_normal(
+            (np.size(s[keep]), c_in))
+    x[0, :, -1, -1, -1] = background  # the reference position
+    return x.astype(dtype)
+
+
+def block_weights(dtype, c_in=8, c_out=16):
+    w = BACKGROUND_RNG.standard_normal((c_out, c_in, 3, 3, 3)).astype(dtype)
+    b = BACKGROUND_RNG.standard_normal(c_out).astype(dtype)
+    b[:2] = [0.0, -0.0]
+    return w, b
+
+
+class TestBackgroundConv:
+    """Multi-channel inputs that mostly equal one per-channel background
+    vector take the background-class path; its output has the bytes of
+    the dense GEMM (``dense_conv``), whose ``_correlate`` is made to raise
+    where the path must run. Like ``TestDenseConvBits``, this rests on the
+    BLAS summing a column alike in any GEMM of the same N, a multiple of 16."""
+
+    @staticmethod
+    def path_forward(monkeypatch, x, w, b):
+        def no_gemm(*args):
+            raise AssertionError("dense GEMM ran on a mostly background input")
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_correlate", no_gemm)
+            y, cache = layers.conv3d_forward(x, w, b)
+        assert cache[0] is x and cache[2:] == (None, None)
+        return y
+
+    def check(self, monkeypatch, x, w, b):
+        y = self.path_forward(monkeypatch, x, w, b)
+        assert_same_bits(y, dense_conv(x, w, b))
+        return y
+
+    @staticmethod
+    def block1_inputs(monkeypatch, dtype, batch):
+        """Block 1's inputs on the tiny panel's voxelized scans: eval
+        forwards in float64, training forwards in float32."""
+        cfg = config.tiny_profile_config(0)
+        pcb = cfg.pcbs()[0]
+        grids = np.stack([
+            voxelizer.build_grid(scansim.raster_scan(pcb, region, cfg.scan), cfg.grid).occupancy
+            for region in pcb.regions()
+        ])[:, None].astype(dtype)
+        weights = network.init_weights(cfg.net, seed=3).cast(dtype)
+        inputs, conv = [], layers.conv3d_forward
+
+        def spy(x, w, b):
+            inputs.append(x)
+            return conv(x, w, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, "conv3d_forward", spy)
+            for lo in range(0, len(grids), batch):
+                network.rnet_forward(grids[lo : lo + batch], weights, cfg.net,
+                                     training=dtype == np.float32)
+        blocks = len(cfg.net.channels)
+        block1 = weights.blocks[1]
+        return inputs[1::blocks], block1.conv_w, block1.conv_b
+
+    @pytest.mark.parametrize("dtype,batch", [(np.float64, 1), (np.float32, 8)])
+    def test_block1_inputs_on_height_fields(self, monkeypatch, dtype, batch):
+        inputs, w, b = self.block1_inputs(monkeypatch, dtype, batch)
+        assert len(inputs) == 24 // batch and inputs[0].shape[1:] == (8, 16, 16, 32)
+        for x in inputs:
+            self.check(monkeypatch, x, w, b)
+
+    @pytest.mark.parametrize("batch", [1, 4, 32, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batches_and_dtypes(self, monkeypatch, dtype, batch):
+        x = background_input(batch, dtype=dtype)
+        self.check(monkeypatch, x, *block_weights(dtype))
+
+    @pytest.mark.parametrize("columns", [0.1, 0.0])
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block2_shape(self, monkeypatch, dtype, batch, columns):
+        # K = 432, where a GEMM of N <= 64 sums in another order: with one
+        # position off the background, 54 columns still take the dense N
+        x = background_input(batch, dims=(8, 8, 16), c_in=16, dtype=dtype, columns=columns)
+        x[0, :, 4, 4, 8] += 1
+        self.check(monkeypatch, x, *block_weights(dtype, c_in=16, c_out=32))
+
+    def test_off_background_on_faces_edges_and_corners(self, monkeypatch):
+        x = background_input(3, dims=(8, 8, 16), columns=0)
+        for s, position in [(0, (0, 4, 5)), (0, (-1, 3, 2)), (1, (5, 0, 7)), (1, (2, -1, 1)),
+                            (2, (6, 6, 0)), (2, (3, 5, -1)),  # faces
+                            (0, (0, 0, 9)), (1, (-1, 4, -1)), (2, (3, -1, 0)),  # edges
+                            (1, (0, 0, 0)), (2, (-1, -1, -1)), (2, (0, -1, 0))]:  # corners
+            x[(s, slice(None)) + position] = BACKGROUND_RNG.standard_normal(8)
+        w, b = block_weights(np.float64)
+        self.check(monkeypatch, x, w, b)
+
+    def test_all_background_is_one_value_per_class(self, monkeypatch):
+        x = background_input(2, dims=(8, 8, 16), columns=0)
+        w, b = block_weights(np.float64)
+        y = self.check(monkeypatch, x, w, b)
+        _, active = layers._background_active(x, 3)
+        assert not active.any()
+        interior = y[:, :, 1:-1, 1:-1, 1:-1]
+        assert np.array_equal(interior, np.broadcast_to(interior[:1, :, :1, :1, :1], interior.shape))
+        assert len(np.unique(y[0, 2])) == 27
+
+    def test_mostly_active_input_takes_gemm(self, monkeypatch):
+        x = background_input(2, dims=(8, 8, 16), columns=1.0)
+        w, b = block_weights(np.float64)
+        assert_same_bits(TestBinaryConv.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+
+    @pytest.mark.parametrize("background", [-0.0, np.nan])
+    def test_other_bits_of_an_equal_value_are_off(self, monkeypatch, background):
+        # +0.0 equals a -0.0 background and a NaN never equals itself; the
+        # path tells positions apart by their bits
+        x = background_input(2, dims=(8, 8, 16), columns=0.05)
+        x[:, 3] = background
+        x[0, 3, 2, 2, 2] = x[1, 3, 5, 6, 7] = -np.float64(background)
+        w, b = block_weights(np.float64)
+        self.check(monkeypatch, x, w, b)
+        _, active = layers._background_active(x, 3)
+        assert active[0, 1:4, 1:4, 1:4].all() and active[1, 4:7, 5:8, 6:9].all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("planes", [1, 3])
+    def test_tiles_split_and_the_last_is_partial(self, monkeypatch, dtype, planes):
+        x = background_input(4, dtype=dtype)
+        w, b = block_weights(dtype)
+        patch_rows = w[0].size
+        monkeypatch.setattr(layers, "_TILE_BYTES", planes * patch_rows * 16 * 32 * x.itemsize)
+        n = planes * 16 * 32
+        _, active = layers._background_active(x, 3)
+        columns = np.count_nonzero(active) + 27
+        assert columns > 2 * n and columns % n
+        self.check(monkeypatch, x, w, b)
 
 
 def densify(t: layers.Windowed) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gluevol import scansim, voxelizer
 from gluevol.config import tiny_profile_config
-from gluevol.neuralvol import layers, network
+from gluevol.neuralvol import layers, network, training
 from gluevol.neuralvol.network import (
     ModelWeights,
     NetConfig,
@@ -276,6 +277,64 @@ class TestEvalOrder:
         assert pooled[len(weights.blocks)] is np.ndarray
         assert windowed.tobytes() == dense.tobytes()
         assert windowed.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_scans():
+    """The tiny panel's 24 regions voxelized, and their analytic volumes."""
+    cfg = tiny_profile_config(0)
+    pcb = cfg.pcbs()[0]
+    regions = list(pcb.regions())
+    grids = np.stack([
+        voxelizer.build_grid(scansim.raster_scan(pcb, region, cfg.scan), cfg.grid).occupancy
+        for region in regions
+    ])[:, None].astype(np.uint8)
+    return grids, np.array([scansim.analytic_volume(region) for region in regions])
+
+
+class TestBackgroundPath:
+    """Block 1 of the tiny net takes the background-class conv on height
+    fields, at inspection and in training, and switching it off changes no
+    byte of predictions, training history or weights."""
+
+    def test_block1_takes_it(self, monkeypatch, tiny_scans):
+        grids, _ = tiny_scans
+        taken = []
+        correlate = layers._correlate_background
+
+        def spy(x, w_mat, b, k):
+            y = correlate(x, w_mat, b, k)
+            taken.append((x.shape[1], x.dtype, y is not None))
+            return y
+
+        monkeypatch.setattr(layers, "_correlate_background", spy)
+        weights = init_weights(TINY, seed=1)
+        predict(grids[:3], weights, TINY, batch_size=1)
+        rnet_forward(grids[:8], weights.cast(np.float32), TINY, training=True)
+        block1 = [t for t in taken if t[0] == TINY.channels[0]]
+        assert block1 == [(8, np.float64, True)] * 3 + [(8, np.float32, True)]
+
+    def test_switched_off_changes_no_bytes(self, monkeypatch, tiny_scans):
+        grids, volumes = tiny_scans
+        weights = init_weights(TINY, seed=2)
+        train_cfg = training.TrainConfig(epochs=1, batch_size=8, seed=5,
+                                         standardize_targets=True)
+
+        def run():
+            preds = [predict(grids, weights, TINY, batch_size=size) for size in (1, 24)]
+            result = training.train(grids[:16], volumes[:16], TINY, train_cfg,
+                                    grids[16:], volumes[16:])
+            history = [(h.train_mse, h.test_mse) for h in result.history]
+            return preds, history, result.weights.trainable()
+
+        on = run()
+        monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
+        off = run()
+        for a, b in zip(on[0], off[0]):
+            assert a.tobytes() == b.tobytes()
+        assert on[1] == off[1]
+        for a, b in zip(on[2], off[2]):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestWeightsIo:
