@@ -22,29 +22,23 @@ on the BLAS these layers were measured with
 call allocates its own buffers, so the layer functions keep no state
 between calls.
 
-The network's first block reads binary height-field grids, under 1%
-occupied. Such one-channel 0/1 inputs take an exact sparse path (see
-``conv3d_forward``): only output positions next to an occupied voxel are
-computed, each from exact products w * 0 or w * 1 summed in the GEMM's own
-order, so the output is bit-identical. That order is an assumption about
-the BLAS, which ``tests/test_layers.py::TestBinaryConv`` checks against the
-GEMM. When more than ``_BINARY_MAX_ACTIVE`` of the positions are active,
-the dense GEMM is faster and runs instead.
+On height fields most of a conv input is one background value per
+channel: block 0 reads binary grids, under 1% occupied, and block 1's input
+keeps block 0's background wherever its windows held no voxel. Such an
+input takes the background-class path (see ``conv3d_forward``): an output
+whose patch holds only background and padding has one of k^3 values per
+channel, fixed by the grid faces it touches, so the GEMM computes those
+k^3 patch columns and the columns of the positions near an off-background
+one (about a twentieth of block 0 and a fifth of block 1 on tiny height
+fields) and no others. Its GEMMs have the dense tiles' own N, so each
+column is the dense GEMM's own dot product and the output is
+bit-identical. When more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the
+positions need their own column, the dense GEMM runs instead.
 
-The second block's input is dense but, on height fields, mostly one
-per-channel background vector: block 0 leaves it wherever its windows held
-no voxel. Such a multi-channel input takes an exact background-class path
-(see ``conv3d_forward``): an output whose patch holds only background and
-padding has one of k^3 values per channel, fixed by the grid faces it
-touches, so the GEMM computes those k^3 patch columns and the columns of
-the positions near an off-background one (about a fifth on tiny height
-fields) and no others. Each is the dense GEMM's own dot product, so the
-output is bit-identical. When more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of
-the positions need their own column, the dense GEMM runs instead.
-
-The sparse path's output is a ``Windowed`` tensor: per sample, the values
-of the pool windows that touch an active position, plus one background
-value per channel (0 + bias) for every other position. Leaky ReLU,
+The path's output is dense, or, for a binary grid at most
+``_WINDOWED_MAX_ACTIVE`` active, a ``Windowed`` tensor: per sample, the
+values of the pool windows that touch an active position, plus one
+background value per channel for every other position. Leaky ReLU,
 batchnorm and max-pool take that form forward and backward, so on tiny
 height-field grids they touch about an eighth of the positions of the
 full-resolution tensor; max-pool returns a dense pooled tensor, so the
@@ -58,6 +52,7 @@ rounding (``tests/test_layers.py::TestWindowed``), not bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -84,30 +79,25 @@ _TILE_BYTES = 1024 * 1024
 # samples as this many bytes of patch matrix hold, which fixes its bits.
 _COL_BUDGET = 96 * 1024 * 1024
 
-# Largest share of output positions that may be active for a binary input
-# to take the sparse conv path. The sparse path costs about linear time in
-# the active positions and breaks even with the dense GEMM at 16-18%
-# active (32x32x64 grids, 8 output channels, one BLAS thread: float64 and
-# float32 at batch 1, float32 at batch 32); tiny height-field grids are
-# about 5% active.
-_BINARY_MAX_ACTIVE = 0.15
-
-# Active positions per step of the sparse binary path, so its (k^3, n)
-# patch rows and (c_out, n) sums stay in cache. On tiny grids at float32
-# the unchunked path took 81.5 ms at batch 32 against 17.5 ms at batch 8;
-# chunked, 70.6 ms. A batch-1 tiny grid (3-4 k active positions) is one
-# step.
-_BINARY_CHUNK = 8192
-
 # Largest share of output positions that may be active (in the k^3 box
-# dilation of the positions off the background) for a multi-channel input
-# to take the background-class conv. Its time is about linear in the
-# active positions. Against the dense GEMM (one BLAS thread) it broke even
-# at 52% active on block 1's shape in float32 at batch 32, and at 60-65% in
-# float64 at batch 1; on block 2's inputs from the 48 tiny-region scans it
-# took 0.8 of the dense time below 45% active and 0.99-1.02 above 50%.
-# There block 1 is 20% active (27% at most) and block 2 48% (30-65%).
+# dilation of the positions off the background) for an input to take the
+# background-class conv. Its time is about linear in the active positions.
+# Against the dense GEMM (one BLAS thread) it broke even at 52% active on
+# block 1's shape in float32 at batch 32, and at 60-65% in float64 at batch
+# 1; on block 2's inputs from the 48 tiny-region scans it took 0.8 of the
+# dense time below 45% active and 0.99-1.02 above 50%. There block 1 is 20%
+# active (27% at most) and block 2 48% (30-65%).
 _BACKGROUND_MAX_ACTIVE = 0.45
+
+# Largest share of output positions that may be active for a binary input's
+# background-class conv to return the ``Windowed`` form, whose windows the
+# layers after the conv then carry instead of the whole grid. On block 0's
+# shape (32x32x64, 8 channels, one BLAS thread) the Windowed form took 0.81
+# of the dense form's time at 15% active and 0.97 at 26% for conv and
+# max-pool in float64 at batch 1, and 0.40 and 0.64 for the training block
+# forward and back in float32 at batch 32, so this cutoff is on the safe
+# side. Tiny height-field grids are about 5% active.
+_WINDOWED_MAX_ACTIVE = 0.15
 
 
 class Windowed(np.ndarray):
@@ -146,9 +136,9 @@ class Windowed(np.ndarray):
         pooled = [d // w for d in self.dims]
         slot = np.full((self.shape[0], int(np.prod(pooled))), -1, dtype=np.intp)
         np.put_along_axis(slot, self.windows, np.arange(n)[None, :], axis=1)
-        window = slot[sample, ((i // w) * pooled[1] + j // w) * pooled[2] + l // w]
-        offset = ((i % w) * w + j % w) * w + l % w
-        return np.where(window < 0, -1, offset * n + window)
+        (wi, oi), (wj, oj), (wl, ol) = (np.divmod(c, w) for c in (i, j, l))
+        window = slot[sample, (wi * pooled[1] + wj) * pooled[2] + wl]
+        return np.where(window < 0, -1, ((oi * w + oj) * w + ol) * n + window)
 
 
 def _windowed(values, background, windows, dims) -> Windowed:
@@ -162,11 +152,11 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeMismatch(message)
 
 
-def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    width = ((0, 0), (0, 0)) + ((padding, padding),) * 3
-    return np.pad(x, width)
+def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
+    """x in a frame of p zeros (or False) along its last three axes."""
+    padded = np.zeros(x.shape[:-3] + tuple(d + 2 * p for d in x.shape[-3:]), dtype=x.dtype)
+    padded[..., p : p + x.shape[-3], p : p + x.shape[-2], p : p + x.shape[-1]] = x
+    return padded
 
 
 def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
@@ -183,11 +173,17 @@ def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
 
 def _tiles(patch: int, dims, itemsize: int) -> tuple[int, int]:
     """(samples, x-planes of one sample) per forward tile of a conv with
-    ``patch`` rows per output position and output ``dims``."""
+    ``patch`` rows per output position and output ``dims``. A slab that
+    leaves planes over has a multiple of 16 // gcd(16, oy * oz) planes
+    where that many fit, so its GEMM's N is a multiple of 16 (see
+    ``conv3d_backward``)."""
     ox, oy, oz = dims
     plane = patch * oy * oz * itemsize  # patch bytes per x-plane
-    return (max(1, _TILE_BYTES // max(plane * ox, 1)),
-            min(ox, max(1, _TILE_BYTES // max(plane, 1))))
+    planes = min(ox, max(1, _TILE_BYTES // max(plane, 1)))
+    step = 16 // math.gcd(16, oy * oz)
+    if step <= planes < ox:
+        planes -= planes % step
+    return max(1, _TILE_BYTES // max(plane * ox, 1)), planes
 
 
 def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
@@ -210,17 +206,10 @@ def _correlate(x_pad: np.ndarray, w_mat: np.ndarray, k: int):
     return y
 
 
-def _pad_mask(mask, k: int) -> np.ndarray:
-    """A (batch, x, y, z) bool mask in a frame of k // 2 False voxels."""
-    p = k // 2
-    padded = np.zeros((mask.shape[0],) + tuple(d + 2 * p for d in mask.shape[1:]), dtype=bool)
-    padded[:, p : padded.shape[1] - p, p : padded.shape[2] - p, p : padded.shape[3] - p] = mask
-    return padded
-
-
 def _dilate(padded, k: int) -> np.ndarray:
-    """Separable k^3 box dilation of a ``_pad_mask`` frame: output o is set
-    when its patch padded[o : o + k] (along each axis) holds a set voxel."""
+    """Separable k^3 box dilation of a mask framed by ``_pad_spatial``:
+    output o is set when its patch padded[o : o + k] (along each axis)
+    holds a set voxel."""
     active = padded
     for axis in (1, 2, 3):
         n = padded.shape[axis] - k + 1
@@ -232,79 +221,11 @@ def _dilate(padded, k: int) -> np.ndarray:
     return active
 
 
-def _binary_active(x, k: int):
-    """(padded occupancy, active output positions) of a one-channel 0/1 input.
-
-    Returns None, for the dense GEMM to run, unless x has one channel, dims
-    that ``POOL`` divides and only 0 and 1 values, and at most
-    ``_BINARY_MAX_ACTIVE`` of the output positions are active.
-    """
-    if x.shape[1] != 1 or any(d % POOL for d in x.shape[2:]):
-        return None
-    occupied = x[:, 0] != 0
-    if not np.all(x[:, 0][occupied] == 1):
-        return None
-    padded = _pad_mask(occupied, k)
-    active = _dilate(padded, k)
-    if np.count_nonzero(active) > _BINARY_MAX_ACTIVE * active.size:
-        return None
-    return padded, active
-
-
 def _tap_offsets(k: int, py: int, pz: int) -> np.ndarray:
     """Flat offset of each tap (a, b, c), in that order, in a grid of
     (y, z) extent (py, pz)."""
     r = np.arange(k)
     return ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
-
-
-def _correlate_binary(x, w_mat, b, k: int):
-    """Exact sparse correlation plus bias of a one-channel 0/1 input.
-
-    None where ``_binary_active`` is. Otherwise a ``Windowed`` on each
-    sample's pool windows that touch one of its active positions, padded
-    with its first background windows to the batch's largest count.
-    """
-    found = _binary_active(x, k)
-    if found is None:
-        return None
-    padded, active = found
-    batch, c_out, dims = x.shape[0], w_mat.shape[0], x.shape[2:]
-    # 0 + b, as the GEMM path computes it: a -0.0 bias gives +0.0.
-    fill = b + 0
-    sample, position = np.divmod(np.flatnonzero(active), active[0].size)
-    i, j, l = np.unravel_index(position, dims)
-    px, py, pz = padded.shape[1:]
-    corner = ((sample * px + i) * py + j) * pz + l  # flat index of tap (0, 0, 0)
-    views = _window_views(active[:, None])
-    touched = views[0] | views[1]
-    for view in views[2:]:
-        touched |= view
-    touched = touched.reshape(batch, -1)
-    # Each sample's touched windows, then its untouched ones, ascending.
-    order = np.argsort(~touched, axis=1, kind="stable")
-    windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
-    y = _windowed(np.empty((batch, c_out, POOL**3, windows.shape[1]), dtype=x.dtype),
-                  fill, windows, dims)
-    position = y.index(sample, i, j, l)
-    flat = np.asarray(y).reshape(batch, c_out, -1)
-    flat[...] = fill[:, None]
-
-    offsets = _tap_offsets(k, py, pz)
-    for lo in range(0, sample.size, _BINARY_CHUNK):
-        step = slice(lo, lo + _BINARY_CHUNK)
-        # (k^3, n): the patch-matrix rows at these active positions.
-        patches = padded.ravel()[offsets[:, None] + corner[step]].astype(x.dtype)
-        acc = np.zeros((c_out, patches.shape[1]), dtype=x.dtype)
-        product = np.empty_like(acc)
-        for w_col, patch in zip(w_mat.T, patches):
-            np.multiply(w_col[:, None], patch, out=product)
-            acc += product
-        acc += b[:, None]
-        # Advanced indices on either side of the slice: the view takes
-        # (n, c_out) values in place.
-        flat[sample[step], :, position[step]] = acc.T
-    return y
 
 
 def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
@@ -338,17 +259,22 @@ def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
 
 
 def _background_active(x, k: int):
-    """(background, active output positions) of a mostly background input.
+    """(background, active output positions, windowed) of a mostly
+    background input.
 
     The background is the channel vector at the last position of sample 0.
     A position is off the background when any channel's bits differ from
     it, so -0.0 against +0.0, or another NaN payload, counts as off; an
     output position is active when its k^3 patch holds such a position.
-    Returns None, for the dense GEMM to run, for a one-channel input (the
-    binary path's domain), for dims under k, and when more than
-    ``_BACKGROUND_MAX_ACTIVE`` of the output positions are active.
+    Returns None, for the dense GEMM to run, for dims under k, and when more
+    than ``_BACKGROUND_MAX_ACTIVE`` of the output positions are active.
+
+    ``windowed`` tells a binary grid, whose output takes the ``Windowed``
+    form: one channel of +0.0 background and 1.0 elsewhere, dims that
+    ``POOL`` divides and at most ``_WINDOWED_MAX_ACTIVE`` of the output
+    positions active.
     """
-    if x.shape[1] == 1 or min(x.shape[2:]) < k:
+    if min(x.shape[2:]) < k:
         return None
     bits = x.view(np.dtype(f"u{x.itemsize}"))
     background = bits[0, :, -1, -1, -1]
@@ -356,10 +282,13 @@ def _background_active(x, k: int):
     limit = _BACKGROUND_MAX_ACTIVE * off.size
     if np.count_nonzero(off) > limit:  # the dilation can only grow
         return None
-    active = _dilate(_pad_mask(off, k), k)
-    if np.count_nonzero(active) > limit:
+    active = _dilate(_pad_spatial(off, k // 2), k)
+    count = np.count_nonzero(active)
+    if count > limit:
         return None
-    return background.view(x.dtype), active
+    windowed = (x.shape[1] == 1 and not background.any() and not any(d % POOL for d in x.shape[2:])
+                and count <= _WINDOWED_MAX_ACTIVE * off.size and np.all(x[:, 0][off] == 1))
+    return background.view(x.dtype), active, windowed
 
 
 def _correlate_background(x, w_mat, b, k: int):
@@ -373,6 +302,13 @@ def _correlate_background(x, w_mat, b, k: int):
     edges, 8 corners), each with one representative in a background sample
     appended to the padded input. The GEMM tiles compute the patch columns
     of the representatives and of the active positions.
+
+    The output is dense, each inactive position holding its class's value,
+    or, for a binary grid, a ``Windowed`` on each sample's pool windows
+    that touch one of its active positions, padded with its first
+    background windows to the batch's largest count. A binary grid's
+    background and padding are both +0.0, so its classes share one patch
+    column and one value, the ``Windowed`` background.
     """
     batch, c_in, dims = x.shape[0], x.shape[1], x.shape[2:]
     c_out, patch = w_mat.shape
@@ -383,7 +319,7 @@ def _correlate_background(x, w_mat, b, k: int):
     found = None if n % 16 or batch * x[0, 0].size <= n else _background_active(x, k)
     if found is None:
         return None
-    background, active = found
+    background, active, windowed = found
     p = k // 2
     ix, iy, iz = (slice(p, p + d) for d in dims)
 
@@ -413,14 +349,28 @@ def _correlate_background(x, w_mat, b, k: int):
     values += b[:, None]
 
     classes = values[:, count : count + k**3].reshape(c_out, k, k, k)
-    spans = [[slice(r, r + 1) for r in rep] for rep in reps]
-    for span, d in zip(spans, dims):
-        span[p] = slice(p, d - p)  # the interior class
-    y = np.empty((batch, c_out) + dims, dtype=x.dtype)
-    for (i, sx), (j, sy), (l, sz) in itertools.product(*map(enumerate, spans)):
-        y[0, :, sx, sy, sz] = classes[:, i, j, l, None, None, None]
-    y[1:] = y[0]
-    y.reshape(batch, c_out, -1)[sample, :, position] = values[:, :count].T
+    if windowed:
+        touched = np.logical_or.reduce(_window_views(active[:, None])).reshape(batch, -1)
+        # Each sample's touched windows, then its untouched ones, ascending.
+        order = np.argsort(~touched, axis=1, kind="stable")
+        windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
+        y = _windowed(np.empty((batch, c_out, POOL**3, windows.shape[1]), dtype=x.dtype),
+                      classes[:, p, p, p].copy(), windows, dims)
+        flat = np.asarray(y).reshape(batch, c_out, -1)
+        flat[...] = y.background[:, None]
+        position = y.index(sample, *np.unravel_index(position, dims))
+    else:
+        spans = [[slice(r, r + 1) for r in rep] for rep in reps]
+        for span, d in zip(spans, dims):
+            span[p] = slice(p, d - p)  # the interior class
+        y = np.empty((batch, c_out) + dims, dtype=x.dtype)
+        for (i, sx), (j, sy), (l, sz) in itertools.product(*map(enumerate, spans)):
+            y[0, :, sx, sy, sz] = classes[:, i, j, l, None, None, None]
+        y[1:] = y[0]
+        flat = y.reshape(batch, c_out, -1)
+    # Advanced indices on either side of the slice: the view takes
+    # (count, c_out) values in place.
+    flat[sample, :, position] = values[:, :count].T
     return y
 
 
@@ -438,43 +388,34 @@ def conv3d_forward(x, w, b):
     """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
 
     Stride 1 and padding k // 2 for an odd k, so the output keeps x's dims.
-    A one-channel input holding only 0 and 1, with dims that ``POOL``
-    divides, takes the sparse path of ``_correlate_binary`` when at most
-    ``_BINARY_MAX_ACTIVE`` (15%) of the output positions lie in the k^3
-    box dilation of its occupied voxels. Each active position then starts
-    from 0 and adds its k^3 exact products w * 0 or w * 1 in patch-matrix
-    row order (a, b, c), and then the bias; every other position is 0 + bias.
-    That is the GEMM's own summation order for a K = k^3 dot product on the
-    BLAS this was measured with, so the output is bit-identical to the
-    dense path; ``tests/test_layers.py::TestBinaryConv`` asserts it. A
-    compact GEMM over the active columns would not be: BLAS picks another
-    kernel at small N and differed by 1 ulp in float64. The active
-    positions are processed ``_BINARY_CHUNK`` at a time, which changes no
-    sum.
+    An input takes the background-class path of ``_correlate_background``
+    when at most ``_BACKGROUND_MAX_ACTIVE`` (45%) of the output positions
+    are active: in the k^3 box dilation of the positions whose bits differ
+    from the background, the channel vector at the last position of sample
+    0. Comparing bits keeps a +0.0 off a -0.0 background and one NaN off
+    another. Inactive outputs fall into k^3 classes by the grid faces their
+    patch crosses, and each takes the value of its class's representative
+    in a background sample appended to the padded input.
 
-    The sparse path returns a ``Windowed``: per sample, the pool windows
-    that touch its active positions, holding those values and 0 + bias,
-    and 0 + bias as the background. Every other input returns the dense
-    array. The cache is the same on every path.
-
-    An input of several channels takes the background-class path of
-    ``_correlate_background`` when at most ``_BACKGROUND_MAX_ACTIVE`` (45%)
-    of the output positions are active: in the k^3 box dilation of the
-    positions whose bits differ from the background, the channel vector at
-    the last position of sample 0. Comparing bits keeps a +0.0 off a -0.0
-    background and one NaN off another. Inactive outputs fall into k^3
-    classes by the grid faces their patch crosses, and each takes the value
-    of its class's representative in a background sample appended to the
-    padded input. The output is bit-identical to the dense path: every
-    value is the dot product of a kernel row with a patch column of the
-    same bits in (channel, a, b, c) order, an inactive column being that of
-    its representative. Each GEMM has the dense path's N, a multiple of 16,
-    so the BLAS runs the same kernel and sums a column alike wherever it
-    sits (with another N it need not: at N <= 64 a small-matrix kernel
+    The output is bit-identical to the dense path: every value is the dot
+    product of a kernel row with a patch column of the same bits in
+    (channel, a, b, c) order, an inactive column being that of its
+    representative, computed in a GEMM of the dense tiles' own N, a multiple
+    of 16. So the BLAS runs the same kernel and sums a column alike wherever
+    it sits (with another N it need not: at N <= 64 a small-matrix kernel
     summed block 2's K = 432 columns in another order), and the bias is
     added after the GEMM, as there; ``tests/test_layers.py::TestBackgroundConv``
-    asserts it. The path does not run for dims under k, or when one dense
-    GEMM covers the batch.
+    and ``TestBinaryConv`` assert it. The path does not run for dims under
+    k, or when one dense GEMM covers the batch.
+
+    The path's output takes one of two forms. A binary grid (one channel,
+    +0.0 background and 1.0 elsewhere, dims that ``POOL`` divides) at most
+    ``_WINDOWED_MAX_ACTIVE`` (15%) active returns a ``Windowed``: per
+    sample, the pool windows that touch its active positions, and as the
+    background the value of its classes, which share the all-zero patch.
+    (A grid whose reference voxel, the last of sample 0, is occupied has
+    background 1.0 and takes the dense GEMM.) Every other input returns the
+    dense array. The cache is the same on every path.
     """
     x = _as_float(x)
     w = _as_float(w, like=x)
@@ -487,9 +428,7 @@ def conv3d_forward(x, w, b):
     _require(b.shape == (c_out,), "bias shape must be (c_out,)")
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
-    y = _correlate_binary(x, w_mat, b, k)
-    if y is None:
-        y = _correlate_background(x, w_mat, b, k)
+    y = _correlate_background(x, w_mat, b, k)
     if y is None:
         y = _correlate(_pad_spatial(x, k // 2), w_mat, k)
         y += b[:, None, None, None]

@@ -129,20 +129,19 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     ``rnet_backward`` and carry updated batchnorm running statistics,
     applied to ``weights`` by ``apply_running_stats``.
 
-    A block whose input is a sparse binary grid (the first block, on height
-    fields) runs leaky ReLU, batchnorm and max-pool on the conv's
-    ``layers.Windowed`` output: its active pool windows plus one background
-    value per channel, about an eighth of the full-resolution positions on
-    tiny grids. The pooled output is dense. Batchnorm statistics and the
-    block's gradients sum in another order than the dense layers, so they
-    match them to float rounding.
-
-    A block whose input is mostly one per-channel background vector (the
-    second block, on height fields: the first leaves its background wherever
-    no voxel was near) computes its conv only at the positions near an
-    off-background one, plus one value per grid-face class for the rest
-    (``layers._correlate_background``), in training and eval alike. Its
-    output is the dense conv's, byte for byte, so nothing after it changes.
+    A block whose input is mostly one per-channel background vector
+    computes its conv only at the positions near an off-background one,
+    plus one value per grid-face class for the rest
+    (``layers._correlate_background``), in training and eval alike, with
+    the dense conv's bytes. On height fields that is the first block, whose
+    input is a sparse binary grid, and the second: the first leaves its
+    background wherever no voxel was near. The first block's conv output is
+    a ``layers.Windowed``: its active pool windows plus one background value
+    per channel, about an eighth of the full-resolution positions on tiny
+    grids. Leaky ReLU, batchnorm and max-pool run on that form, and the
+    pooled output is dense. Batchnorm statistics and the block's gradients
+    sum in another order than the dense layers, so they match them to float
+    rounding. The second block's conv output is dense.
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and

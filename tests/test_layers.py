@@ -136,6 +136,7 @@ def height_fields(batch, dims=(12, 12, 24), columns=0.1, dtype=np.float64):
     x = np.zeros((batch, 1) + dims, dtype=dtype)
     s, i, j = np.nonzero(BINARY_RNG.random((batch, nx, ny)) < columns)
     x[s, 0, i, j, BINARY_RNG.integers(0, nz, s.size)] = 1
+    x[0, 0, -1, -1, -1] = 0  # the background-class path's reference position
     return x
 
 
@@ -151,46 +152,62 @@ def assert_same_bits(y, expected):
     assert y.tobytes() == expected.tobytes()
 
 
+def gather_forward(monkeypatch, x, w, b):
+    """conv3d_forward with the dense GEMM made to raise: the input must take
+    the background-class path."""
+    def no_gemm(*args):
+        raise AssertionError("dense GEMM ran on a mostly background input")
+
+    with monkeypatch.context() as m:
+        m.setattr(layers, "_correlate", no_gemm)
+        y, cache = layers.conv3d_forward(x, w, b)
+    assert cache[0] is x and cache[2:] == (None, None)
+    return y
+
+
+def gemm_forward(monkeypatch, x, w, b):
+    """conv3d_forward with the dense GEMM counted: the input must take it."""
+    calls = []
+    gemm = layers._correlate
+
+    def counted(*args):
+        calls.append(1)
+        return gemm(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(layers, "_correlate", counted)
+        y, _ = layers.conv3d_forward(x, w, b)
+    assert calls, "the input should have taken the dense GEMM path"
+    assert not isinstance(y, layers.Windowed)
+    return y
+
+
 class TestBinaryConv:
-    """The sparse path for one-channel 0/1 inputs is bit-identical to the
-    dense GEMM path: its ``Windowed`` output, made dense by ``densify``,
-    has the GEMM's bytes. The GEMM is made to raise where the sparse path
-    must run, and counted where the input must fall back to it."""
+    """Binary grids take the background-class path in the ``Windowed``
+    form; made dense by ``densify``, its output has the GEMM's bytes. The
+    GEMM is made to raise where the path must run, and counted where the
+    input must fall back to it."""
 
     @staticmethod
     def sparse_forward(monkeypatch, x, w, b):
-        def no_gemm(*args):
-            raise AssertionError("dense GEMM ran on a sparse binary input")
-
-        with monkeypatch.context() as m:
-            m.setattr(layers, "_correlate", no_gemm)
-            y, cache = layers.conv3d_forward(x, w, b)
+        y = gather_forward(monkeypatch, x, w, b)
         assert isinstance(y, layers.Windowed)
-        assert cache[0] is x and cache[2:] == (None, None)
         return densify(y)
 
     @staticmethod
-    def gemm_forward(monkeypatch, x, w, b):
-        calls = []
-        gemm = layers._correlate
-
-        def counted(*args):
-            calls.append(1)
-            return gemm(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(layers, "_correlate", counted)
-            y, _ = layers.conv3d_forward(x, w, b)
-        assert calls, "the input should have taken the dense GEMM path"
+    def dense_form_forward(monkeypatch, x, w, b):
+        y = gather_forward(monkeypatch, x, w, b)
         assert not isinstance(y, layers.Windowed)
         return y
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_height_fields_match_gemm(self, monkeypatch, dtype, batch):
+        # one 12x12x24 grid is one dense GEMM, so batch 1 takes it
         x = height_fields(batch, dtype=dtype)
         w, b = conv_weights(dtype)
-        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        forward = gemm_forward if batch == 1 else self.sparse_forward
+        assert_same_bits(forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_voxelized_scans_match_gemm(self, monkeypatch, dtype):
@@ -204,9 +221,6 @@ class TestBinaryConv:
             x = voxelizer.build_grid(cloud, cfg.grid).occupancy[None, None].astype(dtype)
             y = self.sparse_forward(monkeypatch, x, w, b)
             assert_same_bits(y, dense_conv(x, w, b))
-            # a batch-1 inspect grid is one step of the sparse path
-            _, active = layers._binary_active(x, 3)
-            assert np.count_nonzero(active) <= layers._BINARY_CHUNK
 
     @staticmethod
     def voxels_on_every_face(dims):
@@ -223,10 +237,10 @@ class TestBinaryConv:
         w, b = conv_weights(np.float64, k=k)
         assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
-    def test_dims_the_pool_does_not_divide_take_gemm(self, monkeypatch):
+    def test_dims_the_pool_does_not_divide_are_dense(self, monkeypatch):
         x = self.voxels_on_every_face((16, 17, 18))
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_empty_grid_is_bias(self, monkeypatch):
         x = np.zeros((2, 1, 8, 8, 16))
@@ -235,32 +249,25 @@ class TestBinaryConv:
         assert_same_bits(y, dense_conv(x, w, b))
         assert np.array_equal(y, np.broadcast_to(b[:, None, None, None], y.shape))
 
+    def test_above_the_windowed_cutoff_is_dense(self, monkeypatch):
+        x = height_fields(4, columns=0.4)
+        _, active, _ = layers._background_active(x, 3)
+        share = np.count_nonzero(active) / active.size
+        assert layers._WINDOWED_MAX_ACTIVE < share <= layers._BACKGROUND_MAX_ACTIVE
+        w, b = conv_weights(np.float64)
+        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+
     def test_dense_binary_input_falls_back_to_gemm(self, monkeypatch):
         x = (BINARY_RNG.random((2, 1, 8, 8, 16)) < 0.3).astype(np.float64)
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("value", [0.5, np.nan])
-    def test_non_binary_input_takes_gemm(self, monkeypatch, value):
+    def test_non_binary_input_is_dense(self, monkeypatch, value):
         x = height_fields(2)
         x[1, 0, 4, 4, 4] = value
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_chunks_match_gemm(self, monkeypatch, dtype):
-        # 37 active positions per step: the batch spans dozens of steps,
-        # and steps split samples
-        rng = np.random.default_rng(11)
-        x = np.zeros((6, 1, 12, 12, 24), dtype=dtype)
-        s, i, j = np.nonzero(rng.random((6, 12, 12)) < 0.1)
-        x[s, 0, i, j, rng.integers(0, 24, s.size)] = 1
-        w = rng.standard_normal((8, 1, 3, 3, 3)).astype(dtype)
-        b = rng.standard_normal(8).astype(dtype)
-        monkeypatch.setattr(layers, "_BINARY_CHUNK", 37)
-        _, active = layers._binary_active(x, 3)
-        assert np.count_nonzero(active) > 50 * 37
-        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
 
 # Dense-conv inputs draw from their own generator as well.
@@ -322,7 +329,7 @@ class TestDenseConvBits:
     counts are) and for either orientation. It held on the single-thread
     OpenBLAS 0.3.31 these were written with, whose float64 GEMM sums the
     last N mod 8 columns in another order; on a BLAS where it fails, these
-    tests and ``TestBinaryConv`` fail together.
+    tests and those of the background-class path fail together.
     """
 
     # (c_in, c_out, input dims) of blocks 1-4 of the tiny net
@@ -404,25 +411,15 @@ def block_weights(dtype, c_in=8, c_out=16):
 
 
 class TestBackgroundConv:
-    """Multi-channel inputs that mostly equal one per-channel background
-    vector take the background-class path; its output has the bytes of
-    the dense GEMM (``dense_conv``), whose ``_correlate`` is made to raise
-    where the path must run. Like ``TestDenseConvBits``, this rests on the
-    BLAS summing a column alike in any GEMM of the same N, a multiple of 16."""
-
-    @staticmethod
-    def path_forward(monkeypatch, x, w, b):
-        def no_gemm(*args):
-            raise AssertionError("dense GEMM ran on a mostly background input")
-
-        with monkeypatch.context() as m:
-            m.setattr(layers, "_correlate", no_gemm)
-            y, cache = layers.conv3d_forward(x, w, b)
-        assert cache[0] is x and cache[2:] == (None, None)
-        return y
+    """Inputs of several channels that mostly equal one per-channel
+    background vector take the background-class path in the dense form
+    (the tile test runs a binary grid too); its output has the bytes of the
+    dense GEMM (``dense_conv``), whose ``_correlate`` is made to raise where
+    the path must run. Like ``TestDenseConvBits``, this rests on the BLAS
+    summing a column alike in any GEMM of the same N, a multiple of 16."""
 
     def check(self, monkeypatch, x, w, b):
-        y = self.path_forward(monkeypatch, x, w, b)
+        y = gather_forward(monkeypatch, x, w, b)
         assert_same_bits(y, dense_conv(x, w, b))
         return y
 
@@ -489,7 +486,7 @@ class TestBackgroundConv:
         x = background_input(2, dims=(8, 8, 16), columns=0)
         w, b = block_weights(np.float64)
         y = self.check(monkeypatch, x, w, b)
-        _, active = layers._background_active(x, 3)
+        _, active, _ = layers._background_active(x, 3)
         assert not active.any()
         interior = y[:, :, 1:-1, 1:-1, 1:-1]
         assert np.array_equal(interior, np.broadcast_to(interior[:1, :, :1, :1, :1], interior.shape))
@@ -498,7 +495,7 @@ class TestBackgroundConv:
     def test_mostly_active_input_takes_gemm(self, monkeypatch):
         x = background_input(2, dims=(8, 8, 16), columns=1.0)
         w, b = block_weights(np.float64)
-        assert_same_bits(TestBinaryConv.gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("background", [-0.0, np.nan])
     def test_other_bits_of_an_equal_value_are_off(self, monkeypatch, background):
@@ -509,21 +506,24 @@ class TestBackgroundConv:
         x[0, 3, 2, 2, 2] = x[1, 3, 5, 6, 7] = -np.float64(background)
         w, b = block_weights(np.float64)
         self.check(monkeypatch, x, w, b)
-        _, active = layers._background_active(x, 3)
+        _, active, _ = layers._background_active(x, 3)
         assert active[0, 1:4, 1:4, 1:4].all() and active[1, 4:7, 5:8, 6:9].all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("planes", [1, 3])
     def test_tiles_split_and_the_last_is_partial(self, monkeypatch, dtype, planes):
-        x = background_input(4, dtype=dtype)
-        w, b = block_weights(dtype)
-        patch_rows = w[0].size
-        monkeypatch.setattr(layers, "_TILE_BYTES", planes * patch_rows * 16 * 32 * x.itemsize)
-        n = planes * 16 * 32
-        _, active = layers._background_active(x, 3)
-        columns = np.count_nonzero(active) + 27
-        assert columns > 2 * n and columns % n
-        self.check(monkeypatch, x, w, b)
+        # a 16x16x32 input of 8 channels, then a binary grid (Windowed)
+        for x, (w, b) in [(background_input(4, dtype=dtype), block_weights(dtype)),
+                          (height_fields(4, (16, 16, 32), 0.15, dtype), conv_weights(dtype))]:
+            patch_rows = w[0].size
+            monkeypatch.setattr(layers, "_TILE_BYTES", planes * patch_rows * 16 * 32 * x.itemsize)
+            n = planes * 16 * 32
+            _, active, windowed = layers._background_active(x, 3)
+            columns = np.count_nonzero(active) + 27
+            assert columns > 2 * n and columns % n
+            assert windowed == (x.shape[1] == 1)
+            y = gather_forward(monkeypatch, x, w, b)
+            assert_same_bits(densify(y) if windowed else y, dense_conv(x, w, b))
 
 
 def densify(t: layers.Windowed) -> np.ndarray:
@@ -611,7 +611,10 @@ class TestWindowed:
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_height_fields_match_dense(self, dtype, batch):
+    def test_height_fields_match_dense(self, monkeypatch, dtype, batch):
+        # tiles of 4 x-planes: a batch-1 grid is then more than one dense
+        # GEMM and, as larger batches, takes the Windowed form
+        monkeypatch.setattr(layers, "_TILE_BYTES", 4 * 27 * 12 * 24 * np.dtype(dtype).itemsize)
         rng = np.random.default_rng(batch)
         for seed in range(3):
             x = np.zeros((batch, 1, 12, 12, 24), dtype=dtype)

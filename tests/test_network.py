@@ -256,8 +256,9 @@ class TestEvalOrder:
     def test_windowed_first_block_equals_dense_conv(self, monkeypatch, dtype):
         # Sparse height fields: block 0's conv output comes out Windowed and
         # is pooled in that form. The oracle runs the same eval forward, and
-        # the training-order reference, with the sparse path switched off,
-        # on the dense GEMM's conv output; all three agree byte for byte.
+        # the training-order reference, with the background-class path
+        # switched off, on the dense GEMM's conv output; all three agree
+        # byte for byte.
         weights = self.weights().cast(dtype)
         assert (weights.blocks[0].bn_gamma < 0).any()
         rng = np.random.default_rng(8)
@@ -271,7 +272,7 @@ class TestEvalOrder:
                             lambda h: pooled.append(type(h)) or pool(h))
         windowed, _ = rnet_forward(x, weights, self.CFG)
         assert pooled[0] is layers.Windowed
-        monkeypatch.setattr(layers, "_binary_active", lambda x, k: None)
+        monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
         dense, _ = rnet_forward(x, weights, self.CFG)
         expected = reference_eval_forward(x, weights)
         assert pooled[len(weights.blocks)] is np.ndarray
@@ -293,9 +294,12 @@ def tiny_scans():
 
 
 class TestBackgroundPath:
-    """Block 1 of the tiny net takes the background-class conv on height
-    fields, at inspection and in training, and switching it off changes no
-    byte of predictions, training history or weights."""
+    """Blocks 0 and 1 of the tiny net take the background-class conv on
+    height fields, at inspection and in training: block 0 in the
+    ``Windowed`` form, block 1 in the dense form. Switching the path off
+    changes no byte of predictions; switching off its dense form alone
+    changes no byte of training history or weights either (block 0's
+    ``Windowed`` training sums in another order than the dense layers)."""
 
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
@@ -304,15 +308,17 @@ class TestBackgroundPath:
 
         def spy(x, w_mat, b, k):
             y = correlate(x, w_mat, b, k)
-            taken.append((x.shape[1], x.dtype, y is not None))
+            taken.append((x.shape[1], x.dtype, None if y is None else type(y)))
             return y
 
         monkeypatch.setattr(layers, "_correlate_background", spy)
         weights = init_weights(TINY, seed=1)
         predict(grids[:3], weights, TINY, batch_size=1)
         rnet_forward(grids[:8], weights.cast(np.float32), TINY, training=True)
+        block0 = [t for t in taken if t[0] == 1]
         block1 = [t for t in taken if t[0] == TINY.channels[0]]
-        assert block1 == [(8, np.float64, True)] * 3 + [(8, np.float32, True)]
+        assert block0 == [(1, np.float64, layers.Windowed)] * 3 + [(1, np.float32, layers.Windowed)]
+        assert block1 == [(8, np.float64, np.ndarray)] * 3 + [(8, np.float32, np.ndarray)]
 
     def test_switched_off_changes_no_bytes(self, monkeypatch, tiny_scans):
         grids, volumes = tiny_scans
@@ -320,21 +326,31 @@ class TestBackgroundPath:
         train_cfg = training.TrainConfig(epochs=1, batch_size=8, seed=5,
                                          standardize_targets=True)
 
-        def run():
-            preds = [predict(grids, weights, TINY, batch_size=size) for size in (1, 24)]
+        def predictions():
+            return [predict(grids, weights, TINY, batch_size=size) for size in (1, 24)]
+
+        def trained():
             result = training.train(grids[:16], volumes[:16], TINY, train_cfg,
                                     grids[16:], volumes[16:])
-            history = [(h.train_mse, h.test_mse) for h in result.history]
-            return preds, history, result.weights.trainable()
+            return [(h.train_mse, h.test_mse) for h in result.history], result.weights.trainable()
 
-        on = run()
+        def same_bytes(a, b):
+            return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+        preds, (history, trainable) = predictions(), trained()
+        gather = layers._background_active
+
+        def windowed_only(x, k):
+            found = gather(x, k)
+            return found if found is not None and found[2] else None
+
+        monkeypatch.setattr(layers, "_background_active", windowed_only)
+        assert same_bytes(preds, predictions())
+        history_off, trainable_off = trained()
+        assert history == history_off
+        assert same_bytes(trainable, trainable_off)
         monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
-        off = run()
-        for a, b in zip(on[0], off[0]):
-            assert a.tobytes() == b.tobytes()
-        assert on[1] == off[1]
-        for a, b in zip(on[2], off[2]):
-            assert a.tobytes() == b.tobytes()
+        assert same_bytes(preds, predictions())
 
 
 class TestWeightsIo:
