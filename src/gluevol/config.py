@@ -5,11 +5,11 @@ every module seed from it so a whole pipeline reruns bit-identically. The
 profiles copy it into the ``scan``, ``augment`` and ``train`` sections.
 Documents are written with ``util.encode`` and read with ``load_config``,
 which holds them to the codec's rule: every key present, none unknown,
-save its two legacy rules: ``layout.column_scale_range`` may be absent, and
-the net's and train's retired keys may be present at the values the code
-now fixes. It also refuses a section seed that differs from the run seed,
-and a ``layout.attach_pattern`` other than ``"unattached"``: ``pcbs()``
-sets each panel's pattern from ``attach_patterns``.
+save its one legacy rule: a section's ``RETIRED_KEYS`` may be present at
+the values the code now fixes (``pcbs()`` sets each panel's pattern from
+``attach_patterns``, so ``layout.attach_pattern`` is retired at
+``"unattached"``). It also refuses a section seed that differs from the
+run seed.
 The ``paper`` profile mirrors the full three-panel replication; ``tiny`` is
 the desk-scale single-type profile used by the acceptance runs.
 """
@@ -24,6 +24,7 @@ from .diagnose import VolumeThresholds
 from .neuralvol.layers import ShapeMismatch
 from .neuralvol.network import NetConfig
 from .neuralvol.training import TrainConfig
+from .pipeline import PREDICTION_S_PER_REGION
 from .scansim import ATTACH_PATTERNS, LayoutConfig, PcbModel, ScanConfig, make_pcb
 from .util import ConfigError, decode
 from .voxelizer import GridConfig
@@ -44,8 +45,8 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     net: NetConfig = field(default_factory=NetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    prediction_s_per_region: float = 1.3
     thresholds: dict[str, VolumeThresholds] | None = None
+    RETIRED_KEYS = {"prediction_s_per_region": PREDICTION_S_PER_REGION}  # not a field
 
     def validate(self, allow_any_step: bool = False) -> "RunConfig":
         if self.passes < 1:
@@ -88,10 +89,7 @@ class RunConfig:
 
     def pcbs(self) -> list[PcbModel]:
         """One panel per attach pattern, indexed in order."""
-        return [
-            make_pcb(replace(self.layout, attach_pattern=pattern), index=i)
-            for i, pattern in enumerate(self.attach_patterns)
-        ]
+        return [make_pcb(self.layout, pattern, i) for i, pattern in enumerate(self.attach_patterns)]
 
 
 def paper_config(seed: int = 0) -> RunConfig:
@@ -149,9 +147,4 @@ def load_config(path) -> RunConfig:
         seed = getattr(cfg, section).seed
         if seed != cfg.seed:
             raise ConfigError(f"{section}.seed is {seed}, not the run seed {cfg.seed}")
-    if cfg.layout.attach_pattern != "unattached":
-        raise ConfigError(
-            f"layout.attach_pattern is {cfg.layout.attach_pattern!r}; "
-            "panels take theirs from attach_patterns"
-        )
     return cfg

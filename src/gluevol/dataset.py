@@ -6,7 +6,8 @@ attached deposits inherit the per-(column, type) mean of those
 annotations. Each scan is augmented by sliding crop windows plus Gaussian
 z-noise levels, and split train/test by deposit position (the last deposit
 of each circuit/type tests, the rest train) so augmentations never leak
-across the split.
+across the split. The augmentation's fixed settings are module constants:
+``WINDOW_FRACTION``, ``SHIFT_FRACTION`` and ``NOISE_LEVELS``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .util import DOMAIN_AUGMENT, decode, derived_rng, encode, floor_ratio, stab
 # Annotated volumes below this are flagged as empty deposits.
 EMPTY_GLUE_FLOOR_MM3 = 1e-4
 
+# Crop windows cover this share of each axis range and slide in steps of
+# max(SHIFT_FRACTION * range, min_step) over the leftover slack.
+WINDOW_FRACTION = 0.92
+SHIFT_FRACTION = 0.02
+# Each crop is emitted at every level, with z-noise sigma = level * z-range.
+NOISE_LEVELS = (0.0, 0.03, 0.06, 0.09)
+
 
 class MissingColumnAnnotation(ValueError):
     """A (column, glue type) has no unattached annotation to propagate."""
@@ -34,25 +42,13 @@ class MissingColumnAnnotation(ValueError):
 
 @dataclass(frozen=True)
 class AugmentParams:
-    """Crop/noise augmentation parameters.
+    """The crop windows' least step (the scan step) and the noise seed."""
 
-    Windows cover ``window_fraction`` of each axis range and slide in steps
-    of max(shift_fraction * range, min_step) over the leftover slack; each
-    crop is emitted at every noise level, sigma = level * z-range.
-    """
-
-    window_fraction: float = 0.92
-    shift_fraction: float = 0.02
     min_step_um: float = 20.0
-    noise_levels: tuple[float, ...] = (0.0, 0.03, 0.06, 0.09)
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.window_fraction < 1):
-            raise ValueError("window_fraction must be in (0, 1)")
-        levels = self.noise_levels
-        if any(l < 0 for l in levels) or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("noise levels must be non-negative and increasing")
+    RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
+        "window_fraction": WINDOW_FRACTION, "shift_fraction": SHIFT_FRACTION,
+        "noise_levels": NOISE_LEVELS}
 
 
 @dataclass(frozen=True)
@@ -194,9 +190,9 @@ class AnnotationTable:
 
 def crop_offsets(range_mm: float, params: AugmentParams) -> np.ndarray:
     """Window start offsets along one axis, centered over the slide slack."""
-    window = params.window_fraction * range_mm
+    window = WINDOW_FRACTION * range_mm
     slack = range_mm - window
-    step = max(params.shift_fraction * range_mm, params.min_step_um * 1e-3)
+    step = max(SHIFT_FRACTION * range_mm, params.min_step_um * 1e-3)
     count = floor_ratio(slack, step) + 1 if slack > 0 else 1
     margin = (slack - (count - 1) * step) / 2.0
     return margin + step * np.arange(count)
@@ -217,8 +213,8 @@ def augment(cloud: PointCloud, params: AugmentParams) -> list[PointCloud]:
     z_range = hi[2] - lo[2]
     offs_x = crop_offsets(x_range, params)
     offs_y = crop_offsets(y_range, params)
-    window_x = params.window_fraction * x_range
-    window_y = params.window_fraction * y_range
+    window_x = WINDOW_FRACTION * x_range
+    window_y = WINDOW_FRACTION * y_range
     rng = derived_rng(
         params.seed,
         DOMAIN_AUGMENT,
@@ -234,7 +230,7 @@ def augment(cloud: PointCloud, params: AugmentParams) -> list[PointCloud]:
                 lo[0] + ox, lo[0] + ox + window_x, lo[1] + oy, lo[1] + oy + window_y
             )
             cropped = geom3d.crop_xy(cloud, box)
-            for level in params.noise_levels:
+            for level in NOISE_LEVELS:
                 xyz = cropped.xyz
                 if level > 0:
                     xyz = xyz.copy()
@@ -320,7 +316,7 @@ def build_manifest(
                 label = analytic_volume(region)
             for scan_pass in range(passes):
                 for crop_index in range(n_cx * n_cy):
-                    for level_index, level in enumerate(params.noise_levels):
+                    for level_index, level in enumerate(NOISE_LEVELS):
                         samples.append(
                             Sample(
                                 path=sample_filename(

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .scansim import LayoutConfig
+from .util import LengthMismatch
 
 # Half-width of the default Normal band, relative to the nominal volume.
 DEFAULT_BAND = 0.25
@@ -27,10 +28,6 @@ CRITICAL_TIME_S = 3600.0
 
 class UnknownType(KeyError):
     """No thresholds configured for the requested glue type."""
-
-
-class LengthMismatch(ValueError):
-    """Label sequences of different lengths."""
 
 
 class FaultLabel(Enum):

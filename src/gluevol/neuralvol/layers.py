@@ -56,13 +56,11 @@ import math
 
 import numpy as np
 
+from ..util import LengthMismatch
+
 
 class ShapeMismatch(ValueError):
     """Tensor dimensions incompatible with the layer parameters."""
-
-
-class LengthMismatch(ValueError):
-    """Prediction/target vectors of different lengths."""
 
 
 POOL = 2  # max-pool window edge
@@ -262,10 +260,12 @@ def _background_active(x, k: int):
     """(background, active output positions, windowed) of a mostly
     background input.
 
-    The background is the channel vector at the last position of sample 0.
-    A position is off the background when any channel's bits differ from
-    it, so -0.0 against +0.0, or another NaN payload, counts as off; an
-    output position is active when its k^3 patch holds such a position.
+    The background is the commonest channel vector at the samples' last
+    positions, the lowest bit pattern among equally common ones, so the
+    order of the samples does not decide it. A position is off the
+    background when any channel's bits differ from it, so -0.0 against
+    +0.0, or another NaN payload, counts as off; an output position is
+    active when its k^3 patch holds such a position.
     Returns None, for the dense GEMM to run, for dims under k, and when more
     than ``_BACKGROUND_MAX_ACTIVE`` of the output positions are active.
 
@@ -277,7 +277,11 @@ def _background_active(x, k: int):
     if min(x.shape[2:]) < k:
         return None
     bits = x.view(np.dtype(f"u{x.itemsize}"))
-    background = bits[0, :, -1, -1, -1]
+    last = bits[:, :, -1, -1, -1]
+    background = last[0]
+    if (last != background).any():  # unique sorts; argmax takes the first
+        patterns, counts = np.unique(last, axis=0, return_counts=True)
+        background = patterns[np.argmax(counts)]
     off = np.any(bits != background[:, None, None, None], axis=1)
     limit = _BACKGROUND_MAX_ACTIVE * off.size
     if np.count_nonzero(off) > limit:  # the dilation can only grow
@@ -391,11 +395,11 @@ def conv3d_forward(x, w, b):
     An input takes the background-class path of ``_correlate_background``
     when at most ``_BACKGROUND_MAX_ACTIVE`` (45%) of the output positions
     are active: in the k^3 box dilation of the positions whose bits differ
-    from the background, the channel vector at the last position of sample
-    0. Comparing bits keeps a +0.0 off a -0.0 background and one NaN off
-    another. Inactive outputs fall into k^3 classes by the grid faces their
-    patch crosses, and each takes the value of its class's representative
-    in a background sample appended to the padded input.
+    from the background, the commonest channel vector at the samples' last
+    positions. Comparing bits keeps a +0.0 off a -0.0 background and one NaN
+    off another. Inactive outputs fall into k^3 classes by the grid faces
+    their patch crosses, and each takes the value of its class's
+    representative in a background sample appended to the padded input.
 
     The output is bit-identical to the dense path: every value is the dot
     product of a kernel row with a patch column of the same bits in
@@ -413,9 +417,9 @@ def conv3d_forward(x, w, b):
     ``_WINDOWED_MAX_ACTIVE`` (15%) active returns a ``Windowed``: per
     sample, the pool windows that touch its active positions, and as the
     background the value of its classes, which share the all-zero patch.
-    (A grid whose reference voxel, the last of sample 0, is occupied has
-    background 1.0 and takes the dense GEMM.) Every other input returns the
-    dense array. The cache is the same on every path.
+    (A batch whose last voxel is occupied in most samples has background
+    1.0 and takes the dense GEMM.) Every other input returns the dense
+    array. The cache is the same on every path.
     """
     x = _as_float(x)
     w = _as_float(w, like=x)

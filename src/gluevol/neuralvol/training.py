@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util import ANY_VALUE, DOMAIN_INIT, DOMAIN_TRAIN, configure_allocator, derived_rng
+from ..util import (ANY_VALUE, DOMAIN_INIT, DOMAIN_TRAIN, LengthMismatch, configure_allocator,
+                    derived_rng)
 from . import layers
 from .network import (
     ModelWeights,
@@ -95,7 +96,7 @@ def train(
     if n == 0:
         raise EmptySplit("empty training split")
     if len(train_x) != n:
-        raise layers.LengthMismatch(f"{len(train_x)} grids vs {n} labels")
+        raise LengthMismatch(f"{len(train_x)} grids vs {n} labels")
     configure_allocator()
 
     init = init_weights(net_cfg, seed=int(derived_rng(cfg.seed, DOMAIN_INIT).integers(2**31)))
@@ -147,7 +148,7 @@ def evaluate(weights: ModelWeights, net_cfg: NetConfig, x, y, batch_size: int = 
     if len(y) == 0:
         raise EmptySplit("empty evaluation split")
     if len(x) != len(y):
-        raise layers.LengthMismatch(f"{len(x)} grids vs {len(y)} labels")
+        raise LengthMismatch(f"{len(x)} grids vs {len(y)} labels")
     preds = predict(np.asarray(x), weights, net_cfg, batch_size=batch_size)
     mse = float(np.mean((preds - y) ** 2))
     order = np.argsort(-y, kind="stable")

@@ -21,14 +21,21 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import cloudio, dataset, diagnose, scansim, voxelizer
-from .config import RunConfig
 from .dataset import AnnotationRecord, AnnotationTable, Manifest
 from .neuralvol import training, weights_io
 from .util import ConfigError, encode
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
+
+# The paper's measured prediction time per region, which the timing report
+# adds to the modeled scan time.
+PREDICTION_S_PER_REGION = 1.3
 
 
 class MissingInput(FileNotFoundError):
@@ -138,7 +145,7 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
                     raise MissingInput(f"augment: missing scan {path}")
                 cloud = cloudio.read_xyz(path)
                 for clip in dataset.augment(cloud, cfg.augment):
-                    level_index = cfg.augment.noise_levels.index(clip.meta["noise_level"])
+                    level_index = dataset.NOISE_LEVELS.index(clip.meta["noise_level"])
                     name = dataset.sample_filename(
                         pcb.index, region, scan_pass, clip.meta["crop"], level_index
                     )
@@ -348,7 +355,7 @@ def stage_report(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
 
     regions = [r for pcb in cfg.pcbs() for r in pcb.regions()]
     scan_seconds = scansim.scan_time_estimate(regions, cfg.scan)
-    prediction_seconds = len(regions) * cfg.prediction_s_per_region
+    prediction_seconds = len(regions) * PREDICTION_S_PER_REGION
     scan_20 = scansim.scan_time_estimate(regions, replace(cfg.scan, step_um=20.0))
     scan_50 = scansim.scan_time_estimate(regions, replace(cfg.scan, step_um=50.0))
     extra = {

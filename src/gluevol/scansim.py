@@ -9,18 +9,28 @@ and a timing estimate.
 Deposit surfaces are smooth closed-form height fields scaled so their 2D
 integral equals the dispensed volume, which makes the simulator its own
 ground-truth oracle for the annotation pipeline.
+
+The paper studies one scanner and one dispensing process, so their
+settings are module constants, not config fields: the scanner's
+``NOISE_SIGMA_Z_MM`` and ``XY_JITTER_MM``, its timing (``STAGE_SPEED_MM_S``,
+``X_TURNAROUND_S``, ``PCO_DELAY_S``, ``REPOSITION_S``), the die
+attachment's ``SQUEEZE_RATIO`` and ``FILLET_WIDTH_MM``, the panel's
+``COLUMN_SCALE_RANGE`` and the deposit shape (``SUPERELLIPSE_EXPONENT``,
+``CAP_HEIGHT_SCALE``, ``BUMP_AMPLITUDE``, ``BUMP_POSITION``,
+``BUMP_SIGMA``). ``ScanConfig.RETIRED_KEYS`` and
+``LayoutConfig.RETIRED_KEYS`` hold them where older run configs name them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .geom3d import BoundingBox2, PointCloud
-from .util import DOMAIN_SCAN, JSON_OPTIONAL, derived_rng, floor_ratio, stable_u32
+from .util import DOMAIN_SCAN, derived_rng, floor_ratio, stable_u32
 
 GLUE_TYPES = ("A", "B", "C", "D", "E")
 
@@ -30,6 +40,34 @@ ATTACH_PATTERNS = ("unattached", "attached", "half")
 # midpoint samples keep the normalization error ~1e-6 relative, far inside
 # the 0.1% oracle tolerance.
 _QUAD_N = 1024
+
+# The scanner: Gaussian height noise and stage xy jitter per point (mm).
+NOISE_SIGMA_Z_MM = 0.0005
+XY_JITTER_MM = 5e-6
+# Scan timing: stage speed along a line, the turn between lines, the
+# trigger-out latency per pulse and the move to the next region.
+STAGE_SPEED_MM_S = 10.0
+X_TURNAROUND_S = 0.05
+PCO_DELAY_S = 5e-8
+REPOSITION_S = 1.0
+
+# Die attachment: the share of the glue squeezed under the die as the
+# bondline; the rest forms a fillet bead this wide around it.
+SQUEEZE_RATIO = 0.85
+FILLET_WIDTH_MM = 0.12
+# Dispensed-volume scale of the first and last column of a panel.
+COLUMN_SCALE_RANGE = (0.5, 1.5)
+
+# Deposit surface in normalized footprint coordinates (u, v) in [-1, 1]^2:
+# a superellipse |u|^e + |v|^e <= 1 footprint; a raised-cosine cap raised to
+# CAP_HEIGHT_SCALE (higher = taller and pointier at equal volume) plus a
+# Gaussian bump near the dispense end, masked by the cap so the surface
+# stays smooth and vanishes at the footprint boundary.
+SUPERELLIPSE_EXPONENT = 2.5
+CAP_HEIGHT_SCALE = 1.0
+BUMP_AMPLITUDE = 0.35
+BUMP_POSITION = (0.0, 0.72)
+BUMP_SIGMA = 0.16
 
 
 class BadLayoutConfig(ValueError):
@@ -41,32 +79,12 @@ class NonPositiveRange(ValueError):
 
 
 @dataclass(frozen=True)
-class ShapeParams:
-    """Deposit surface shape in normalized footprint coordinates.
-
-    The footprint mask is a superellipse |u|^e + |v|^e <= 1 over
-    (u, v) in [-1, 1]^2; the profile is a raised-cosine cap raised to
-    ``cap_height_scale`` (higher = taller/pointier at equal volume) plus a
-    Gaussian bump near the dispense end, masked by the cap so the surface
-    stays smooth and vanishes at the footprint boundary.
-    """
-
-    superellipse_exponent: float = 2.5
-    cap_height_scale: float = 1.0
-    bump_amplitude: float = 0.35
-    bump_position: tuple[float, float] = (0.0, 0.72)
-    bump_sigma: float = 0.16
-
-
-@dataclass(frozen=True)
 class DieSpec:
-    """Die geometry and the squeeze split of glue under/around it."""
+    """Die geometry."""
 
     width_mm: float
     length_mm: float
     thickness_mm: float
-    squeeze_ratio: float = 0.85
-    fillet_width_mm: float = 0.12
 
     @property
     def area_mm2(self) -> float:
@@ -79,7 +97,6 @@ class RegionSpec:
 
     glue_type: str
     footprint: BoundingBox2
-    shape: ShapeParams
     dispensed_volume: float
     attached: bool = False
     die: DieSpec | None = None
@@ -94,23 +111,19 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scanner geometry, noise and timing knobs."""
+    """Raster step, substrate margin around the footprint, and noise seed."""
 
     step_um: float = 20.0
-    stage_speed_mm_s: float = 10.0
-    noise_sigma_z_mm: float = 0.0005
-    x_turnaround_s: float = 0.05
     margin_mm: float = 0.2
-    xy_jitter_mm: float = 5e-6
-    pco_delay_s: float = 5e-8
-    reposition_s: float = 1.0
     seed: int = 0
+    RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
+        "stage_speed_mm_s": STAGE_SPEED_MM_S, "noise_sigma_z_mm": NOISE_SIGMA_Z_MM,
+        "x_turnaround_s": X_TURNAROUND_S, "xy_jitter_mm": XY_JITTER_MM,
+        "pco_delay_s": PCO_DELAY_S, "reposition_s": REPOSITION_S}
 
     def __post_init__(self):
         if self.step_um <= 0:
             raise BadLayoutConfig("scan step must be positive")
-        if not (0 < self.stage_speed_mm_s <= 100.0):
-            raise BadLayoutConfig("stage speed limit is 100 mm/s")
 
     @property
     def step_mm(self) -> float:
@@ -121,11 +134,8 @@ class ScanConfig:
 class LayoutConfig:
     """Parametric panel layout: circuits grid, deposits, volume gradient.
 
-    The JSON codec (``util.encode`` / ``util.decode``) stores
-    ``column_scales`` and ``column_scale_range`` as configured; ``scales()``
-    is derived from them after loading. That pair is the codec's one legacy
-    case: older documents hold materialized ``column_scales`` and no
-    ``column_scale_range``, so the range alone may be absent.
+    ``scales()`` gives each column's volume scale: ``column_scales`` where
+    set, else ``COLUMN_SCALE_RANGE`` spread evenly over the columns.
     """
 
     rows: int = 2
@@ -136,9 +146,6 @@ class LayoutConfig:
         default_factory=lambda: {"A": 0.10, "B": 0.030, "C": 0.080, "D": 0.020, "E": 0.10}
     )
     column_scales: tuple[float, ...] | None = None
-    column_scale_range: tuple[float, float] = field(
-        default=(0.5, 1.5), metadata={JSON_OPTIONAL: True}
-    )
     footprint_mm: Mapping[str, tuple[float, float]] = field(
         default_factory=lambda: {
             "A": (0.7, 1.8),
@@ -157,15 +164,17 @@ class LayoutConfig:
             "E": (0.7, 1.6, 0.25),
         }
     )
-    squeeze_ratio: float = 0.85
-    fillet_width_mm: float = 0.12
-    shape: ShapeParams = field(default_factory=ShapeParams)
-    attach_pattern: str = "unattached"
+    RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
+        "column_scale_range": COLUMN_SCALE_RANGE, "squeeze_ratio": SQUEEZE_RATIO,
+        "fillet_width_mm": FILLET_WIDTH_MM, "attach_pattern": "unattached",
+        "shape": {"superellipse_exponent": SUPERELLIPSE_EXPONENT,
+                  "cap_height_scale": CAP_HEIGHT_SCALE, "bump_amplitude": BUMP_AMPLITUDE,
+                  "bump_position": BUMP_POSITION, "bump_sigma": BUMP_SIGMA}}
 
     def scales(self) -> tuple[float, ...]:
         if self.column_scales is not None:
             return tuple(self.column_scales)
-        lo, hi = self.column_scale_range
+        lo, hi = COLUMN_SCALE_RANGE
         return tuple(np.linspace(lo, hi, self.columns))
 
 
@@ -187,12 +196,12 @@ class PcbModel:
         return self.circuits[row][col][glue_type][deposit]
 
 
-def _validate_layout(layout: LayoutConfig) -> None:
+def _validate_layout(layout: LayoutConfig, pattern: str) -> None:
     if layout.rows < 1 or layout.columns < 1 or layout.deposits_per_type < 1:
         raise BadLayoutConfig("rows, columns and deposits must be >= 1")
-    if layout.attach_pattern not in ATTACH_PATTERNS:
-        raise BadLayoutConfig(f"attach_pattern must be one of {ATTACH_PATTERNS}")
-    if layout.attach_pattern == "half" and layout.rows < 2:
+    if pattern not in ATTACH_PATTERNS:
+        raise BadLayoutConfig(f"attach pattern must be one of {ATTACH_PATTERNS}")
+    if pattern == "half" and layout.rows < 2:
         raise BadLayoutConfig("half-attached pattern needs >= 2 circuit rows")
     scales = layout.scales()
     if len(scales) != layout.columns:
@@ -215,50 +224,30 @@ def _validate_layout(layout: LayoutConfig) -> None:
             raise BadLayoutConfig(f"die exceeds footprint for glue type {glue_type}")
 
 
-def make_pcb(layout: LayoutConfig, index: int = 0) -> PcbModel:
-    """Build the panel the layout describes, numbered ``index`` in its run.
+def make_pcb(layout: LayoutConfig, pattern: str, index: int) -> PcbModel:
+    """Build the panel the layout describes, numbered ``index`` in its run,
+    with its dies attached by ``pattern``: on every circuit (``"attached"``),
+    on none (``"unattached"``) or on the first row only (``"half"``).
 
     Nothing in a panel is random; scan noise is seeded per scan in
     ``raster_scan``. Deposits of the same column and glue type share their
     dispensed volume; the per-column scale gradient (``layout.scales()``)
     runs from insufficient to excessive glue.
     """
-    _validate_layout(layout)
+    _validate_layout(layout, pattern)
     scales = layout.scales()
     rows = []
     for row in range(layout.rows):
-        if layout.attach_pattern == "attached":
-            attached = True
-        elif layout.attach_pattern == "unattached":
-            attached = False
-        else:
-            attached = row == 0
+        attached = pattern == "attached" or (pattern == "half" and row == 0)
         cols = []
         for col in range(layout.columns):
             circuit = {}
             for glue_type in layout.glue_types:
-                width, length = layout.footprint_mm[glue_type]
-                die_w, die_l, die_t = layout.die_mm[glue_type]
-                die = DieSpec(
-                    die_w,
-                    die_l,
-                    die_t,
-                    squeeze_ratio=layout.squeeze_ratio,
-                    fillet_width_mm=layout.fillet_width_mm,
-                )
+                footprint = BoundingBox2.centered(*layout.footprint_mm[glue_type])
+                die = DieSpec(*layout.die_mm[glue_type])
                 volume = layout.base_volume_mm3[glue_type] * scales[col]
                 circuit[glue_type] = tuple(
-                    RegionSpec(
-                        glue_type=glue_type,
-                        footprint=BoundingBox2.centered(width, length),
-                        shape=layout.shape,
-                        dispensed_volume=volume,
-                        attached=attached,
-                        die=die,
-                        row=row,
-                        col=col,
-                        deposit=deposit,
-                    )
+                    RegionSpec(glue_type, footprint, volume, attached, die, row, col, deposit)
                     for deposit in range(layout.deposits_per_type)
                 )
             cols.append(circuit)
@@ -266,25 +255,25 @@ def make_pcb(layout: LayoutConfig, index: int = 0) -> PcbModel:
     return PcbModel(layout=layout, circuits=tuple(rows), index=index)
 
 
-@lru_cache(maxsize=64)
-def _unit_profile_integral(shape: ShapeParams) -> float:
+@cache
+def _unit_profile_integral() -> float:
     """Integral of the unit deposit profile over (u, v) in [-1, 1]^2."""
     u = (np.arange(_QUAD_N) + 0.5) / _QUAD_N * 2.0 - 1.0
     uu, vv = np.meshgrid(u, u, indexing="ij")
-    values = _unit_profile(shape, uu, vv)
+    values = _unit_profile(uu, vv)
     cell = (2.0 / _QUAD_N) ** 2
     return float(values.sum() * cell)
 
 
-def _unit_profile(shape: ShapeParams, u, v):
-    e = shape.superellipse_exponent
+def _unit_profile(u, v):
+    e = SUPERELLIPSE_EXPONENT
     rho = (np.abs(u) ** e + np.abs(v) ** e) ** (1.0 / e)
     cap = 0.5 * (1.0 + np.cos(np.pi * np.minimum(rho, 1.0)))
-    profile = cap ** shape.cap_height_scale
-    if shape.bump_amplitude:
-        u0, v0 = shape.bump_position
-        gauss = np.exp(-((u - u0) ** 2 + (v - v0) ** 2) / (2.0 * shape.bump_sigma**2))
-        profile = profile + shape.bump_amplitude * gauss * cap
+    profile = cap ** CAP_HEIGHT_SCALE
+    if BUMP_AMPLITUDE:
+        u0, v0 = BUMP_POSITION
+        gauss = np.exp(-((u - u0) ** 2 + (v - v0) ** 2) / (2.0 * BUMP_SIGMA**2))
+        profile = profile + BUMP_AMPLITUDE * gauss * cap
     return profile
 
 
@@ -296,8 +285,8 @@ def _deposit_height(region: RegionSpec, x, y):
     cx, cy = (box.xmin + box.xmax) / 2.0, (box.ymin + box.ymax) / 2.0
     u = (np.asarray(x, dtype=np.float64) - cx) / (box.x_range / 2.0)
     v = (np.asarray(y, dtype=np.float64) - cy) / (box.y_range / 2.0)
-    unit = _unit_profile(region.shape, u, v)
-    area_integral = _unit_profile_integral(region.shape) * (box.x_range / 2.0) * (
+    unit = _unit_profile(u, v)
+    area_integral = _unit_profile_integral() * (box.x_range / 2.0) * (
         box.y_range / 2.0
     )
     return region.dispensed_volume / area_integral * unit
@@ -319,14 +308,13 @@ def _die_box(region: RegionSpec) -> BoundingBox2:
 def _fillet_unit_integral(
     footprint: tuple[float, float, float, float],
     die_box: tuple[float, float, float, float],
-    fillet_width: float,
 ) -> float:
     """Integral of the unit fillet falloff over footprint minus die box."""
     fx0, fx1, fy0, fy1 = footprint
     x = fx0 + (np.arange(_QUAD_N) + 0.5) / _QUAD_N * (fx1 - fx0)
     y = fy0 + (np.arange(_QUAD_N) + 0.5) / _QUAD_N * (fy1 - fy0)
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    values = _fillet_falloff(xx, yy, die_box, fillet_width)
+    values = _fillet_falloff(xx, yy, die_box)
     inside_die = (
         (xx >= die_box[0]) & (xx <= die_box[1]) & (yy >= die_box[2]) & (yy <= die_box[3])
     )
@@ -335,38 +323,34 @@ def _fillet_unit_integral(
     return float(values.sum() * cell)
 
 
-def _fillet_falloff(x, y, die_box, fillet_width):
+def _fillet_falloff(x, y, die_box):
     dx0, dx1, dy0, dy1 = die_box
     tx = np.maximum(np.maximum(dx0 - x, x - dx1), 0.0)
     ty = np.maximum(np.maximum(dy0 - y, y - dy1), 0.0)
     t = np.hypot(tx, ty)
-    return np.where(t < fillet_width, (1.0 - t / fillet_width) ** 2, 0.0)
+    return np.where(t < FILLET_WIDTH_MM, (1.0 - t / FILLET_WIDTH_MM) ** 2, 0.0)
 
 
 def _attached_height(region: RegionSpec, x, y):
     """Post-attachment surface: die top over the die, fillet bead around it."""
     die = region.die
     volume = region.dispensed_volume
-    bondline = die.squeeze_ratio * volume / die.area_mm2
+    bondline = SQUEEZE_RATIO * volume / die.area_mm2
     die_box = _die_box(region)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     on_die = (
         (x >= die_box.xmin) & (x <= die_box.xmax) & (y >= die_box.ymin) & (y <= die_box.ymax)
     )
-    fillet_volume = (1.0 - die.squeeze_ratio) * volume
+    fillet_volume = (1.0 - SQUEEZE_RATIO) * volume
     height = np.zeros(np.broadcast(x, y).shape)
     if fillet_volume > 0:
-        key_foot = (
-            region.footprint.xmin,
-            region.footprint.xmax,
-            region.footprint.ymin,
-            region.footprint.ymax,
-        )
+        box = region.footprint
+        key_foot = (box.xmin, box.xmax, box.ymin, box.ymax)
         key_die = (die_box.xmin, die_box.xmax, die_box.ymin, die_box.ymax)
-        unit = _fillet_unit_integral(key_foot, key_die, die.fillet_width_mm)
+        unit = _fillet_unit_integral(key_foot, key_die)
         scale = fillet_volume / unit
-        height = scale * _fillet_falloff(x, y, key_die, die.fillet_width_mm)
+        height = scale * _fillet_falloff(x, y, key_die)
     return np.where(on_die, bondline + die.thickness_mm, height)
 
 
@@ -443,13 +427,13 @@ def raster_scan(
         region.deposit,
         scan_pass,
     )
-    if cfg.xy_jitter_mm > 0:
-        jitter = rng.normal(0.0, cfg.xy_jitter_mm, size=(x_grid.size, 2))
+    if XY_JITTER_MM > 0:
+        jitter = rng.normal(0.0, XY_JITTER_MM, size=(x_grid.size, 2))
         x_grid = x_grid + jitter[:, 0]
         y_grid = y_grid + jitter[:, 1]
     z = surface_height(region, x_grid, y_grid)
-    if cfg.noise_sigma_z_mm > 0:
-        z = z + rng.normal(0.0, cfg.noise_sigma_z_mm, size=z.shape)
+    if NOISE_SIGMA_Z_MM > 0:
+        z = z + rng.normal(0.0, NOISE_SIGMA_Z_MM, size=z.shape)
 
     box = region.footprint
     meta = {
@@ -479,13 +463,12 @@ def scan_time_estimate(regions, cfg: ScanConfig) -> float:
     and repositioning overheads (plus the negligible trigger-out latency)."""
     total = 0.0
     for region in regions:
-        window = scan_window(region, cfg)
-        lines = floor_ratio(window.x_range, cfg.step_mm) + 1
-        pulses = floor_ratio(window.y_range, cfg.step_mm)
+        xs, ys = scan_lattice(region, cfg)
+        lines, pulses = len(xs), len(ys)
         total += (
-            lines * (window.y_range / cfg.stage_speed_mm_s)
-            + (lines - 1) * cfg.x_turnaround_s
-            + cfg.reposition_s
-            + lines * pulses * cfg.pco_delay_s
+            lines * (scan_window(region, cfg).y_range / STAGE_SPEED_MM_S)
+            + (lines - 1) * X_TURNAROUND_S
+            + REPOSITION_S
+            + lines * pulses * PCO_DELAY_S
         )
     return total

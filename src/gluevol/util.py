@@ -6,11 +6,9 @@ Every JSON document the package writes (the run config,
 ``encode``; the typed ones are read back with ``decode``. Decoding follows
 one rule for every dataclass: an unknown key, a missing key, a value of
 another JSON type than the field's (``true`` is not an int, ``1`` not a
-bool) and a non-finite float are each a ``ConfigError``. Two legacy rules
-keep older documents loading. A field marked ``JSON_OPTIONAL`` may be
-absent: documents written before ``LayoutConfig.column_scale_range`` was
-stored carry materialized ``column_scales`` and load with the default
-range. A key that a dataclass lists in ``RETIRED_KEYS`` may be present.
+bool) and a non-finite float are each a ``ConfigError``. One legacy rule
+keeps older documents loading: a key that a dataclass lists in
+``RETIRED_KEYS`` may be present; like any key that is no field, it need not.
 """
 
 from __future__ import annotations
@@ -86,18 +84,21 @@ def configure_allocator() -> None:
         pass
 
 
-# Field metadata key: the field may be absent from a decoded document.
-JSON_OPTIONAL = "json_optional"
 # A dataclass's ``RETIRED_KEYS`` maps the keys it no longer has to the value
-# the code now fixes. Such a key is dropped when it holds that value, of the
-# same type (``1`` is not ``true``), or any value where it is ANY_VALUE;
-# another value is a ConfigError naming ``Class.key``, so no document runs
-# with a setting the code ignores.
+# the code now fixes. Such a key is dropped when it holds that value as its
+# field would have decoded it (``1`` is not ``true``, ``3.0`` not ``3``, but
+# ``1`` is ``1.0``), or any value where it is ANY_VALUE; another value is a
+# ConfigError naming ``Class.key``, so no document runs with a setting the
+# code ignores.
 ANY_VALUE = object()
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration or JSON document."""
+
+
+class LengthMismatch(ValueError):
+    """Paired sequences (predictions and targets or labels) of different lengths."""
 
 
 def _field_object(obj) -> dict:
@@ -173,11 +174,23 @@ def _decoder(tp):
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
+def _reads_as(value, fixed) -> bool:
+    """Whether parsed JSON ``value`` decodes to ``fixed``, a retired value."""
+    if type(fixed) is float:
+        return type(value) in (int, float) and value == fixed
+    if type(fixed) is tuple:
+        return (type(value) is list and len(value) == len(fixed)
+                and all(map(_reads_as, value, fixed)))
+    if type(fixed) is dict:
+        return (type(value) is dict and value.keys() == fixed.keys()
+                and all(_reads_as(value[k], fixed[k]) for k in fixed))
+    return type(value) is type(fixed) and value == fixed
+
+
 def _dataclass_decoder(tp):
     hints = typing.get_type_hints(tp)
     fields = dataclasses.fields(tp)
     names = frozenset(f.name for f in fields)
-    required = frozenset(f.name for f in fields if not f.metadata.get(JSON_OPTIONAL))
     convert = [(f.name, _decoder(hints[f.name])) for f in fields]
     retired = getattr(tp, "RETIRED_KEYS", {})
 
@@ -185,11 +198,11 @@ def _dataclass_decoder(tp):
         kwargs = dict(_expect(doc, dict, f"a {tp.__name__} object"))
         for key in retired.keys() & kwargs.keys():
             value, fixed = kwargs.pop(key), retired[key]
-            if fixed is not ANY_VALUE and (type(value), value) != (type(fixed), fixed):
+            if fixed is not ANY_VALUE and not _reads_as(value, fixed):
                 raise ConfigError(f"{tp.__name__}.{key}: got {value!r}, fixed at {fixed!r}")
         if kwargs.keys() != names:
             for what, keys in (("unknown", kwargs.keys() - names),
-                               ("missing", required - kwargs.keys())):
+                               ("missing", names - kwargs.keys())):
                 if keys:
                     listed = ", ".join(map(repr, sorted(keys)))
                     raise ConfigError(f"{tp.__name__}: {what} key {listed}")

@@ -1,9 +1,10 @@
 """Binary occupancy grids from plane-frame point clouds.
 
-XY voxel dimensions follow the cloud ranges; the Z dimension starts at a
-base size and grows in fixed increments until the grid covers the required
-fraction of points. The grid's z origin is anchored at the substrate
-(z = 0), so occupancy height encodes deposit height.
+XY voxel dimensions follow the cloud ranges; the Z dimension starts at
+``Z_VOXEL_BASE_MM`` and grows in steps of ``Z_VOXEL_INCREMENT_MM`` until
+the grid covers ``COVERAGE_TARGET`` of the points. The grid's z origin is
+anchored at the substrate (z = 0), so occupancy height encodes deposit
+height.
 
 Grid file format ``GGVG1``: magic, u32 dims x3, f64 voxel sizes x3, f64
 origin x3, then bit-packed occupancy with x-fastest index
@@ -22,6 +23,12 @@ from .geom3d import PointCloud
 
 GGVG_MAGIC = b"GGVG1"
 
+# The z voxel edge: the least, the step it grows by, and the share of a
+# cloud's points the grid must hold below its top.
+Z_VOXEL_BASE_MM = 0.010
+Z_VOXEL_INCREMENT_MM = 0.005
+COVERAGE_TARGET = 0.98
+
 
 class EmptyCloud(ValueError):
     """Voxelization of an empty cloud."""
@@ -36,17 +43,13 @@ class GridConfig:
     nx: int = 32
     ny: int = 32
     nz: int = 64
-    z_voxel_base: float = 0.010
-    z_voxel_increment: float = 0.005
-    coverage_target: float = 0.98
+    RETIRED_KEYS = {  # not a field; see util.ANY_VALUE
+        "z_voxel_base": Z_VOXEL_BASE_MM, "z_voxel_increment": Z_VOXEL_INCREMENT_MM,
+        "coverage_target": COVERAGE_TARGET}
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) <= 0:
             raise ValueError("voxel counts must be positive")
-        if self.z_voxel_base <= 0 or self.z_voxel_increment <= 0:
-            raise ValueError("z voxel base and increment must be positive")
-        if not (0 < self.coverage_target <= 1):
-            raise ValueError("coverage target must be in (0, 1]")
 
 
 @dataclass
@@ -67,9 +70,9 @@ class GridStats:
 def _choose_dz(z: np.ndarray, cfg: GridConfig) -> float:
     """Smallest base + k*increment whose grid top covers the target fraction."""
     n = len(z)
-    dz = cfg.z_voxel_base
-    while np.count_nonzero(z < cfg.nz * dz) / n < cfg.coverage_target:
-        dz += cfg.z_voxel_increment
+    dz = Z_VOXEL_BASE_MM
+    while np.count_nonzero(z < cfg.nz * dz) / n < COVERAGE_TARGET:
+        dz += Z_VOXEL_INCREMENT_MM
     return dz
 
 
@@ -79,7 +82,7 @@ def build_grid(cloud: PointCloud, cfg: GridConfig = GridConfig()) -> VoxelGrid:
     are kept; points below the substrate plane are clamped into layer 0).
 
     Points above the grid top are dropped; the adaptive dz rule bounds that
-    loss at 1 - coverage_target.
+    loss at 1 - COVERAGE_TARGET.
     """
     if cloud.is_empty:
         raise EmptyCloud("cannot voxelize an empty cloud")

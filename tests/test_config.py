@@ -18,8 +18,10 @@ from gluevol.diagnose import VolumeThresholds
 from gluevol.util import decode, encode
 
 
-# ``config --print-defaults`` output of the tiny and paper profiles from
-# before the net topology and the optimizer constants were fixed in code.
+# ``config --print-defaults`` output of the tiny and paper profiles:
+# ``legacy_*`` from before the net topology and the optimizer constants were
+# fixed in code, ``legacy51_*`` (51 settings) from before the scanner,
+# deposit, augmentation and grid settings were.
 LEGACY = Path(__file__).parent / "data"
 
 
@@ -84,7 +86,7 @@ class TestProfiles:
         doc["layout"]["attach_pattern"] = pattern
         path = write_doc(tmp_path / "run.json", doc)
         assert cli.main(["config", "--config", str(path)]) == cli.EXIT_CONFIG
-        assert f"layout.attach_pattern is {pattern!r}" in capsys.readouterr().err
+        assert f"LayoutConfig.attach_pattern: got {pattern!r}" in capsys.readouterr().err
 
     def test_resolved_propagates_seed(self):
         resolved = replace(tiny_profile_config(seed=0), seed=9).resolved()
@@ -156,8 +158,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "layout_change",
-        [{"column_scales": (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)}, {"column_scale_range": (0.25, 2.0)}],
-        ids=["explicit_scales", "custom_range"],
+        [{"column_scales": (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)}],
+        ids=["explicit_scales"],
     )
     def test_round_trip_column_gradient(self, tmp_path, layout_change):
         cfg = tiny_profile_config(seed=2)
@@ -172,17 +174,18 @@ class TestSerialization:
         cfg = make_cfg(seed=4)
         doc = to_doc(cfg)
         doc["layout"]["column_scales"] = [float(s) for s in cfg.layout.scales()]
-        del doc["layout"]["column_scale_range"]
         loaded = load_config(write_doc(tmp_path / "run.json", doc))
         assert loaded.layout.scales() == cfg.layout.scales()
         for got, want in zip(loaded.pcbs(), cfg.pcbs(), strict=True):
             assert got.circuits == want.circuits
 
     def test_integers_in_float_fields_load_as_floats(self, tmp_path):
-        # A hand-written "step_um": 50 must reach the artifacts as 50.0.
+        # A hand-written "step_um": 50 must reach the artifacts as 50.0, and
+        # a retired float key holds its fixed value as an integer too.
         cfg = tiny_profile_config()
         doc = to_doc(cfg)
         doc["scan"]["step_um"] = 50
+        doc["scan"]["reposition_s"] = 1
         doc["augment"]["noise_levels"] = [0, 0.03, 0.06, 0.09]
         assert encode(load_config(write_doc(tmp_path / "run.json", doc))) == encode(cfg)
 
@@ -200,7 +203,7 @@ def misspell_top_level(doc):
 
 
 def misspell_layout_key(doc):
-    doc["layout"]["attach_patern"] = doc["layout"].pop("attach_pattern")
+    doc["layout"]["deposits_per_tipe"] = doc["layout"].pop("deposits_per_type")
 
 
 def drop_scan_step(doc):
@@ -209,6 +212,11 @@ def drop_scan_step(doc):
 
 def drop_profile(doc):
     del doc["profile"]
+
+
+# The deposit shape the code fixes, but for the bump.
+BUMP_FREE_SHAPE = {"superellipse_exponent": 2.5, "cap_height_scale": 1.0, "bump_amplitude": 0.0,
+                   "bump_position": [0.0, 0.72], "bump_sigma": 0.16}
 
 
 def set_value(*path, value):
@@ -234,7 +242,7 @@ class TestCodecRule:
         "edit, key",
         [
             (misspell_top_level, "label_sourse"),
-            (misspell_layout_key, "attach_patern"),
+            (misspell_layout_key, "deposits_per_tipe"),
             (drop_scan_step, "step_um"),
             (drop_profile, "profile"),
             (set_value("passes", value=1.5), "passes"),
@@ -243,7 +251,7 @@ class TestCodecRule:
             (set_value("profile", value=1), "profile"),
             (set_value("train", "standardize_targets", value=1), "standardize_targets"),
             (set_value("layout", "base_volume_mm3", "A", value=float("nan")), "base_volume_mm3"),
-            (set_value("prediction_s_per_region", value=float("inf")), "prediction_s_per_region"),
+            (set_value("scan", "margin_mm", value=float("inf")), "margin_mm"),
             (set_value("net", "stride", value=2), "NetConfig.stride: got 2,"),
             (set_value("net", "kernel", value=3.0), "NetConfig.kernel: got 3.0,"),
             (set_value("net", "leaky_slope", value=0.2), "NetConfig.leaky_slope: got 0.2,"),
@@ -251,6 +259,24 @@ class TestCodecRule:
             (set_value("train", "shuffle", value=False), "TrainConfig.shuffle: got False,"),
             (set_value("train", "compute_dtype", value="float64"), "TrainConfig.compute_dtype"),
             (set_value("train", "beta1", value=0.8), "TrainConfig.beta1: got 0.8,"),
+            (set_value("scan", "noise_sigma_z_mm", value=0.0),
+             "ScanConfig.noise_sigma_z_mm: got 0.0,"),
+            (set_value("scan", "reposition_s", value=True), "ScanConfig.reposition_s: got True,"),
+            (set_value("layout", "squeeze_ratio", value=1), "LayoutConfig.squeeze_ratio: got 1,"),
+            (set_value("layout", "column_scale_range", value=[0.25, 2.0]),
+             "LayoutConfig.column_scale_range: got"),
+            (set_value("layout", "attach_pattern", value="half"),
+             "LayoutConfig.attach_pattern: got 'half',"),
+            (set_value("layout", "shape", value=dict(BUMP_FREE_SHAPE)), "LayoutConfig.shape: got"),
+            (set_value("augment", "noise_levels", value=[0.0, 0.03]),
+             "AugmentParams.noise_levels: got"),
+            (set_value("augment", "window_fraction", value=0.9),
+             "AugmentParams.window_fraction: got 0.9,"),
+            (set_value("grid", "coverage_target", value=1), "GridConfig.coverage_target: got 1,"),
+            (set_value("grid", "z_voxel_base", value="0.01"),
+             "GridConfig.z_voxel_base: got '0.01',"),
+            (set_value("prediction_s_per_region", value=2.0),
+             "RunConfig.prediction_s_per_region: got 2.0,"),
             (set_value("scan", "seed", value=9), "scan.seed is 9, not the run seed 0"),
             (set_value("augment", "seed", value=9), "augment.seed is 9,"),
             (set_value("train", "seed", value=7), "train.seed is 7,"),
@@ -259,8 +285,11 @@ class TestCodecRule:
              "float_as_int", "str_as_int", "bool_as_int", "int_as_str", "int_as_bool",
              "nan", "infinity", "retired_stride", "retired_kernel_as_float",
              "retired_leaky_slope", "retired_bool_as_int", "retired_shuffle",
-             "retired_compute_dtype", "retired_beta1", "scan_seed", "augment_seed",
-             "train_seed"],
+             "retired_compute_dtype", "retired_beta1", "retired_noise_sigma",
+             "retired_reposition_as_bool", "retired_squeeze_ratio", "retired_column_scale_range",
+             "retired_attach_pattern", "retired_shape", "retired_noise_levels",
+             "retired_window_fraction", "retired_coverage_target", "retired_z_base_as_str",
+             "retired_prediction_time", "scan_seed", "augment_seed", "train_seed"],
     )
 
     @EDITS
@@ -288,6 +317,13 @@ class TestRetiredKeys:
         text = (LEGACY / f"legacy_{profile}.json").read_text()
         assert "bn_momentum" in text and "compute_dtype" in text
         assert decode(RunConfig, text) == profile_config(profile).resolved()
+
+    @pytest.mark.parametrize("profile", ["tiny", "paper"])
+    def test_documents_with_51_settings_load(self, profile):
+        path = LEGACY / f"legacy51_{profile}.json"
+        text = path.read_text()
+        assert "reposition_s" in text and "bump_sigma" in text and "coverage_target" in text
+        assert load_config(path) == profile_config(profile)
 
     def test_train_profile_loads_whatever_it_holds(self, tmp_path):
         doc = json.loads((LEGACY / "legacy_tiny.json").read_text())

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,37 +32,39 @@ def split_counts(manifest):
     return Counter((s.glue_type, s.attached, s.split) for s in manifest.samples)
 
 
-NOISELESS = ScanConfig(step_um=20.0, margin_mm=0.2, noise_sigma_z_mm=0.0, xy_jitter_mm=0.0)
+STEP_20 = ScanConfig(step_um=20.0, margin_mm=0.2)
 
 
 @pytest.fixture(scope="module")
 def pcb():
-    return make_pcb(LayoutConfig())
+    return make_pcb(LayoutConfig(), "unattached", 0)
 
 
+def paper_pcbs():
+    """The paper's three panels, each one dispensing pattern."""
+    return [make_pcb(LayoutConfig(), pattern, i)
+            for i, pattern in enumerate(("attached", "unattached", "half"))]
+
+
+@pytest.mark.usefixtures("noiseless")
 class TestAnnotate:
     def test_simulated_deposit_within_two_percent(self, pcb):
         region = pcb.region(0, 4, "A", 1)
-        cloud = raster_scan(pcb, region, NOISELESS)
+        cloud = raster_scan(pcb, region, STEP_20)
         volume = annotate(cloud)
         assert volume == pytest.approx(region.dispensed_volume, rel=0.02)
 
     def test_flat_region_near_zero(self, pcb):
         region = pcb.region(0, 0, "A", 0)
-        flat = scansim.RegionSpec(
-            glue_type="A",
-            footprint=region.footprint,
-            shape=region.shape,
-            dispensed_volume=0.0,
-        )
-        cloud = raster_scan(pcb, flat, NOISELESS)
+        flat = scansim.RegionSpec(glue_type="A", footprint=region.footprint, dispensed_volume=0.0)
+        cloud = raster_scan(pcb, flat, STEP_20)
         with pytest.warns(UserWarning, match="empty-deposit"):
             volume = annotate(cloud)
         assert abs(volume) < 1e-4
 
     @pytest.mark.parametrize("key", ["footprint", "step_um"])
     def test_scan_metadata_required(self, pcb, key):
-        cloud = raster_scan(pcb, pcb.region(0, 4, "A", 1), NOISELESS)
+        cloud = raster_scan(pcb, pcb.region(0, 4, "A", 1), STEP_20)
         del cloud.meta[key]
         with pytest.raises(KeyError, match=key):
             annotate(cloud)
@@ -88,17 +89,14 @@ class TestAnnotate:
 
     def test_pass_invariance_noise_free(self, pcb):
         region = pcb.region(1, 6, "C", 2)
-        a = annotate(raster_scan(pcb, region, NOISELESS, scan_pass=0))
-        b = annotate(raster_scan(pcb, region, NOISELESS, scan_pass=1))
+        a = annotate(raster_scan(pcb, region, STEP_20, scan_pass=0))
+        b = annotate(raster_scan(pcb, region, STEP_20, scan_pass=1))
         assert abs(a - b) / a < 0.005
 
     def test_paper_scale_unattached_deposit_count(self):
         # Three panels (attached / unattached / half): 27 unattached circuits
         # x 4 deposits = 108 annotatable deposits per glue type.
-        pcbs = [
-            make_pcb(LayoutConfig(attach_pattern=pattern), index=i)
-            for i, pattern in enumerate(("attached", "unattached", "half"))
-        ]
+        pcbs = paper_pcbs()
         for glue_type in "ABCDE":
             deposits = [
                 (pcb.index, r.row, r.col, r.deposit)
@@ -119,11 +117,12 @@ class TestAugment:
         samples = augment(cloud, params)
         assert len(samples) == 100
 
-    def test_degenerate_slack_single_position(self):
-        params = AugmentParams(window_fraction=0.999, min_step_um=20.0)
+    def test_degenerate_slack_single_position(self, monkeypatch):
+        monkeypatch.setattr(dataset, "WINDOW_FRACTION", 0.999)
+        params = AugmentParams(min_step_um=20.0)
         cloud = lattice_cloud(0.5, 0.5, 0.02, meta={})
         samples = augment(cloud, params)
-        assert len(samples) == len(params.noise_levels)
+        assert len(samples) == len(dataset.NOISE_LEVELS)
 
     def test_zero_level_preserves_points(self):
         params = AugmentParams(min_step_um=20.0, seed=5)
@@ -149,7 +148,7 @@ class TestAugment:
         for x_range, y_range in ((0.8, 1.2), (1.5, 2.0), (0.6, 0.6)):
             cloud = lattice_cloud(x_range, y_range, 0.05, meta={})
             n_x, n_y = crop_counts(*(cloud.bounds()[1] - cloud.bounds()[0])[:2], params)
-            assert len(augment(cloud, params)) == n_x * n_y * len(params.noise_levels)
+            assert len(augment(cloud, params)) == n_x * n_y * len(dataset.NOISE_LEVELS)
 
     def test_deterministic_per_seed(self):
         params = AugmentParams(min_step_um=50.0, seed=11)
@@ -159,8 +158,9 @@ class TestAugment:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.xyz, sb.xyz)
 
-    def test_noise_scales_with_z_range(self):
-        params = AugmentParams(min_step_um=50.0, noise_levels=(0.0, 0.09), seed=3)
+    def test_noise_scales_with_z_range(self, monkeypatch):
+        monkeypatch.setattr(dataset, "NOISE_LEVELS", (0.0, 0.09))
+        params = AugmentParams(min_step_um=50.0, seed=3)
         xs = 0.05 * np.arange(21)
         xx, yy = np.meshgrid(xs, xs, indexing="ij")
         zz = np.linspace(0, 0.2, xx.size).reshape(xx.shape)
@@ -181,10 +181,8 @@ class TestPropagateLabels:
 
     def build(self, table):
         layout = LayoutConfig(rows=1, columns=1, glue_types=("A",), deposits_per_type=2)
-        self.pcbs = [
-            make_pcb(replace(layout, attach_pattern=pattern), index=i)
-            for i, pattern in enumerate(("attached", "unattached"))
-        ]
+        self.pcbs = [make_pcb(layout, pattern, i)
+                     for i, pattern in enumerate(("attached", "unattached"))]
         return build_manifest(
             self.pcbs, ScanConfig(step_um=50.0), AugmentParams(min_step_um=50.0),
             annotations=table,
@@ -238,7 +236,7 @@ class TestBuildManifest:
             footprint_mm={"A": (0.5, 0.9)},
             die_mm={"A": (0.4, 0.7, 0.25)},
         )
-        pcbs = [make_pcb(layout)]
+        pcbs = [make_pcb(layout, "unattached", 0)]
         scan_cfg = ScanConfig(step_um=50.0, margin_mm=0.15)
         params = AugmentParams(min_step_um=50.0)
         assert dataset.expected_crop_counts(pcbs[0].region(0, 0, "A", 0), scan_cfg, params) == (2, 2)
@@ -253,10 +251,7 @@ class TestBuildManifest:
         # Full replication: 27 unattached circuits x 3 train deposits x
         # 5 passes x 100 augmentations = 40500 at the 20 um step, and
         # x 32 augmentations = 12960 at the 50 um step.
-        pcbs = [
-            make_pcb(LayoutConfig(attach_pattern=pattern), index=i)
-            for i, pattern in enumerate(("attached", "unattached", "half"))
-        ]
+        pcbs = paper_pcbs()
         table = AnnotationTable()
         for col in range(9):
             for glue_type in "ABCDE":
@@ -276,7 +271,8 @@ class TestBuildManifest:
     def test_split_disjoint_by_deposit(self):
         layout = LayoutConfig(rows=1, columns=2, glue_types=("A",))
         manifest = build_manifest(
-            [make_pcb(layout)], ScanConfig(step_um=50.0), AugmentParams(min_step_um=50.0)
+            [make_pcb(layout, "unattached", 0)], ScanConfig(step_um=50.0),
+            AugmentParams(min_step_um=50.0)
         )
         train_deposits = {
             (s.pcb, s.row, s.col, s.deposit) for s in manifest.samples if s.split == "train"
@@ -289,10 +285,10 @@ class TestBuildManifest:
         assert len(train_deposits) == 3 * len(test_deposits)
 
     def test_attached_requires_annotations(self):
-        layout = LayoutConfig(rows=1, columns=2, glue_types=("A",), attach_pattern="attached")
+        layout = LayoutConfig(rows=1, columns=2, glue_types=("A",))
         with pytest.raises(MissingColumnAnnotation):
             build_manifest(
-                [make_pcb(layout)],
+                [make_pcb(layout, "attached", 0)],
                 ScanConfig(step_um=50.0),
                 AugmentParams(min_step_um=50.0),
             )
@@ -300,7 +296,7 @@ class TestBuildManifest:
     def test_json_round_trip(self, tmp_path):
         layout = LayoutConfig(rows=1, columns=2, glue_types=("A",))
         manifest = build_manifest(
-            [make_pcb(layout)],
+            [make_pcb(layout, "unattached", 0)],
             ScanConfig(step_um=50.0),
             AugmentParams(min_step_um=50.0),
             provenance={"seed": 1},

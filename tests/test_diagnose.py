@@ -5,7 +5,6 @@ import pytest
 
 from gluevol.diagnose import (
     FaultLabel,
-    LengthMismatch,
     UnknownType,
     VolumeThresholds,
     accuracy,
@@ -16,7 +15,7 @@ from gluevol.diagnose import (
     write_timing_report,
 )
 from gluevol.scansim import LayoutConfig, make_pcb
-from gluevol.util import decode, encode
+from gluevol.util import LengthMismatch, decode, encode
 
 THRESHOLDS = {"A": VolumeThresholds(0.01, 0.02)}
 
@@ -62,7 +61,7 @@ class TestDefaultThresholds:
         # Classifying the true dispensed volumes with the derived thresholds
         # reproduces the intended per-column fault labels exactly.
         layout = LayoutConfig()
-        pcb = make_pcb(layout)
+        pcb = make_pcb(layout, "unattached", 0)
         thresholds = default_thresholds(layout)
         for region in pcb.regions():
             truth = classify(region.dispensed_volume, thresholds, region.glue_type)

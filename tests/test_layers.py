@@ -9,7 +9,8 @@ import pytest
 
 from gluevol import config, scansim, voxelizer
 from gluevol.neuralvol import layers, network
-from gluevol.neuralvol.layers import LengthMismatch, ShapeMismatch
+from gluevol.neuralvol.layers import ShapeMismatch
+from gluevol.util import LengthMismatch
 
 RNG = np.random.default_rng(2024)
 
@@ -235,6 +236,18 @@ class TestBinaryConv:
     def test_voxels_on_every_face_match_gemm(self, monkeypatch, k):
         x = self.voxels_on_every_face((16, 18, 20))
         w, b = conv_weights(np.float64, k=k)
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_sample_order_does_not_pick_the_background(self, monkeypatch, batch):
+        # Sample 0's last voxel, where the background is read, is set. The
+        # commonest value there is the background, the lower one on a tie
+        # (batch 2), so the batch takes the gather as in any other order.
+        x = self.voxels_on_every_face((16, 18, 20))[::-1]
+        x = np.concatenate([x, np.zeros_like(x[:1])])[:batch]
+        assert x[0, 0, -1, -1, -1] == 1 and not x[1:, 0, -1, -1, -1].any()
+        rng = np.random.default_rng(5)
+        w, b = rng.standard_normal((8, 1, 3, 3, 3)), rng.standard_normal(8)
         assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_dims_the_pool_does_not_divide_are_dense(self, monkeypatch):

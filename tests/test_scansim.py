@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from gluevol import scansim
 from gluevol.geom3d import BoundingBox2
 from gluevol.scansim import (
     BadLayoutConfig,
@@ -10,7 +9,6 @@ from gluevol.scansim import (
     NonPositiveRange,
     RegionSpec,
     ScanConfig,
-    ShapeParams,
     analytic_volume,
     make_pcb,
     pulse_schedule,
@@ -31,7 +29,18 @@ def riemann_volume(region, n=2000):
 
 @pytest.fixture(scope="module")
 def pcb():
-    return make_pcb(LayoutConfig())
+    return make_pcb(LayoutConfig(), "unattached", 0)
+
+
+@pytest.fixture
+def bump_free(monkeypatch):
+    """Deposits without the bump. The unit-profile integral is cached for
+    the deposit shape, so the cache is cleared on entry and on exit: neither
+    shape reads the other's."""
+    monkeypatch.setattr(scansim, "BUMP_AMPLITUDE", 0.0)
+    scansim._unit_profile_integral.cache_clear()
+    yield
+    scansim._unit_profile_integral.cache_clear()
 
 
 class TestMakePcb:
@@ -40,16 +49,14 @@ class TestMakePcb:
         assert len(regions) == 360  # 18 circuits x 20 placeholders
         assert len(pcb.circuits) == 2 and len(pcb.circuits[0]) == 9
 
-    def test_column_scale_ratio(self):
-        layout = LayoutConfig(column_scale_range=(0.5, 1.5))
-        pcb = make_pcb(layout)
+    def test_column_scale_ratio(self, pcb):
         v_first = pcb.region(0, 0, "B", 0).dispensed_volume
         v_last = pcb.region(0, 8, "B", 0).dispensed_volume
         assert v_last / v_first == pytest.approx(3.0)
 
     def test_same_seed_identical_models(self):
-        a = make_pcb(LayoutConfig())
-        b = make_pcb(LayoutConfig())
+        a = make_pcb(LayoutConfig(), "unattached", 0)
+        b = make_pcb(LayoutConfig(), "unattached", 0)
         for ra, rb in zip(a.regions(), b.regions()):
             assert ra == rb
 
@@ -67,39 +74,32 @@ class TestMakePcb:
             assert all(b > a for a, b in zip(per_col, per_col[1:]))
 
     def test_bad_layouts_rejected(self):
-        with pytest.raises(BadLayoutConfig):
-            make_pcb(LayoutConfig(rows=0))
-        with pytest.raises(BadLayoutConfig):
-            make_pcb(LayoutConfig(column_scales=(1.0,) * 9))  # not increasing
-        with pytest.raises(BadLayoutConfig):
-            make_pcb(LayoutConfig(die_mm={t: (5.0, 5.0, 0.2) for t in "ABCDE"}))
+        for layout, pattern in (
+            (LayoutConfig(rows=0), "unattached"),
+            (LayoutConfig(column_scales=(1.0,) * 9), "unattached"),  # not increasing
+            (LayoutConfig(die_mm={t: (5.0, 5.0, 0.2) for t in "ABCDE"}), "unattached"),
+            (LayoutConfig(), "sideways"),
+            (LayoutConfig(rows=1), "half"),
+        ):
+            with pytest.raises(BadLayoutConfig):
+                make_pcb(layout, pattern, 0)
 
     def test_attach_patterns(self):
-        attached = make_pcb(LayoutConfig(attach_pattern="attached"))
+        attached = make_pcb(LayoutConfig(), "attached", 0)
         assert all(r.attached for r in attached.regions())
-        half = make_pcb(LayoutConfig(attach_pattern="half"))
+        half = make_pcb(LayoutConfig(), "half", 0)
         assert all(r.attached == (r.row == 0) for r in half.regions())
 
 
 class TestGlueHeight:
     def test_zero_volume_flat(self, pcb):
         region = pcb.region(0, 0, "A", 0)
-        flat = RegionSpec(
-            glue_type="A",
-            footprint=region.footprint,
-            shape=region.shape,
-            dispensed_volume=0.0,
-        )
+        flat = RegionSpec(glue_type="A", footprint=region.footprint, dispensed_volume=0.0)
         assert surface_height(flat, 0.0, 0.0) == 0.0
 
-    def test_symmetric_cap_peaks_at_center(self, pcb):
-        region = pcb.region(0, 4, "A", 0)
-        symmetric = RegionSpec(
-            glue_type="A",
-            footprint=region.footprint,
-            shape=ShapeParams(bump_amplitude=0.0),
-            dispensed_volume=region.dispensed_volume,
-        )
+    def test_symmetric_cap_peaks_at_center(self, pcb, bump_free):
+        symmetric = pcb.region(0, 4, "A", 0)
+        assert riemann_volume(symmetric) == pytest.approx(symmetric.dispensed_volume, rel=1e-3)
         center = surface_height(symmetric, 0.0, 0.0)
         rng = np.random.default_rng(0)
         xs = rng.uniform(symmetric.footprint.xmin, symmetric.footprint.xmax, 500)
@@ -113,10 +113,10 @@ class TestGlueHeight:
 
 @pytest.fixture(scope="module")
 def attached_pcb():
-    return make_pcb(replace(LayoutConfig(), attach_pattern="attached"))
+    return make_pcb(LayoutConfig(), "attached", 0)
 
 
-def one_region_layout(volume_mm3: float, squeeze_ratio: float) -> LayoutConfig:
+def one_region_layout(volume_mm3: float) -> LayoutConfig:
     """A single attached type-A deposit: 0.7 x 1.8 mm footprint, 0.6 x 1.6 x
     0.25 mm die, column scale 1."""
     return LayoutConfig(
@@ -128,19 +128,18 @@ def one_region_layout(volume_mm3: float, squeeze_ratio: float) -> LayoutConfig:
         column_scales=(1.0,),
         footprint_mm={"A": (0.7, 1.8)},
         die_mm={"A": (0.6, 1.6, 0.25)},
-        squeeze_ratio=squeeze_ratio,
-        attach_pattern="attached",
     )
 
 
 class TestAttachDie:
-    def test_bondline_arithmetic(self):
-        region = make_pcb(one_region_layout(0.01, squeeze_ratio=1.0)).region(0, 0, "A", 0)
+    def test_bondline_arithmetic(self, monkeypatch):
+        monkeypatch.setattr(scansim, "SQUEEZE_RATIO", 1.0)
+        region = make_pcb(one_region_layout(0.01), "attached", 0).region(0, 0, "A", 0)
         bondline = surface_height(region, 0.0, 0.0) - region.die.thickness_mm
         assert bondline * 1e3 == pytest.approx(10.4167, abs=1e-3)
 
     def test_zero_volume_die_on_substrate(self):
-        region = make_pcb(one_region_layout(0.0, squeeze_ratio=0.85)).region(0, 0, "A", 0)
+        region = make_pcb(one_region_layout(0.0), "attached", 0).region(0, 0, "A", 0)
         assert region.attached and region.dispensed_volume == 0.0
         assert surface_height(region, 0.0, 0.0) == pytest.approx(region.die.thickness_mm)
         # no fillet anywhere outside the die
@@ -168,7 +167,7 @@ class TestAttachDie:
         h = surface_height(region, xx, yy)
         on_die = (np.abs(xx) <= die.width_mm / 2) & (np.abs(yy) <= die.length_mm / 2)
         fillet = np.where(on_die, 0.0, h).sum() * box.x_range * box.y_range / n**2
-        expected = (1 - die.squeeze_ratio) * region.dispensed_volume
+        expected = (1 - scansim.SQUEEZE_RATIO) * region.dispensed_volume
         assert fillet == pytest.approx(expected, rel=0.01)
 
     def test_bondline_monotone_in_volume(self, attached_pcb):
@@ -201,37 +200,29 @@ class TestPulseSchedule:
 
 
 class TestRasterScan:
-    CFG = ScanConfig(step_um=50.0, margin_mm=0.0, noise_sigma_z_mm=0.0, xy_jitter_mm=0.0)
+    CFG = ScanConfig(step_um=50.0, margin_mm=0.0)
 
     def test_540_points_for_type_a(self, pcb):
         cloud = raster_scan(pcb, pcb.region(0, 0, "A", 0), self.CFG)
         assert len(cloud) == 540  # 15 lines x 36 pulses
 
-    def test_point_count_is_lines_times_pulses(self, pcb):
+    def test_point_count_is_lines_times_pulses(self, pcb, noiseless):
         for glue_type in "ABCDE":
             region = pcb.region(1, 3, glue_type, 2)
             for step in (20.0, 50.0):
-                cfg = ScanConfig(step_um=step, margin_mm=0.2, noise_sigma_z_mm=0.0, xy_jitter_mm=0.0)
+                cfg = ScanConfig(step_um=step, margin_mm=0.2)
                 window = region.footprint.expanded(0.2)
                 lines = int(np.floor(round(window.x_range / (step * 1e-3), 9))) + 1
                 pulses = len(pulse_schedule(window.y_range, step))
                 assert len(raster_scan(pcb, region, cfg)) == lines * pulses
 
-    def test_flat_region_constant_z_without_noise(self, pcb):
+    def test_flat_region_constant_z_without_noise(self, pcb, noiseless):
         region = pcb.region(0, 0, "A", 0)
-        flat = RegionSpec(
-            glue_type="A",
-            footprint=region.footprint,
-            shape=region.shape,
-            dispensed_volume=0.0,
-            row=0,
-            col=0,
-            deposit=0,
-        )
+        flat = RegionSpec(glue_type="A", footprint=region.footprint, dispensed_volume=0.0)
         cloud = raster_scan(pcb, flat, self.CFG)
         assert np.all(cloud.xyz[:, 2] == 0.0)
 
-    def test_zigzag_alternates_y_direction(self, pcb):
+    def test_zigzag_alternates_y_direction(self, pcb, noiseless):
         cloud = raster_scan(pcb, pcb.region(0, 0, "A", 0), self.CFG)
         y = cloud.xyz[:, 1].reshape(15, 36)
         assert np.array_equal(y[0], y[1][::-1])
@@ -249,21 +240,13 @@ class TestRasterScan:
 
 
 class TestScanTime:
-    def test_single_line_simple_case(self):
-        region = RegionSpec(
-            glue_type="A",
-            footprint=BoundingBox2(0, 0, 0, 100.0),
-            shape=ShapeParams(),
-            dispensed_volume=0.0,
-        )
-        cfg = ScanConfig(
-            step_um=50.0,
-            stage_speed_mm_s=100.0,
-            x_turnaround_s=0.0,
-            margin_mm=0.0,
-            reposition_s=0.0,
-            pco_delay_s=0.0,
-        )
+    def test_single_line_simple_case(self, monkeypatch):
+        region = RegionSpec(glue_type="A", footprint=BoundingBox2(0, 0, 0, 100.0),
+                            dispensed_volume=0.0)
+        monkeypatch.setattr(scansim, "STAGE_SPEED_MM_S", 100.0)
+        for overhead in ("X_TURNAROUND_S", "REPOSITION_S", "PCO_DELAY_S"):
+            monkeypatch.setattr(scansim, overhead, 0.0)
+        cfg = ScanConfig(step_um=50.0, margin_mm=0.0)
         assert scan_time_estimate([region], cfg) == pytest.approx(1.0)
 
     def test_zero_regions_zero_time(self):

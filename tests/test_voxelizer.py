@@ -3,6 +3,9 @@ import pytest
 
 from gluevol.geom3d import PointCloud
 from gluevol.voxelizer import (
+    COVERAGE_TARGET,
+    Z_VOXEL_BASE_MM,
+    Z_VOXEL_INCREMENT_MM,
     EmptyCloud,
     GridConfig,
     VoxelGrid,
@@ -60,14 +63,14 @@ class TestBuildGrid:
             )
             grid = build_grid(cloud, cfg)
             dz = grid.voxel_size[2]
-            k = round((dz - cfg.z_voxel_base) / cfg.z_voxel_increment)
-            assert dz == pytest.approx(cfg.z_voxel_base + k * cfg.z_voxel_increment)
+            k = round((dz - Z_VOXEL_BASE_MM) / Z_VOXEL_INCREMENT_MM)
+            assert dz == pytest.approx(Z_VOXEL_BASE_MM + k * Z_VOXEL_INCREMENT_MM)
             z = cloud.xyz[:, 2]
             covered = np.count_nonzero(z < cfg.nz * dz) / len(z)
-            assert covered >= cfg.coverage_target
+            assert covered >= COVERAGE_TARGET
             if k > 0:
-                smaller = dz - cfg.z_voxel_increment
-                assert np.count_nonzero(z < cfg.nz * smaller) / len(z) < cfg.coverage_target
+                smaller = dz - Z_VOXEL_INCREMENT_MM
+                assert np.count_nonzero(z < cfg.nz * smaller) / len(z) < COVERAGE_TARGET
 
     def test_coverage_invariant_holds(self):
         rng = np.random.default_rng(9)
