@@ -208,23 +208,30 @@ def rnet_backward(grad_pred, caches):
 
     A block that ran on ``layers.Windowed`` tensors gets its gradients in
     that form from max-pool back to its conv, whose weight gradient is a
-    gather at the occupied voxels.
+    gather at the occupied voxels. When the first block did, the second
+    block's input is the first's pooled background outside its carried
+    windows, so the second block's conv backward is handed those windows
+    and that background: it returns the input gradient only at them, plus
+    its sum over the rest, as a ``layers.Windowed`` that the first block's
+    max-pool backward reads, and sums its weight and bias gradients in
+    another order than the dense backward.
     """
     dense_cache, pre_flat_shape = caches[-1]
     grad_out = np.asarray(grad_pred, dtype=np.float64)[:, None]
     grad_flat, grad_dw, grad_db = layers.dense_backward(grad_out, dense_cache)
     grad_h = grad_flat.reshape(pre_flat_shape)
     block_grads = []
-    n_blocks = len(caches) - 1
-    for i, (conv_cache, relu_cache, bn_cache, pool_cache, _, _) in enumerate(
-        reversed(caches[:-1])
-    ):
+    first = caches[0][3][1] if len(caches) > 2 else None  # the first block's max-pool input
+    carried = (first.windows, first.background) if isinstance(first, layers.Windowed) else None
+    for block in reversed(range(len(caches) - 1)):
+        conv_cache, relu_cache, bn_cache, pool_cache, _, _ = caches[block]
         grad_h = layers.maxpool3d_backward(grad_h, pool_cache)
         grad_h, grad_gamma, grad_beta = layers.batchnorm3d_backward(grad_h, bn_cache)
         grad_h = layers.leaky_relu_backward(grad_h, relu_cache)
         # The first block's input gradient leads nowhere; skip its GEMM.
         grad_h, grad_w, grad_b = layers.conv3d_backward(
-            grad_h, conv_cache, need_input_grad=i < n_blocks - 1
+            grad_h, conv_cache, need_input_grad=block > 0,
+            carried=carried if block == 1 else None,
         )
         block_grads.append([grad_w, grad_b, grad_gamma, grad_beta])
     grads = []

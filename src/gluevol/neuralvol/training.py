@@ -89,7 +89,8 @@ def train(
     ``train_x`` is (N, 1, nx, ny, nz) (any dtype; converted per batch) and
     ``train_y`` the volumes in mm^3. Test MSE is evaluated per epoch in eval
     mode when a test split is provided. Raises ``FloatingPointError`` naming
-    the epoch and batch at the first batch whose loss is not finite.
+    the epoch and batch at the first batch whose loss or gradient is not
+    finite, before that batch moves any weight.
     """
     train_y = np.asarray(train_y, dtype=np.float64)
     n = len(train_y)
@@ -121,11 +122,12 @@ def train(
             pred, caches = rnet_forward(batch_x, work, net_cfg, training=True)
             apply_running_stats(work, caches)
             loss, grad = layers.loss_mse(pred, scaled_y[idx])
+            where = f"at epoch {epoch}, batch {lo // cfg.batch_size}"
             if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}"
-                )
+                raise FloatingPointError(f"non-finite training loss {where}")
             grads = rnet_backward(grad, caches)
+            if not all(np.isfinite(g).all() for g in grads):
+                raise FloatingPointError(f"non-finite gradient {where}")
             adam_step(params, grads, state, cfg.learning_rate)
             sq_sum += loss * len(idx)
         train_mse = sq_sum / n * work.target_std**2

@@ -299,7 +299,12 @@ class TestBackgroundPath:
     ``Windowed`` form, block 1 in the dense form. Switching the path off
     changes no byte of predictions; switching off its dense form alone
     changes no byte of training history or weights either (block 0's
-    ``Windowed`` training sums in another order than the dense layers)."""
+    ``Windowed`` training sums in another order than the dense layers).
+
+    Block 1's conv backward at block 0's carried windows sums in another
+    order than its dense backward. Switched off, one epoch's history stays
+    within 1e-6 (relative) and every weight within 0.01 learning rates: over
+    12 training seeds the worst were 1.5e-7 and 1.3e-3 learning rates."""
 
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
@@ -351,6 +356,16 @@ class TestBackgroundPath:
         assert same_bytes(trainable, trainable_off)
         monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
         assert same_bytes(preds, predictions())
+
+        monkeypatch.undo()
+        conv = layers.conv3d_backward
+        monkeypatch.setattr(layers, "conv3d_backward",
+                            lambda grad_y, cache, need_input_grad=True, carried=None:
+                            conv(grad_y, cache, need_input_grad))
+        history_off, trainable_off = trained()
+        assert np.allclose(history_off, history, rtol=1e-6, atol=0)
+        for got, want in zip(trainable_off, trainable):
+            assert np.all(np.abs(got - want) <= 0.01 * train_cfg.learning_rate)
 
 
 class TestWeightsIo:

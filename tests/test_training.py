@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gluevol.neuralvol import optim
+from gluevol.neuralvol import optim, training
 from gluevol.neuralvol.network import NetConfig, init_weights
 from gluevol.util import DOMAIN_TRAIN, derived_rng
 from gluevol.neuralvol.training import (
@@ -104,6 +104,25 @@ class TestTrain:
         batch = int(np.flatnonzero(order == 5)[0]) // cfg.batch_size
         with pytest.raises(FloatingPointError, match=f"epoch 0, batch {batch}$"):
             train(grids, volumes, NET, cfg)
+
+    def test_non_finite_gradient_names_its_batch(self, monkeypatch):
+        # A finite loss with a NaN gradient in the last batch of the last
+        # epoch: caught there, before Adam writes NaN weights.
+        grids, volumes = toy_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=1)
+        backward, calls = training.rnet_backward, []
+
+        def poisoned(grad, caches):
+            grads = backward(grad, caches)
+            calls.append(len(grads))
+            if len(calls) == 6:  # 3 batches per epoch
+                grads[2][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "rnet_backward", poisoned)
+        with pytest.raises(FloatingPointError, match="gradient at epoch 1, batch 2$"):
+            train(grids, volumes, NET, cfg)
+        assert len(calls) == 6
 
     def test_history_metadata_defaults(self):
         cfg = TrainConfig()
