@@ -5,8 +5,10 @@ lines. Metadata rides in header comments as ``# meta key=<json>`` so a scan
 round-trips with its provenance. Floats are written with shortest
 round-trip formatting, so read(write(cloud)) is bit-exact.
 
-Binary format ``GGPC1``: magic ``GGPC1``, u32 point count, then
-little-endian f64 xyz triples.
+Binary format ``.ggpc``: one or more ``GGPC1`` records back to back, each
+the magic ``GGPC1``, a u32 point count, then little-endian f64 xyz triples.
+The augment stage writes one file per scan, holding its samples' records in
+manifest order.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .geom3d import PointCloud
+from .util import atomic_write
 
 GGPC_MAGIC = b"GGPC1"
 
@@ -32,7 +36,8 @@ def write_xyz(cloud: PointCloud, path) -> None:
         lines.append(f"# meta {key}={json.dumps(cloud.meta[key], sort_keys=True)}\n")
     for x, y, z in cloud.xyz:
         lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-    Path(path).write_text("".join(lines))
+    with atomic_write(path) as fh:
+        fh.write("".join(lines))
 
 
 def read_xyz(path) -> PointCloud:
@@ -76,25 +81,45 @@ def _first_non_finite(xyz: np.ndarray):
     return int(np.argmin(np.isfinite(xyz).all(axis=1)))
 
 
-def write_ggpc(cloud: PointCloud, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(GGPC_MAGIC)
-        fh.write(struct.pack("<I", len(cloud)))
-        fh.write(np.ascontiguousarray(cloud.xyz, dtype="<f8").tobytes())
+def write_ggpc(clouds: Iterable[PointCloud], path) -> None:
+    """One GGPC1 record per cloud, in order; a cloud's meta is not stored."""
+    with atomic_write(path, "wb") as fh:
+        for cloud in clouds:
+            fh.write(GGPC_MAGIC)
+            fh.write(struct.pack("<I", len(cloud)))
+            fh.write(np.ascontiguousarray(cloud.xyz, dtype="<f8").tobytes())
 
 
-def read_ggpc(path) -> PointCloud:
-    """Raises ``CloudFormatError`` for a bad header, a wrong length or a
-    non-finite point."""
+def read_ggpc(path) -> list[PointCloud]:
+    """Every record's cloud, in file order.
+
+    Raises ``CloudFormatError`` naming the file and the record for a bad
+    magic, a record cut inside its header or its points, bytes after the
+    last record that start no record, and a non-finite point.
+    """
     data = Path(path).read_bytes()
-    if data[:5] != GGPC_MAGIC:
-        raise CloudFormatError(f"{path}: bad magic {data[:5]!r}")
-    (count,) = struct.unpack_from("<I", data, 5)
-    expected = 9 + count * 24
-    if len(data) != expected:
-        raise CloudFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    xyz = np.frombuffer(data, dtype="<f8", offset=9).reshape(count, 3)
-    point = _first_non_finite(xyz)
-    if point is not None:
-        raise CloudFormatError(f"{path}: non-finite coordinate in point {point}: {xyz[point].tolist()}")
-    return PointCloud(xyz.astype(np.float64))
+    clouds = []
+    offset = 0
+    while offset < len(data):
+        record, rest = len(clouds), len(data) - offset
+        # A tail shorter than the magic that starts it is a cut header.
+        if data[offset:offset + 5] != GGPC_MAGIC[:rest]:
+            if record:
+                raise CloudFormatError(f"{path}: {rest} trailing bytes after record {record - 1}")
+            raise CloudFormatError(f"{path}: bad magic {data[:5]!r}")
+        if rest < 9:
+            raise CloudFormatError(
+                f"{path}: record {record} cut inside its header ({rest} of 9 bytes)")
+        (count,) = struct.unpack_from("<I", data, offset + 5)
+        end = offset + 9 + count * 24
+        if end > len(data):
+            raise CloudFormatError(f"{path}: record {record} cut inside its points "
+                                   f"({rest} bytes, {count} points need {end - offset})")
+        xyz = np.frombuffer(data, dtype="<f8", count=count * 3, offset=offset + 9).reshape(count, 3)
+        point = _first_non_finite(xyz)
+        if point is not None:
+            raise CloudFormatError(f"{path}: non-finite coordinate in point {point} of record "
+                                   f"{record}: {xyz[point].tolist()}")
+        clouds.append(PointCloud(xyz.astype(np.float64)))
+        offset = end
+    return clouds

@@ -22,8 +22,10 @@ import numpy as np
 
 from . import geom3d
 from .geom3d import BoundingBox2, EmptyGlueWarning, PointCloud
-from .scansim import PcbModel, RegionSpec, ScanConfig, analytic_volume, scan_lattice
-from .util import DOMAIN_AUGMENT, decode, derived_rng, encode, floor_ratio, stable_u32
+from .scansim import (PcbModel, RegionSpec, ScanConfig, analytic_volume, scan_filename,
+                      scan_lattice)
+from .util import (DOMAIN_AUGMENT, atomic_write, decode, derived_rng, encode, floor_ratio,
+                   stable_u32)
 
 # Annotated volumes below this are flagged as empty deposits.
 EMPTY_GLUE_FLOOR_MM3 = 1e-4
@@ -53,7 +55,12 @@ class AugmentParams:
 
 @dataclass(frozen=True)
 class Sample:
-    """One augmented training/test sample and its provenance tags."""
+    """One augmented training/test sample and its provenance tags.
+
+    ``path`` is the sample's name (see ``sample_filename``), not a file:
+    the sample's cloud is one record of ``samples/<scan_stem>.ggpc`` and
+    its grid is ``grids/<path stem>.ggvg``.
+    """
 
     path: str
     glue_type: str
@@ -69,6 +76,11 @@ class Sample:
     annotated_mm3: float | None
     split: str
 
+    @property
+    def scan_stem(self) -> str:
+        """Stem of the scan this sample was cut from."""
+        return self.path.rpartition("_crop")[0]
+
 
 @dataclass
 class Manifest:
@@ -76,7 +88,8 @@ class Manifest:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self, path) -> None:
-        Path(path).write_text(encode(self))
+        with atomic_write(path) as fh:
+            fh.write(encode(self))
 
     @classmethod
     def from_json(cls, path) -> "Manifest":
@@ -85,7 +98,7 @@ class Manifest:
     def to_csv(self, path) -> None:
         """Label table export for audit."""
         fields = [f for f in Sample.__dataclass_fields__]
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
             for s in self.samples:
@@ -161,7 +174,7 @@ class AnnotationTable:
         return sum(values) / len(values) if values else None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pcb", "row", "col", "glue_type", "deposit", "scan_pass", "volume_mm3"])
             for r in self.records:
@@ -249,10 +262,9 @@ def split_for(region: RegionSpec, deposits_per_type: int) -> str:
 
 def sample_filename(pcb_index: int, region: RegionSpec, scan_pass: int,
                     crop_index: int, level_index: int) -> str:
-    return (
-        f"pcb{pcb_index}_c{region.row}{region.col}_t{region.glue_type}"
-        f"_d{region.deposit}_pass{scan_pass}_crop{crop_index}_n{level_index}.ggpc"
-    )
+    """A sample's name (``Sample.path``): its scan's stem, crop and noise level."""
+    scan_stem = scan_filename(pcb_index, region, scan_pass).removesuffix(".xyz")
+    return f"{scan_stem}_crop{crop_index}_n{level_index}.ggpc"
 
 
 def expected_crop_counts(region: RegionSpec, scan_cfg: ScanConfig,

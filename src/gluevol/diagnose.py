@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .scansim import LayoutConfig
-from .util import LengthMismatch
+from .util import LengthMismatch, atomic_write
 
 # Half-width of the default Normal band, relative to the nominal volume.
 DEFAULT_BAND = 0.25
@@ -98,7 +98,7 @@ def confusion_matrix(
 
 def write_curve_csv(path, truth: np.ndarray, predictions: np.ndarray) -> None:
     """Sorted prediction-vs-truth curve; truth column is non-increasing."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "truth_mm3", "prediction_mm3"])
         for i, (t, p) in enumerate(zip(truth, predictions)):
@@ -107,7 +107,7 @@ def write_curve_csv(path, truth: np.ndarray, predictions: np.ndarray) -> None:
 
 def write_confusion_csv(path, matrix: np.ndarray) -> None:
     names = [label.value for label in FaultLabel]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["true\\predicted"] + names)
         for name, row in zip(names, matrix):
@@ -131,7 +131,8 @@ def write_timing_report(
     ]
     for key in sorted(extra or {}):
         lines.append(f"{key}={extra[key]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_report(

@@ -140,7 +140,11 @@ class Windowed(np.ndarray):
     def index(self, sample, i, j, l) -> np.ndarray:
         """Index into one sample's flattened (POOL^3, W) values of each
         full-resolution position (i, j, l) of the given samples (arrays
-        that broadcast together); -1 where that window is not carried."""
+        that broadcast together); -1 where that window is not carried.
+        Raises ``ShapeMismatch`` on the pooled-grid form, whose windows
+        hold one position each."""
+        _require(self.shape[2] == POOL ** 3,
+                 f"index needs POOL^3 = {POOL ** 3} offsets per window, got {self.shape[2]}")
         w, n = POOL, self.shape[3]
         pooled = [d // w for d in self.dims]
         slot = np.full((self.shape[0], int(np.prod(pooled))), -1, dtype=np.intp)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..util import atomic_write
 from .network import BlockWeights, ModelWeights, NetConfig, init_weights
 
 GGNN_MAGIC = b"GGNN1"
@@ -45,7 +46,8 @@ def write_weights(weights: ModelWeights, path) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
     for _, arr in entries:
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def _read_entries(data: bytes):

@@ -4,7 +4,7 @@ Each stage reads and writes only its declared formats:
 
     scans/*.xyz          regional scans (simulate)
     annotations.csv      per-scan annotated volumes (annotate)
-    samples/*.ggpc       augmented sample clouds (augment)
+    samples/*.ggpc       one file per scan: its augmented sample clouds (augment)
     manifest.json/.csv   sample manifest and label audit table (augment)
     grids/*.ggvg         occupancy grids (voxelize)
     models/*.ggnn/.csv   weights and training history (train)
@@ -28,7 +28,7 @@ import numpy as np
 from . import cloudio, dataset, diagnose, scansim, voxelizer
 from .dataset import AnnotationRecord, AnnotationTable, Manifest
 from .neuralvol import training, weights_io
-from .util import ConfigError, encode
+from .util import ConfigError, atomic_write, encode
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -129,7 +129,7 @@ def _load_annotations(cfg: RunConfig, out: Path) -> AnnotationTable | None:
 
 
 def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
-    """Write augmented sample clouds and the labeled manifest."""
+    """Write each scan's augmented sample clouds and the labeled manifest."""
     out = Path(out)
     scan_dir = _require_dir(out / "scans", "augment", "simulate")
     sample_dir = out / "samples"
@@ -143,14 +143,10 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
                 path = scan_dir / scansim.scan_filename(pcb.index, region, scan_pass)
                 if not path.exists():
                     raise MissingInput(f"augment: missing scan {path}")
-                cloud = cloudio.read_xyz(path)
-                for clip in dataset.augment(cloud, cfg.augment):
-                    level_index = dataset.NOISE_LEVELS.index(clip.meta["noise_level"])
-                    name = dataset.sample_filename(
-                        pcb.index, region, scan_pass, clip.meta["crop"], level_index
-                    )
-                    cloudio.write_ggpc(clip, sample_dir / name)
-                    count += 1
+                clips = dataset.augment(cloudio.read_xyz(path), cfg.augment)
+                # Records in manifest order: crop, then noise level.
+                cloudio.write_ggpc(clips, sample_dir / (path.stem + ".ggpc"))
+                count += len(clips)
     manifest = dataset.build_manifest(
         pcbs,
         cfg.scan,
@@ -178,18 +174,28 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
 
 
 def stage_voxelize(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
-    """Grid every sample cloud listed in the manifest."""
+    """Grid every sample cloud listed in the manifest, reading each scan's
+    samples file once."""
     out = Path(out)
     manifest = _read_manifest(out, "voxelize")
     sample_dir = _require_dir(out / "samples", "voxelize", "augment")
     grid_dir = out / "grids"
     grid_dir.mkdir(parents=True, exist_ok=True)
+    by_scan: dict[str, list] = {}
     for sample in manifest.samples:
-        cloud_path = sample_dir / sample.path
+        by_scan.setdefault(sample.scan_stem, []).append(sample)
+    for stem, samples in by_scan.items():
+        cloud_path = sample_dir / (stem + ".ggpc")
         if not cloud_path.exists():
-            raise MissingInput(f"voxelize: missing sample {cloud_path}")
-        grid = voxelizer.build_grid(cloudio.read_ggpc(cloud_path), cfg.grid)
-        voxelizer.write_ggvg(grid, grid_dir / (Path(sample.path).stem + ".ggvg"))
+            raise MissingInput(f"voxelize: missing samples file {cloud_path} (run `augment` first)")
+        clouds = cloudio.read_ggpc(cloud_path)
+        if len(clouds) != len(samples):
+            raise cloudio.CloudFormatError(
+                f"voxelize: {cloud_path} holds {len(clouds)} samples where the manifest lists "
+                f"{len(samples)} (run `augment` again)")
+        for sample, cloud in zip(samples, clouds):
+            grid = voxelizer.build_grid(cloud, cfg.grid)
+            voxelizer.write_ggvg(grid, grid_dir / (Path(sample.path).stem + ".ggvg"))
     log(stage="voxelize", grids=len(manifest.samples))
     return grid_dir
 
@@ -245,7 +251,7 @@ def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
         if result.history and not np.isfinite(result.history[-1].train_mse):
             raise NumericError(f"training diverged for {name}")
         weights_io.write_weights(result.weights, model_dir / f"weights_{name}.ggnn")
-        with open(model_dir / f"history_{name}.csv", "w") as fh:
+        with atomic_write(model_dir / f"history_{name}.csv") as fh:
             fh.write("epoch,train_mse,test_mse,wall_seconds\n")
             for h in result.history:
                 fh.write(f"{h.epoch},{h.train_mse!r},{h.test_mse!r},{h.wall_seconds:.3f}\n")
@@ -284,7 +290,8 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
             "predictions": [float(v) for v in result.predictions],
             "order": [int(v) for v in result.order],
         }
-        (eval_dir / f"eval_{name}.json").write_text(encode(doc))
+        with atomic_write(eval_dir / f"eval_{name}.json") as fh:
+            fh.write(encode(doc))
         log(stage="eval", group=name, mse_e6=result.mse_e6, n_test=len(test_y))
     return eval_dir
 
@@ -315,7 +322,8 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     out = Path(out)
     eval_dir = _require_dir(out / "eval", "diagnose", "eval")
     thresholds = _resolve_thresholds(cfg)
-    (out / "thresholds.json").write_text(encode(thresholds))
+    with atomic_write(out / "thresholds.json") as fh:
+        fh.write(encode(thresholds))
     groups = {}
     confusion = np.zeros((3, 3), dtype=np.int64)
     for (glue_type, attached), doc in _eval_docs(out, "diagnose"):
@@ -331,7 +339,8 @@ def stage_diagnose(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
         }
         log(stage="diagnose", group=name, accuracy_pct=accuracy_pct)
     doc = {"groups": groups, "confusion": confusion.tolist()}
-    (eval_dir / "classification.json").write_text(encode(doc))
+    with atomic_write(eval_dir / "classification.json") as fh:
+        fh.write(encode(doc))
     return eval_dir / "classification.json"
 
 

@@ -1,5 +1,5 @@
-"""Small shared helpers: tolerant grid arithmetic, seed derivation and the
-one dataclass <-> JSON codec.
+"""Small shared helpers: tolerant grid arithmetic, seed derivation, atomic
+file writes and the one dataclass <-> JSON codec.
 
 Every JSON document the package writes (the run config,
 ``manifest.json``, ``thresholds.json``, the eval documents) goes through
@@ -13,14 +13,17 @@ keeps older documents loading: a key that a dataclass lists in
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import types
 import typing
 import zlib
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +55,27 @@ def stable_u32(text: str) -> int:
 def derived_rng(*entropy: int) -> np.random.Generator:
     """Generator seeded from a tuple of integers, reproducible everywhere."""
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """A file object on a temp file beside ``path``, ``os.replace``d onto it
+    when the block ends.
+
+    A reader never sees a half-written artifact: if the block raises, the
+    temp file is removed and a previous ``path`` stays as it was. ``mode``
+    and ``kwargs`` go to ``open``; the temp file gets the umask's
+    permissions, as ``path`` would.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _ALLOCATOR_CONFIGURED = False

@@ -10,6 +10,7 @@ the die-attached labels propagated from the unattached annotations.
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import gluevol
-from gluevol import cli, config
+from gluevol import cli, cloudio, config, dataset
 from gluevol.diagnose import VolumeThresholds
 from gluevol.neuralvol import weights_io
 from gluevol.util import encode
@@ -140,6 +141,45 @@ class TestAttachedPipeline:
         assert [name for name in first if first[name] != second[name]] == []
 
 
+class TestSampleFiles:
+    """augment writes one samples file per scan; voxelize refuses one that
+    does not hold the manifest's samples of that scan."""
+
+    def test_one_file_per_scan_holds_its_samples_in_manifest_order(self, micro_attached):
+        # Each record has the bytes of a one-sample GGPC1 file of that sample.
+        ws = micro_attached.first
+        cfg = config.load_config(micro_attached.cfg_path).resolved()
+        manifest = dataset.Manifest.from_json(ws / "manifest.json")
+        scans = sorted((ws / "scans").glob("*.xyz"))
+        assert sorted(p.name for p in (ws / "samples").iterdir()) == sorted(
+            p.stem + ".ggpc" for p in scans)
+        for scan in scans:
+            clips = dataset.augment(cloudio.read_xyz(scan), cfg.augment)
+            records = [cloudio.GGPC_MAGIC + struct.pack("<I", len(c))
+                       + c.xyz.astype("<f8").tobytes() for c in clips]
+            assert (ws / "samples" / (scan.stem + ".ggpc")).read_bytes() == b"".join(records)
+            names = [s.path for s in manifest.samples if s.scan_stem == scan.stem]
+            assert names == [
+                f"{scan.stem}_crop{c.meta['crop']}"
+                f"_n{dataset.NOISE_LEVELS.index(c.meta['noise_level'])}.ggpc"
+                for c in clips]
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_record_count_exits_3(self, micro, ws, capsys, change):
+        path = sorted((ws / "samples").glob("*.ggpc"))[0]
+        clouds = cloudio.read_ggpc(path)
+        cloudio.write_ggpc(clouds[:-1] if change < 0 else clouds + clouds[:1], path)
+        needle = (f"{path.name} holds {len(clouds) + change} samples "
+                  f"where the manifest lists {len(clouds)}")
+        TestMalformedInput.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)
+
+    def test_missing_samples_file_exits_3(self, micro, ws, capsys):
+        path = sorted((ws / "samples").glob("*.ggpc"))[-1]
+        path.unlink()
+        needle = f"missing samples file {path}"
+        TestMalformedInput.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)
+
+
 class TestStaleEvalGroups:
     def test_leftover_group_is_ignored(self, micro, ws):
         eval_dir = ws / "eval"
@@ -257,6 +297,12 @@ class TestMalformedInput:
         data[9 + 24 * 3 : 9 + 24 * 3 + 8] = np.float64(np.inf).tobytes()
         sample.write_bytes(bytes(data))
         needle = f"{sample.name}: non-finite coordinate in point 3"
+        self.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)
+
+    def test_ggpc_header_cut_short(self, micro, ws, capsys):
+        sample = sorted((ws / "samples").glob("*.ggpc"))[0]
+        sample.write_bytes(b"GGPC1\x00\x00")
+        needle = f"{sample.name}: record 0 cut inside its header"
         self.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)
 
     def test_scan_without_footprint(self, micro, ws, capsys):

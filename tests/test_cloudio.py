@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gluevol.cloudio import (
+    GGPC_MAGIC,
     CloudFormatError,
     read_ggpc,
     read_xyz,
@@ -9,6 +10,7 @@ from gluevol.cloudio import (
     write_xyz,
 )
 from gluevol.geom3d import PointCloud
+from gluevol.util import atomic_write
 
 
 @pytest.fixture
@@ -58,23 +60,78 @@ class TestXyz:
 class TestGgpc:
     def test_round_trip_bit_exact(self, tmp_path, cloud):
         path = tmp_path / "scan.ggpc"
-        write_ggpc(cloud, path)
-        loaded = read_ggpc(path)
+        write_ggpc([cloud], path)
+        (loaded,) = read_ggpc(path)
         assert np.array_equal(loaded.xyz, cloud.xyz)
+
+    def test_records_back_to_back_in_order(self, tmp_path, cloud):
+        # Each record has the bytes a one-cloud file of it has.
+        clouds = [cloud, PointCloud(cloud.xyz[:0]), PointCloud(cloud.xyz[::-1] * 2)]
+        path = tmp_path / "scan.ggpc"
+        write_ggpc(clouds, path)
+        records = []
+        for i, c in enumerate(clouds):
+            write_ggpc([c], tmp_path / f"{i}.ggpc")
+            records.append((tmp_path / f"{i}.ggpc").read_bytes())
+        assert path.read_bytes() == b"".join(records)
+        assert records[1] == GGPC_MAGIC + b"\x00" * 4
+        loaded = read_ggpc(path)
+        assert len(loaded) == 3
+        for got, want in zip(loaded, clouds):
+            assert np.array_equal(got.xyz, want.xyz)
+
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "empty.ggpc"
+        write_ggpc([], path)
+        assert path.read_bytes() == b"" and read_ggpc(path) == []
 
     def test_truncated_rejected(self, tmp_path, cloud):
         path = tmp_path / "scan.ggpc"
-        write_ggpc(cloud, path)
+        write_ggpc([cloud], path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CloudFormatError):
+            read_ggpc(path)
+
+    @pytest.mark.parametrize("before,keep", [(1, 5), (1, 7), (1, 8), (0, 7)])
+    def test_header_cut_short_names_the_record(self, tmp_path, cloud, before, keep):
+        path = tmp_path / "scan.ggpc"
+        write_ggpc([cloud] * (before + 1), path)
+        one = 9 + 24 * len(cloud)
+        path.write_bytes(path.read_bytes()[:before * one + keep])
+        with pytest.raises(CloudFormatError, match=f"scan.ggpc: record {before} cut inside its "
+                                                   fr"header \({keep} of 9 bytes\)"):
+            read_ggpc(path)
+
+    def test_points_cut_short_names_the_record(self, tmp_path, cloud):
+        path = tmp_path / "scan.ggpc"
+        write_ggpc([cloud, cloud, cloud], path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CloudFormatError, match="scan.ggpc: record 2 cut inside its points"):
+            read_ggpc(path)
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"\x00" * 12, b"GGPX1" + b"\x00" * 4])
+    def test_trailing_bytes_rejected(self, tmp_path, cloud, tail):
+        path = tmp_path / "scan.ggpc"
+        write_ggpc([cloud, cloud], path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(CloudFormatError,
+                           match=f"scan.ggpc: {len(tail)} trailing bytes after record 1"):
             read_ggpc(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, tmp_path, cloud, value):
         cloud.xyz[57, 2] = value
         path = tmp_path / "scan.ggpc"
-        write_ggpc(cloud, path)
+        write_ggpc([cloud], path)
         with pytest.raises(CloudFormatError, match="scan.ggpc: non-finite coordinate in point 57"):
+            read_ggpc(path)
+
+    def test_non_finite_coordinate_names_the_record(self, tmp_path, cloud):
+        bad = PointCloud(cloud.xyz.copy())
+        bad.xyz[3, 0] = np.nan
+        path = tmp_path / "scan.ggpc"
+        write_ggpc([cloud, bad], path)
+        with pytest.raises(CloudFormatError, match="non-finite coordinate in point 3 of record 1"):
             read_ggpc(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -82,3 +139,43 @@ class TestGgpc:
         path.write_bytes(b"WRONG" + b"\x00" * 4)
         with pytest.raises(CloudFormatError):
             read_ggpc(path)
+
+
+class TestAtomicWrite:
+    """A writer that raises leaves the previous file as it was and no temp
+    file beside it."""
+
+    def test_raising_writer_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path) as fh:
+                fh.write("new, half")
+                fh.flush()
+                raise RuntimeError("midway")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    def test_raising_ggpc_writer_keeps_the_previous_file(self, tmp_path, cloud):
+        path = tmp_path / "scan.ggpc"
+        write_ggpc([cloud], path)
+        before = path.read_bytes()
+
+        def clouds():
+            yield cloud
+            raise RuntimeError("midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            write_ggpc(clouds(), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.ggpc"]
+
+    def test_replaces_with_the_mode_a_plain_write_gets(self, tmp_path):
+        plain, path = tmp_path / "plain.json", tmp_path / "doc.json"
+        plain.write_text("{}\n")
+        path.write_text("old\n")
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"[]\n")
+        assert path.read_bytes() == b"[]\n"
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "plain.json"]

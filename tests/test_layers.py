@@ -828,6 +828,13 @@ class TestCarriedBackward:
         got_x = self.check(x, windows, background)
         assert got_x.background_count == 0
 
+    def test_index_refuses_the_pooled_grid_form(self):
+        # One position per window: index's POOL^3 offsets would name wrong slots.
+        x, windows, background = carried_input(2, (4, 4, 8), 8)
+        got_x = self.check(x, windows, background)
+        with pytest.raises(layers.ShapeMismatch, match="POOL"):
+            got_x.index(0, np.array([0]), np.array([0]), np.array([0]))
+
     def test_peak_memory_stays_below_the_dense_backward(self, monkeypatch):
         # An untiled gather of the 27 tap columns at every carried window
         # would hold far more than the dense backward's buffers.
