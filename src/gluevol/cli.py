@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 config error (an unknown, missing or retired
 config key, a glue type without thresholds and no training samples
 included), 3 missing or malformed input (a workspace file that is absent,
 or a scan, grid or weights file that does not parse or fit, including a
-scan without its ``footprint`` or ``step_um`` metadata), 4 numeric
-failure. Every error exit prints one line to stderr.
+scan without its ``footprint`` or ``step_um`` metadata and a scan or sample
+with too few points to annotate, augment or grid), 4 numeric failure.
+Every error exit prints one line to stderr.
 
 Heavy imports happen after thread-count environment variables are set, so
 ``--threads 1`` pins the BLAS pool for fully reproducible runs.

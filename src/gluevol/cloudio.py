@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -42,33 +43,54 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 def read_xyz(path) -> PointCloud:
     """Raises ``CloudFormatError`` naming the line of a malformed or
-    non-finite point."""
-    meta = {}
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:  # a number or a metadata value that does not parse
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("meta "):
-                    key, _, value = body[5:].partition("=")
-                    meta[key.strip()] = json.loads(value)
-                continue
-            values = [float(p) for p in line.split()]
-        except ValueError as exc:
-            raise CloudFormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(values) != 3:
-            raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {len(values)}")
-        rows.append(values)
-    xyz = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    non-finite point, or of a metadata value that does not parse.
+
+    Every data token is parsed in one pass; only a file that fails it is
+    walked line by line, to name its first bad line."""
+    lines = [raw.strip() for raw in Path(path).read_text().splitlines()]
+    try:
+        meta = dict(filter(None, map(_meta_item, (line for line in lines if line[:1] == "#"))))
+        rows = [line.split() for line in lines if line[:1] not in ("", "#")]
+        if set(map(len, rows)) - {3}:
+            raise ValueError("a data line without 3 fields")
+        xyz = np.array(list(map(float, chain.from_iterable(rows))), dtype=np.float64)
+    except ValueError:
+        _raise_first_bad_line(path, lines)
+    xyz = xyz.reshape(-1, 3)
     point = _first_non_finite(xyz)
     if point is not None:
-        lines = enumerate(Path(path).read_text().splitlines(), start=1)
-        data = [n for n, raw in lines if raw.strip()[:1] not in ("", "#")]
-        raise CloudFormatError(f"{path}:{data[point]}: non-finite coordinate in {rows[point]}")
+        data = [n for n, line in enumerate(lines, start=1) if line[:1] not in ("", "#")]
+        raise CloudFormatError(
+            f"{path}:{data[point]}: non-finite coordinate in {xyz[point].tolist()}")
     return PointCloud(xyz, meta)
+
+
+def _meta_item(comment: str):
+    """(key, value) of a ``# meta key=<json>`` line; None for another comment."""
+    body = comment[1:].strip()
+    if not body.startswith("meta "):
+        return None
+    key, _, value = body[5:].partition("=")
+    return key.strip(), json.loads(value)
+
+
+def _raise_first_bad_line(path, lines: list[str]):
+    """Raise ``CloudFormatError`` for the first of the stripped ``lines``
+    that holds a number or metadata value that does not parse, or a data
+    line without 3 fields."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                _meta_item(line)
+                continue
+            n_fields = len([float(p) for p in line.split()])
+        except ValueError as exc:
+            raise CloudFormatError(f"{path}:{lineno}: {exc}") from exc
+        if n_fields != 3:
+            raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {n_fields}")
+    raise AssertionError(f"{path}: failed to parse but has no bad line")
 
 
 def _first_non_finite(xyz: np.ndarray):

@@ -109,10 +109,15 @@ class PointCloud:
         return self.xyz.shape[0] == 0
 
     def bounds(self):
-        """(min, max) corner arrays; raises on an empty cloud."""
+        """(min, max) corner arrays; raises on an empty cloud.
+
+        Reduced over a contiguous copy of the three columns: an axis-0
+        reduction of the (N, 3) array costs about ten times as much, and
+        min and max are exact either way."""
         if self.is_empty:
             raise EmptyResult("bounds of empty cloud")
-        return self.xyz.min(axis=0), self.xyz.max(axis=0)
+        columns = np.ascontiguousarray(self.xyz.T)
+        return columns.min(axis=1), columns.max(axis=1)
 
 
 class Plane:
@@ -166,6 +171,46 @@ def _lsq_plane(points: np.ndarray) -> Plane:
 
 RANSAC_ITERATIONS = 500  # 3-point plane hypotheses per fit
 RANSAC_THRESHOLD_MM = 0.005  # largest distance of an inlier from the plane
+# Hypotheses are scored in blocks whose point-distance matrix stays under
+# this many bytes, so the fit's memory does not grow with the iterations.
+# It is below glibc's default 128 KiB mmap threshold: freeing a larger
+# block raises malloc's dynamic threshold, and with 1 MB blocks a 50 um
+# prep and one training step then left the process 9 MB larger.
+RANSAC_BLOCK_BYTES = 120_000
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row: stacked 1x3 @ 3x1 products run one BLAS
+    dot each, so every value has the bits of the 1-D ``@`` (and of the
+    squared ``np.linalg.norm``)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _ransac_hypotheses(pts: np.ndarray):
+    """Every drawn 3-point hypothesis of ``fit_plane_ransac``, scored.
+
+    Returns (valid, normals, offsets, counts): ``valid`` marks the drawn
+    triples that are not collinear, and the rest hold the unit normal,
+    offset and inlier count of each valid one, in draw order.
+    """
+    n_pts = len(pts)
+    rng = np.random.default_rng(0)
+    triples = np.array(
+        [rng.choice(n_pts, size=3, replace=False) for _ in range(RANSAC_ITERATIONS)])
+    first = pts[triples[:, 0]]
+    normals = np.cross(pts[triples[:, 1]] - first, pts[triples[:, 2]] - first)
+    norms = np.sqrt(_row_dots(normals, normals))
+    valid = ~(norms < 1e-14)  # a collinear triple wastes its hypothesis
+    normals = normals[valid] / norms[valid, None]
+    offsets = _row_dots(normals, first[valid])
+    counts = np.empty(len(normals), dtype=np.int64)
+    block = max(1, RANSAC_BLOCK_BYTES // (8 * n_pts))
+    for lo in range(0, len(normals), block):
+        dist = np.matmul(pts, normals[lo:lo + block, :, None])[:, :, 0]
+        dist -= offsets[lo:lo + block, None]
+        counts[lo:lo + block] = np.count_nonzero(
+            np.abs(dist, out=dist) <= RANSAC_THRESHOLD_MM, axis=1)
+    return valid, normals, offsets, counts
 
 
 def fit_plane_ransac(cloud: PointCloud):
@@ -173,10 +218,18 @@ def fit_plane_ransac(cloud: PointCloud):
 
     Draws ``RANSAC_ITERATIONS`` random 3-point hypotheses from a generator
     seeded 0, keeps the one with the most points within
-    ``RANSAC_THRESHOLD_MM`` of it, refines by total least squares over
-    those inliers, and orients the normal so the off-plane mass of the
-    cloud sits on the positive side. The same cloud always gives the same
-    fit.
+    ``RANSAC_THRESHOLD_MM`` of it (the first such on a tie), refines by
+    total least squares over those inliers, and orients the normal so the
+    off-plane mass of the cloud sits on the positive side. The same cloud
+    always gives the same fit.
+
+    The draws stay sequential, one ``rng.choice`` per hypothesis, so the
+    triples do not depend on how they are scored. Scoring is batched: every
+    normal comes from one stacked cross product, and a block of hypotheses
+    is counted per pass over the points. Each normal, offset and point
+    distance has the bits of a one-hypothesis-at-a-time loop (a stacked
+    matmul makes the same BLAS dot or GEMV call per hypothesis), so the
+    inlier counts and the chosen plane are that loop's.
 
     Returns:
         (plane, inlier_indices) where the indices are evaluated against the
@@ -190,24 +243,11 @@ def fit_plane_ransac(cloud: PointCloud):
     if singular[1] <= max(singular[0] * 1e-10, 1e-14):
         raise DegenerateCloud("all points are collinear")
 
-    rng = np.random.default_rng(0)
-    best_normal = None
-    best_offset = 0.0
-    best_count = -1
-    for _ in range(RANSAC_ITERATIONS):
-        i, j, k = rng.choice(n_pts, size=3, replace=False)
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = np.linalg.norm(normal)
-        if norm < 1e-14:
-            continue  # collinear triple, hypothesis wasted
-        normal = normal / norm
-        offset = float(normal @ pts[i])
-        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= RANSAC_THRESHOLD_MM))
-        if count > best_count:
-            best_count = count
-            best_normal, best_offset = normal, offset
-    if best_normal is None:
+    valid, normals, offsets, counts = _ransac_hypotheses(pts)
+    if not valid.any():
         raise DegenerateCloud("no valid 3-point hypothesis found")
+    best = int(np.argmax(counts))
+    best_normal, best_offset = normals[best], float(offsets[best])
 
     inlier_mask = np.abs(pts @ best_normal - best_offset) <= RANSAC_THRESHOLD_MM
     plane = _lsq_plane(pts[inlier_mask])
@@ -283,7 +323,7 @@ def triangulate_lattice(cloud: PointCloud, step: float) -> TriangleMesh:
         raise GeometryError("lattice step must be positive")
     xy = cloud.xyz[:, :2]
     z = cloud.xyz[:, 2]
-    origin = xy.min(axis=0)
+    origin = cloud.bounds()[0][:2]
     frac = (xy - origin) / step
     idx = np.rint(frac).astype(np.int64)
     snapped = np.abs(frac - idx).max(axis=1) <= 0.25 + 1e-9

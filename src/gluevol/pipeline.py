@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cloudio, dataset, diagnose, scansim, voxelizer
+from . import cloudio, dataset, diagnose, geom3d, scansim, voxelizer
 from .dataset import AnnotationRecord, AnnotationTable, Manifest
 from .neuralvol import training, weights_io
 from .util import ConfigError, atomic_write, encode
@@ -100,6 +100,8 @@ def stage_annotate(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
                     volume = dataset.annotate(cloudio.read_xyz(path))
                 except KeyError as exc:  # annotate's missing-metadata error
                     raise cloudio.CloudFormatError(f"{path}: no {exc} metadata") from exc
+                except geom3d.GeometryError as exc:  # too few or no footprint points
+                    raise cloudio.CloudFormatError(f"{path}: {exc}") from exc
                 table.add(
                     AnnotationRecord(
                         pcb=pcb.index,
@@ -143,7 +145,10 @@ def stage_augment(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
                 path = scan_dir / scansim.scan_filename(pcb.index, region, scan_pass)
                 if not path.exists():
                     raise MissingInput(f"augment: missing scan {path}")
-                clips = dataset.augment(cloudio.read_xyz(path), cfg.augment)
+                try:
+                    clips = dataset.augment(cloudio.read_xyz(path), cfg.augment)
+                except geom3d.GeometryError as exc:  # a scan without points
+                    raise cloudio.CloudFormatError(f"{path}: {exc}") from exc
                 # Records in manifest order: crop, then noise level.
                 cloudio.write_ggpc(clips, sample_dir / (path.stem + ".ggpc"))
                 count += len(clips)
@@ -193,8 +198,11 @@ def stage_voxelize(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
             raise cloudio.CloudFormatError(
                 f"voxelize: {cloud_path} holds {len(clouds)} samples where the manifest lists "
                 f"{len(samples)} (run `augment` again)")
-        for sample, cloud in zip(samples, clouds):
-            grid = voxelizer.build_grid(cloud, cfg.grid)
+        for record, (sample, cloud) in enumerate(zip(samples, clouds)):
+            try:
+                grid = voxelizer.build_grid(cloud, cfg.grid)
+            except voxelizer.EmptyCloud as exc:
+                raise cloudio.CloudFormatError(f"{cloud_path}: record {record}: {exc}") from exc
             voxelizer.write_ggvg(grid, grid_dir / (Path(sample.path).stem + ".ggvg"))
     log(stage="voxelize", grids=len(manifest.samples))
     return grid_dir

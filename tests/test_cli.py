@@ -4,9 +4,12 @@ diagnose/report reading only the manifest's groups, and numeric failures.
 The micro config (8x8x16 grids, channels (2, 4), two columns of two
 deposits, one epoch) runs every stage in about a second. Its attached
 variant (two rows; attached, unattached and half-attached panels) covers
-the die-attached labels propagated from the unattached annotations.
+the die-attached labels propagated from the unattached annotations, and
+its annotated variant (``label_source="annotated"``) the labels taken from
+the annotations themselves.
 """
 
+import csv
 import json
 import os
 import shutil
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 import gluevol
-from gluevol import cli, cloudio, config, dataset
+from gluevol import cli, cloudio, config, dataset, geom3d
 from gluevol.diagnose import VolumeThresholds
 from gluevol.neuralvol import weights_io
 from gluevol.util import encode
@@ -89,6 +92,12 @@ def micro_attached(tmp_path_factory):
     return two_runs(tmp_path_factory.mktemp("micro_attached"), attached_micro_config())
 
 
+@pytest.fixture(scope="module")
+def micro_annotated(tmp_path_factory):
+    return two_runs(tmp_path_factory.mktemp("micro_annotated"),
+                    replace(micro_config(), label_source="annotated"))
+
+
 @pytest.fixture
 def ws(micro, tmp_path):
     """A copy of the first micro workspace, for one test to change."""
@@ -139,6 +148,38 @@ class TestAttachedPipeline:
         second = workspace_files(micro_attached.second)
         assert sorted(first) == sorted(second)
         assert [name for name in first if first[name] != second[name]] == []
+
+
+class TestAnnotatedLabels:
+    """``label_source="annotated"``: unattached samples are labelled with
+    their deposit's mean annotated volume, not the simulator's."""
+
+    def test_runs_end_to_end(self, micro_annotated):
+        for proc in micro_annotated.procs:
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+    def test_rerun_is_byte_identical(self, micro_annotated):
+        first = workspace_files(micro_annotated.first)
+        second = workspace_files(micro_annotated.second)
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []
+
+    def test_labels_are_deposit_means(self, micro, micro_annotated):
+        volumes = {}
+        with open(micro_annotated.first / "annotations.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                key = (int(row["pcb"]), int(row["row"]), int(row["col"]),
+                       row["glue_type"], int(row["deposit"]))
+                volumes.setdefault(key, []).append(float(row["volume_mm3"]))
+        samples = dataset.Manifest.from_json(micro_annotated.first / "manifest.json").samples
+        analytic = dataset.Manifest.from_json(micro.first / "manifest.json").samples
+        assert len(samples) == len(analytic) > 0
+        for sample, reference in zip(samples, analytic):
+            assert not sample.attached
+            values = volumes[(sample.pcb, sample.row, sample.col, sample.glue_type,
+                              sample.deposit)]
+            assert sample.volume_mm3 == sum(values) / len(values)
+            assert sample.volume_mm3 != reference.volume_mm3
 
 
 class TestSampleFiles:
@@ -322,3 +363,36 @@ class TestMalformedInput:
         data = path.read_bytes()
         path.write_bytes(data[:keep] + b"\xff" * 4 + data[keep + 4 :])
         self.assert_exit_3(micro.cfg_path, "eval", ws, capsys, path.name)
+
+    @staticmethod
+    def rewrite_scan(ws, keep_points, shift=0.0):
+        """The first scan with its meta lines and its first ``keep_points``
+        points, moved ``shift`` mm along x."""
+        scan = sorted((ws / "scans").glob("*.xyz"))[0]
+        cloud = cloudio.read_xyz(scan)
+        xyz = cloud.xyz[:keep_points] + [shift, 0.0, 0.0]
+        cloudio.write_xyz(geom3d.PointCloud(xyz, cloud.meta), scan)
+        return scan
+
+    def test_annotate_scan_with_two_points(self, micro, ws, capsys):
+        scan = self.rewrite_scan(ws, 2)
+        needle = f"{scan.name}: need >= 3 points, got 2"
+        self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, needle)
+
+    def test_annotate_scan_missing_its_footprint(self, micro, ws, capsys):
+        scan = self.rewrite_scan(ws, None, shift=100.0)
+        needle = f"{scan.name}: crop box excludes every point"
+        self.assert_exit_3(micro.cfg_path, "annotate", ws, capsys, needle)
+
+    def test_augment_scan_without_points(self, micro, ws, capsys):
+        scan = self.rewrite_scan(ws, 0)
+        needle = f"{scan.name}: bounds of empty cloud"
+        self.assert_exit_3(micro.cfg_path, "augment", ws, capsys, needle)
+
+    def test_voxelize_record_without_points(self, micro, ws, capsys):
+        path = sorted((ws / "samples").glob("*.ggpc"))[0]
+        clouds = cloudio.read_ggpc(path)
+        clouds[1] = geom3d.PointCloud(np.zeros((0, 3)))
+        cloudio.write_ggpc(clouds, path)
+        needle = f"{path.name}: record 1: cannot voxelize an empty cloud"
+        self.assert_exit_3(micro.cfg_path, "voxelize", ws, capsys, needle)

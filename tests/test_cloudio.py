@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,51 @@ class TestXyz:
         path.write_text(f"# meta step_um=50.0\n0.1 0.2 0.3\n\n0.4 {value} 0.6\n0.7 0.8 0.9\n")
         with pytest.raises(CloudFormatError, match="bad.xyz:4: non-finite coordinate"):
             read_xyz(path)
+
+
+    def test_bad_token_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("# meta step_um=50.0\n0.1 0.2 0.3\n0.4 0.5x 0.6\n0.7 0.8 0.9\n")
+        with pytest.raises(CloudFormatError) as info:
+            read_xyz(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: '0.5x'"
+
+    def test_bad_meta_json_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("0.1 0.2 0.3\n# meta footprint=[0.1, \n0.4 0.5 0.6\n")
+        with pytest.raises(CloudFormatError) as info:
+            read_xyz(path)
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads("[0.1,")
+        assert str(info.value) == f"{path}:2: {decode.value}"
+
+    def test_four_fields_names_its_line(self, tmp_path):
+        # The file's token count is a multiple of 3: only the line shows it.
+        path = tmp_path / "bad.xyz"
+        path.write_text("0.1 0.2 0.3\n0.4 0.5 0.6 0.7\n0.8 0.9\n")
+        with pytest.raises(CloudFormatError) as info:
+            read_xyz(path)
+        assert str(info.value) == f"{path}:2: expected 3 fields, got 4"
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("0.1 0.2 0.3\n0.4 0.5\n# meta step_um=[\n0.7 0.8 zz\n")
+        with pytest.raises(CloudFormatError, match="bad.xyz:2: expected 3 fields, got 2"):
+            read_xyz(path)
+
+    def test_blank_lines_between_data_lines(self, tmp_path):
+        path = tmp_path / "gaps.xyz"
+        path.write_text("# meta pass=1\n0.1 0.2 0.3\n\n  \n0.4\t0.5  0.6\n\n0.7 0.8 0.9\n")
+        loaded = read_xyz(path)
+        assert loaded.xyz.tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        assert loaded.meta == {"pass": 1}
+
+    def test_meta_only_is_an_empty_cloud(self, tmp_path):
+        path = tmp_path / "empty.xyz"
+        path.write_text("# meta pass=1\n")
+        loaded = read_xyz(path)
+        assert loaded.xyz.shape == (0, 3)
+        assert loaded.meta == {"pass": 1}
 
 
 class TestGgpc:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gluevol import geom3d
+from gluevol import config, geom3d, scansim
 from gluevol.geom3d import (
     BoundingBox2,
     DegenerateCloud,
@@ -73,6 +75,122 @@ class TestFitPlaneRansac:
         assert np.array_equal(p1.normal, p2.normal)
         assert p1.offset == p2.offset
         assert np.array_equal(i1, i2)
+
+
+def loop_fit_plane_ransac(cloud):
+    """``fit_plane_ransac`` as it was before its scoring was batched: one
+    hypothesis at a time. Returns (plane, inliers, hypotheses), with each
+    drawn hypothesis's (normal, offset, inlier count), or None for a
+    collinear triple."""
+    pts = cloud.xyz
+    rng = np.random.default_rng(0)
+    hypotheses = []
+    best_normal, best_offset, best_count = None, 0.0, -1
+    for _ in range(geom3d.RANSAC_ITERATIONS):
+        i, j, k = rng.choice(len(pts), size=3, replace=False)
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-14:
+            hypotheses.append(None)
+            continue
+        normal = normal / norm
+        offset = float(normal @ pts[i])
+        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= geom3d.RANSAC_THRESHOLD_MM))
+        hypotheses.append((normal, offset, count))
+        if count > best_count:
+            best_count = count
+            best_normal, best_offset = normal, offset
+    if best_normal is None:
+        return None, None, hypotheses
+    inlier_mask = np.abs(pts @ best_normal - best_offset) <= geom3d.RANSAC_THRESHOLD_MM
+    plane = geom3d._lsq_plane(pts[inlier_mask])
+    mean_sd = float(plane.signed_distance(pts).mean())
+    if mean_sd < -1e-12:
+        plane = plane.flipped()
+    elif abs(mean_sd) <= 1e-12:
+        comp = int(np.argmax(np.abs(plane.normal)))
+        if plane.normal[comp] < 0:
+            plane = plane.flipped()
+    inliers = np.flatnonzero(np.abs(plane.signed_distance(pts)) <= geom3d.RANSAC_THRESHOLD_MM)
+    return plane, inliers, hypotheses
+
+
+def simulated_scans(step_um, seed, count=2):
+    cfg = config.tiny_profile_config(seed)
+    cfg = replace(cfg, scan=replace(cfg.scan, step_um=step_um)).resolved()
+    pcb = cfg.pcbs()[0]
+    regions = list(pcb.regions())[:count]
+    return [scansim.raster_scan(pcb, region, cfg.scan, 0) for region in regions]
+
+
+def duplicated_cloud():
+    """Eight distinct points, each repeated: many triples repeat a point."""
+    rng = np.random.default_rng(4)
+    distinct = np.column_stack([rng.uniform(0, 1, 8), rng.uniform(0, 1, 8),
+                                rng.normal(0, 0.002, 8)])
+    return PointCloud(np.repeat(distinct, 15, axis=0))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBatchedRansacMatchesLoop:
+    """The batched scoring gives every hypothesis the bits of the loop."""
+
+    @staticmethod
+    def assert_same_fit(cloud):
+        plane, inliers, hypotheses = loop_fit_plane_ransac(cloud)
+        valid, normals, offsets, counts = geom3d._ransac_hypotheses(cloud.xyz)
+        assert valid.tolist() == [h is not None for h in hypotheses]
+        kept = [h for h in hypotheses if h is not None]
+        assert bits(normals) == bits([h[0] for h in kept])
+        assert bits(offsets) == bits([h[1] for h in kept])
+        assert counts.tolist() == [h[2] for h in kept]
+        fitted, fitted_inliers = fit_plane_ransac(cloud)
+        assert bits(fitted.normal) == bits(plane.normal)
+        assert bits(fitted.offset) == bits(plane.offset)
+        assert np.array_equal(fitted_inliers, inliers)
+        return valid
+
+    @pytest.mark.parametrize("step_um", [20.0, 50.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simulated_scans(self, step_um, seed):
+        for scan in simulated_scans(step_um, seed):
+            self.assert_same_fit(scan)
+
+    def test_collinear_triples_skipped(self):
+        valid = self.assert_same_fit(duplicated_cloud())
+        assert 0 < np.count_nonzero(~valid) < len(valid)
+
+    def test_every_triple_collinear_raises(self):
+        # Two clusters and one lone point: a plane exists, but every drawn
+        # triple repeats a cluster's position.
+        pts = np.vstack([np.zeros((500, 3)), np.tile([1.0, 0.0, 0.0], (500, 1)),
+                         [[0.0, 1.0, 0.0]]])
+        cloud = PointCloud(pts)
+        assert loop_fit_plane_ransac(cloud)[0] is None
+        with pytest.raises(DegenerateCloud, match="no valid 3-point hypothesis"):
+            fit_plane_ransac(cloud)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("n", [1, 2, 137])
+    def test_equals_axis_0_reduction(self, n):
+        xyz = np.random.default_rng(n).normal(size=(n, 3))
+        lo, hi = PointCloud(xyz).bounds()
+        assert bits(lo) == bits(xyz.min(axis=0))
+        assert bits(hi) == bits(xyz.max(axis=0))
+
+    def test_simulated_scan(self):
+        scan = simulated_scans(20.0, 0, count=1)[0]
+        lo, hi = scan.bounds()
+        assert bits(lo) == bits(scan.xyz.min(axis=0))
+        assert bits(hi) == bits(scan.xyz.max(axis=0))
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptyResult):
+            PointCloud(np.zeros((0, 3))).bounds()
 
 
 class TestToPlaneFrame:
