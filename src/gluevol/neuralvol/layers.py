@@ -13,14 +13,15 @@ leaky ReLU with slope ``SLOPE``, batchnorm with ``BN_EPS`` and
 manner of Goto & van de Geijn: the forward gathers patches by k^3 slice
 copies into one ``_TILE_BYTES`` (1 MB) patch-matrix tile at a time,
 several whole samples or a slab of x-planes of one sample, and runs its
-GEMM while the tile is still in L2. The weight gradient builds one
-sample's patch matrix at a time; the input gradient needs none (see
-``conv3d_backward``). Every output element is the same dot product as in
-one GEMM per sample, so on the network's shapes tiling changes no bits
-on the BLAS these layers were measured with
-(``tests/test_layers.py::TestDenseConvBits``). Each
-call allocates its own buffers, so the layer functions keep no state
-between calls.
+GEMM while the tile is still in L2. Every output element is the same dot
+product as in one GEMM per sample, so on the network's shapes tiling
+changes no bits on the BLAS these layers were measured with
+(``tests/test_layers.py::TestDenseConvBits``). The backward builds no
+patch matrix: one tiled gather of grad_y's k^3 tap rows at every input
+position gives the input and weight gradients (see ``conv3d_backward``),
+in another order than an im2col GEMM, so they agree with one to float
+rounding. Each call allocates its own buffers, so the layer functions keep
+no state between calls.
 
 On height fields most of a conv input is one background value per
 channel: block 0 reads binary grids, under 1% occupied, and block 1's input
@@ -42,11 +43,10 @@ background value per channel for every other position. Leaky ReLU,
 batchnorm and max-pool take that form forward and backward, so on tiny
 height-field grids they touch about an eighth of the positions of the
 full-resolution tensor; max-pool returns a dense pooled tensor, so the
-next block's forward is unchanged. Its conv backward, told those windows,
-computes the input gradient only at them, plus one per-channel sum over
-the rest, which is all the first block's max-pool backward reads: one
-tiled gather of grad_y's k^3 tap columns there gives that and the weight
-gradient (see ``conv3d_backward``).
+next block's forward is unchanged. The next block's conv backward, told
+those windows, runs a dense input's gather at them only and returns the
+input gradient there plus one per-channel sum over the rest, which is all
+the first block's max-pool backward reads (see ``conv3d_backward``).
 Per element the forward arithmetic is that of the dense layers. The
 batchnorm statistics, the gradients of batchnorm and of the first two
 blocks' conv weights and bias, and the second block's input gradient are
@@ -80,10 +80,6 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
 # 2 MB per-core L2, so the GEMM reads the tile from cache right after
 # im2col writes it.
 _TILE_BYTES = 1024 * 1024
-
-# The conv weight gradient adds its per-sample terms in groups of as many
-# samples as this many bytes of patch matrix hold, which fixes its bits.
-_COL_BUDGET = 96 * 1024 * 1024
 
 # Largest share of output positions that may be active (in the k^3 box
 # dilation of the positions off the background) for an input to take the
@@ -188,8 +184,9 @@ def _tiles(patch: int, dims, itemsize: int) -> tuple[int, int]:
     """(samples, x-planes of one sample) per forward tile of a conv with
     ``patch`` rows per output position and output ``dims``. A slab that
     leaves planes over has a multiple of 16 // gcd(16, oy * oz) planes
-    where that many fit, so its GEMM's N is a multiple of 16 (see
-    ``conv3d_backward``)."""
+    where that many fit, so its GEMM's N is a multiple of 16, as the
+    background-class path needs for the dense bits (see
+    ``conv3d_forward``)."""
     ox, oy, oz = dims
     plane = patch * oy * oz * itemsize  # patch bytes per x-plane
     planes = min(ox, max(1, _TILE_BYTES // max(plane, 1)))
@@ -469,32 +466,30 @@ def _tap_sums(grad_y, k: int) -> np.ndarray:
     return sums
 
 
-def _carried_backward(grad_y, x, w, windows, background):
-    """The three gradients of a conv whose input x is ``background`` (one
-    value per channel) everywhere but at the flat positions
-    ``windows[sample]``, the input gradient only at those positions.
+def _carried_backward(grad_y, x, w, windows, off, need_input_grad: bool):
+    """The input gradient at the flat positions ``windows[sample]`` (None
+    unless ``need_input_grad``) and the weight gradient of the part ``off``
+    (batch, Cin, W) of x at those positions. A dense input passes every
+    position, ``windows`` one row of all of them that every sample shares,
+    and x itself as ``off``; windows over a background pass x minus it.
 
     Input v feeds output v + k // 2 - t through tap t. In grad_y's
     channel-last copy in a zero frame of k // 2, that output is the padded
     position v + t' with t' = k - 1 - t, so one gather of the k^3 rows of
     Cout values at corners v serves both gradients, one ``_TILE_BYTES`` tile
     of positions at a time: the input gradient is each tile times the
-    flipped kernel, and each tile times x - background at its positions adds
-    the weight gradient of x's off-background part. The background's own
-    part is background ⊗ S_t, S_t being grad_y's sum over the outputs whose
-    tap t lands inside the grid (``_tap_sums``); grad_b is S at the centre
-    tap, and the input gradient's total per channel is Σ_t W_tᵀ S_t. (A
-    channel-last gather copies Cout values per index; on block 1's shape it
-    took 5 ms per float32 batch of 32 against 15 ms channel-first.)
+    flipped kernel, and each tile times ``off`` at its positions adds the
+    weight gradient. (A channel-last gather copies Cout values per index; on
+    block 1's shape it took 5 ms per float32 batch of 32 against 15 ms
+    channel-first.)
 
-    Returns the input gradient as a ``Windowed`` on x's grid: (batch, Cin,
-    1, W) values at the windows and, as its background, the gradient summed
-    over every other position.
+    Returns the input gradient as (batch, W, Cin) values and the weight
+    gradient. Every position of a dense block-1 input takes longer than the
+    per-tap path this replaced (see ``conv3d_backward``); no workload has one.
     """
     batch, c_in, dims = x.shape[0], x.shape[1], x.shape[2:]
     c_out, k = w.shape[0], w.shape[2]
     p = k // 2
-    sums = _tap_sums(grad_y, k)
     padded = np.zeros((batch,) + tuple(d + 2 * p for d in dims) + (c_out,), dtype=x.dtype)
     padded[:, p : p + dims[0], p : p + dims[1], p : p + dims[2]] = grad_y.transpose(0, 2, 3, 4, 1)
     source = padded.reshape(-1, c_out)
@@ -503,14 +498,15 @@ def _carried_backward(grad_y, x, w, windows, background):
     corner = (((np.arange(batch)[:, None] * px + i) * py + j) * pz + l).ravel()
     offsets = _tap_offsets(k, py, pz)
     rows = k**3 * c_out  # (tap, Cout) order
-    w_flip = w[:, :, ::-1, ::-1, ::-1].reshape(c_out, c_in, k**3).transpose(2, 0, 1)
-    w_flip = np.ascontiguousarray(w_flip).reshape(rows, c_in)
-    off = np.take_along_axis(x.reshape(batch, c_in, -1), windows[:, None, :], axis=2)
-    off = (off - background[:, None]).transpose(0, 2, 1).reshape(-1, c_in)
+    off = off.transpose(0, 2, 1).reshape(-1, c_in)
 
     n = max(1, _TILE_BYTES // (rows * x.itemsize))
     col = np.empty((n, k**3, c_out), dtype=x.dtype)
-    values = np.empty((corner.size, c_in), dtype=x.dtype)
+    values = None
+    if need_input_grad:
+        w_flip = w[:, :, ::-1, ::-1, ::-1].reshape(c_out, c_in, k**3).transpose(2, 0, 1)
+        w_flip = np.ascontiguousarray(w_flip).reshape(rows, c_in)
+        values = np.empty((corner.size, c_in), dtype=x.dtype)
     grad_w_flip = np.zeros((rows, c_in), dtype=x.dtype)
     for lo in range(0, corner.size, n):
         m = min(n, corner.size - lo)
@@ -518,40 +514,49 @@ def _carried_backward(grad_y, x, w, windows, background):
         # mode="clip" lets take write into the tile unbuffered; no index clips
         np.take(source, corner[lo : lo + m, None] + offsets, axis=0, out=tile, mode="clip")
         tile = tile.reshape(m, rows)
-        np.matmul(tile, w_flip, out=values[lo : lo + m])
+        if need_input_grad:
+            np.matmul(tile, w_flip, out=values[lo : lo + m])
         grad_w_flip += tile.T @ off[lo : lo + m]
     grad_w = grad_w_flip.reshape(k, k, k, c_out, c_in)[::-1, ::-1, ::-1].transpose(3, 4, 0, 1, 2)
-    grad_w = grad_w + background[:, None, None, None] * sums[:, None]
-    total = np.einsum("oit,ot->i", w.reshape(c_out, c_in, -1), sums.reshape(c_out, -1))
-    values = values.reshape(batch, -1, c_in).transpose(0, 2, 1)
-    grad_x = _windowed(np.ascontiguousarray(values[:, :, None]), total - values.sum(axis=(0, 2)),
-                       windows, dims)
-    return grad_x, grad_w, sums[:, p, p, p].copy()
+    if values is not None:
+        values = values.reshape(batch, -1, c_in)
+    return values, np.ascontiguousarray(grad_w)
 
 
 def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     """Gradients w.r.t. input, kernel and bias of conv3d_forward.
 
-    ``need_input_grad=False`` skips the input gradient (None in its slot),
-    which the network uses for its first block.
+    ``need_input_grad=False`` skips the input gradient (None in its slot)
+    and its GEMM, which the network uses for its first block.
 
-    The dense weight gradient builds one sample's (Cin*k^3, positions)
-    patch matrix at a time and adds its GEMM ``col @ grad_y.T`` to the
-    others in order within each ``_COL_BUDGET`` group of samples, then
-    group by group. The input gradient builds no patch matrix: each
-    sample's grad_y sits in a zero frame whose rows have the padded input's
-    (y, z) width, so in flat padded coordinates every output's tap (a, b, c)
-    is the same offset. One GEMM ``W^T @ frame`` lifts the frame onto patch
-    space, and k^3 contiguous adds, in (a, b, c) order, scatter it back;
-    the frame's zeros add exactly, because the conv's stride is 1.
+    ``carried=(windows, background)`` says that the input is one
+    per-channel ``background`` vector everywhere but at the flat positions
+    ``windows[sample]`` (ascending), as the second block's input is outside
+    the first block's carried pool windows. A dense input is the case of
+    every position carried over a zero background, as in Graham's
+    active-site convolution (arXiv:1409.6070). Either way all three
+    gradients come from one tiled gather of grad_y at the carried positions
+    (``_carried_backward``). A dense input's gradients come back dense, its
+    bias gradient grad_y's plain sum.
 
-    All three gradients are bit-identical to an im2col GEMM per batch chunk
-    and a col2im of k^3 strided slice-adds (the oracle of the test below).
-    That rests on a property of the BLAS:
-    a GEMM element's sum over K is the same for any N that is a multiple of
-    16 and for either orientation. It held on the single-thread OpenBLAS
-    these were measured with, and ``tests/test_layers.py::TestDenseConvBits``
-    asserts it.
+    With windows the background's own weight-gradient part is background ⊗
+    S_t, S_t being grad_y's sum over the outputs whose tap t lands inside
+    the grid (``_tap_sums``); grad_b is S at the centre tap, and the input
+    gradient's total per channel is Σ_t W_tᵀ S_t. The input gradient is a
+    ``Windowed`` on the input's grid: (batch, Cin, 1, W) values at the
+    windows and, as its background, the gradient summed over every other
+    position, which is all the first block's ``maxpool3d_backward`` reads.
+
+    The weight gradient and the input gradient sum in another order than an
+    im2col GEMM and col2im of k^3 slice-adds, so they agree with those to
+    float rounding (``tests/test_layers.py::TestDenseConvBits`` and
+    ``TestCarriedBackward``). On blocks 2-4 of the tiny and paper nets the
+    gather at every position was as fast as the flat-frame input gradient
+    and per-sample im2col weight gradient it replaced, or faster (float32,
+    one BLAS thread). It was slower on one shape that no workload runs:
+    block 1 with a dense input (16x16x32, 8 to 16 channels, batch 32: 187
+    against 154 ms, medians of seven runs), which happens only when block
+    0's forward is not ``Windowed``.
 
     A ``Windowed`` gradient (from a binary input's training forward, which
     only the first block sees) gives no input gradient. Its weight gradient
@@ -560,66 +565,32 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     position, and its bias gradient is the sum over the windows plus the
     background's sum. Both sum in another order than the dense path, so
     they agree with it to float rounding.
-
-    ``carried=(windows, background)`` says that the input is one
-    per-channel ``background`` vector everywhere but at the flat positions
-    ``windows[sample]`` (ascending), as the second block's input is outside
-    the first block's carried pool windows. Then all three gradients come
-    from one tiled gather of grad_y at those positions
-    (``_carried_backward``), and the input gradient is a ``Windowed`` on
-    the input's grid: its values there, plus its sum over every other
-    position, which is all the first block's ``maxpool3d_backward`` reads.
-    The weight and bias gradients and that sum add in another order than
-    the dense path, so they agree with it to float rounding
-    (``tests/test_layers.py::TestCarriedBackward``).
     """
     x, w, _, _ = cache
     if isinstance(grad_y, Windowed):
         grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
         return None, _binary_weight_grad(grad_y, x, w.shape[2]), grad_b
     grad_y = _as_float(grad_y, like=x)
-    if carried is not None:
-        return _carried_backward(grad_y, x, w, *carried)
-    batch, c_in = x.shape[:2]
-    c_out, k = w.shape[0], w.shape[2]
-    out_dims = grad_y.shape[2:]
-    grad_flat = grad_y.reshape(batch, c_out, -1)
-    grad_b = grad_y.sum(axis=(0, 2, 3, 4))
-
-    # (Cin*k^3, Cout) <- sum over samples and positions
-    p = k // 2
-    x_pad = _pad_spatial(x, p)
-    grad_w_t = np.zeros((c_in * k**3, c_out), dtype=x.dtype)
-    group = max(1, _COL_BUDGET // (c_in * k**3 * grad_flat.shape[2] * x.itemsize))
-    for lo in range(0, batch, group):
-        part = np.zeros_like(grad_w_t)
-        for s in range(lo, min(lo + group, batch)):
-            part += _im2col(x_pad[s : s + 1], k)[0] @ grad_flat[s].T
-        grad_w_t += part
-    grad_w = np.ascontiguousarray(grad_w_t.T).reshape(w.shape)
-
-    if not need_input_grad:
-        return None, grad_w, grad_b
-
-    # Input gradient by the flat frame. Its GEMM runs through the last
-    # output position, rounded up to a multiple of 16 columns: OpenBLAS sums
-    # the last N mod 8 columns of a float64 GEMM in another order.
-    ox, oy, oz = out_dims
-    px, py, pz = x_pad.shape[2:]
-    offsets = _tap_offsets(k, py, pz)
-    n = -(-(px * py * pz - offsets[-1]) // 16) * 16
-    grad_x_flat = np.zeros((batch, c_in, n + offsets[-1]), dtype=x.dtype)
-    frame = np.zeros((c_out, max(n, ox * py * pz)), dtype=x.dtype)
-    framed = frame[:, : ox * py * pz].reshape(c_out, ox, py, pz)[:, :, :oy, :oz]
-    w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)  # (Cin*k^3, Cout)
-    for s in range(batch):
-        framed[...] = grad_y[s]
-        col_grad = (w_t @ frame[:, :n]).reshape(c_in, k**3, n)
-        for tap, offset in enumerate(offsets):
-            grad_x_flat[s, :, offset : offset + n] += col_grad[:, tap]
-    grad_x_pad = grad_x_flat[:, :, : px * py * pz].reshape(x_pad.shape)
-    grad_x = np.ascontiguousarray(grad_x_pad[:, :, p : px - p, p : py - p, p : pz - p])
-    return grad_x, grad_w, grad_b
+    flat = x.reshape(x.shape[:2] + (-1,))
+    if carried is None:  # every position carried, over a zero background
+        positions = np.arange(flat.shape[2])[None, :]
+        values, grad_w = _carried_backward(grad_y, x, w, positions, flat, need_input_grad)
+        if values is not None:
+            values = np.ascontiguousarray(values.transpose(0, 2, 1)).reshape(x.shape)
+        return values, grad_w, grad_y.sum(axis=(0, 2, 3, 4))
+    windows, background = carried
+    off = np.take_along_axis(flat, windows[:, None, :], axis=2) - background[:, None]
+    values, grad_w = _carried_backward(grad_y, x, w, windows, off, need_input_grad)
+    c_out, c_in, k = w.shape[:3]
+    sums = _tap_sums(grad_y, k)
+    grad_w += background[:, None, None, None] * sums[:, None]
+    grad_x = None
+    if values is not None:
+        total = np.einsum("oit,ot->i", w.reshape(c_out, c_in, -1), sums.reshape(c_out, -1))
+        values = values.transpose(0, 2, 1)
+        grad_x = _windowed(np.ascontiguousarray(values[:, :, None]),
+                           total - values.sum(axis=(0, 2)), windows, x.shape[2:])
+    return grad_x, grad_w, sums[:, k // 2, k // 2, k // 2].copy()
 
 
 def _leaky_relu(x):

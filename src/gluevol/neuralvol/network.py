@@ -208,13 +208,15 @@ def rnet_backward(grad_pred, caches):
 
     A block that ran on ``layers.Windowed`` tensors gets its gradients in
     that form from max-pool back to its conv, whose weight gradient is a
-    gather at the occupied voxels. When the first block did, the second
-    block's input is the first's pooled background outside its carried
-    windows, so the second block's conv backward is handed those windows
-    and that background: it returns the input gradient only at them, plus
-    its sum over the rest, as a ``layers.Windowed`` that the first block's
-    max-pool backward reads, and sums its weight and bias gradients in
-    another order than the dense backward.
+    gather at the occupied voxels. Every other conv backward gathers grad_y
+    at its input positions: all of them for a dense input. When the first
+    block ran on windows, the second block's input is the first's pooled
+    background outside its carried windows, so the second block's conv
+    backward is handed those windows and that background and gathers at
+    them only: it returns the input gradient there, plus its sum over the
+    rest, as a ``layers.Windowed`` that the first block's max-pool backward
+    reads, and sums its weight and bias gradients in another order than
+    with every position carried.
     """
     dense_cache, pre_flat_shape = caches[-1]
     grad_out = np.asarray(grad_pred, dtype=np.float64)[:, None]

@@ -288,13 +288,17 @@ class TestBinaryConv:
 # Dense-conv inputs draw from their own generator as well.
 TILE_RNG = np.random.default_rng(10)
 
+# The oracles below take their GEMMs over chunks of as many samples as this
+# many bytes of patch matrix hold.
+COL_BUDGET = 96 * 1024 * 1024
+
 
 def chunked_correlate(x_pad, w_mat, k, out_dims):
     """The forward GEMM before tiling: one im2col patch matrix and one
-    batched GEMM per ``_COL_BUDGET`` chunk of samples."""
+    batched GEMM per ``COL_BUDGET`` chunk of samples."""
     batch, c_out = x_pad.shape[0], w_mat.shape[0]
     n_positions = int(np.prod(out_dims))
-    chunk = max(1, layers._COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
+    chunk = max(1, COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
     y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
     flat = y.reshape(batch, c_out, n_positions)
     for lo in range(0, batch, chunk):
@@ -304,16 +308,17 @@ def chunked_correlate(x_pad, w_mat, k, out_dims):
 
 
 def col2im_backward(grad_y, x, w):
-    """The dense backward before tiling: per chunk, the weight
-    gradient as one batched GEMM summed over the chunk, and the input
-    gradient lifted by one GEMM and scattered back by k^3 strided slice-adds."""
+    """The conv backward by im2col and col2im, the oracle of the gathered
+    one: per chunk, the weight gradient as one batched GEMM summed over the
+    chunk, and the input gradient lifted by one GEMM and scattered back by
+    k^3 strided slice-adds."""
     batch, c_in = x.shape[:2]
     c_out, k = w.shape[0], w.shape[2]
     ox, oy, oz = out_dims = grad_y.shape[2:]
     grad_flat = grad_y.reshape(batch, c_out, -1)
     p = k // 2
     x_pad = layers._pad_spatial(x, p)
-    chunk = max(1, layers._COL_BUDGET // (c_in * k**3 * ox * oy * oz * x.itemsize))
+    chunk = max(1, COL_BUDGET // (c_in * k**3 * ox * oy * oz * x.itemsize))
     grad_w = np.zeros((c_out, c_in * k**3), dtype=x.dtype)
     grad_x = np.zeros_like(x_pad)
     w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)
@@ -331,20 +336,24 @@ def col2im_backward(grad_y, x, w):
 
 
 class TestDenseConvBits:
-    """The tiled forward and the flat-frame backward are bit-identical to
-    the chunked im2col GEMM and col2im they replaced, on the dense tiny-net
-    blocks 1-4.
+    """On the dense tiny-net blocks 1-4, the tiled forward is bit-identical
+    to the chunked im2col GEMM it replaced, and the backward's gathered
+    gradients agree with an im2col GEMM and col2im to float rounding.
 
-    They compute every output element, weight-gradient element and lifted
-    input-gradient element as the same dot product, only in GEMMs of
-    another N (tiles, one sample, a zero-framed row) and, for the weight
-    gradient, the other orientation (col @ g.T, not g @ col.T). So these
-    tests assert a property of the BLAS: a GEMM element's sum over K is
-    the same for any N that is a multiple of 16 (the tiny net's patch
-    counts are) and for either orientation. It held on the single-thread
-    OpenBLAS 0.3.31 these were written with, whose float64 GEMM sums the
-    last N mod 8 columns in another order; on a BLAS where it fails, these
-    tests and those of the background-class path fail together.
+    The forward computes every output element as the same dot product,
+    only in GEMMs of another N (tiles). So it asserts a property of the
+    BLAS: a GEMM element's sum over K is the same for any N that is a
+    multiple of 16 (the tiny net's patch counts are). It held on the
+    single-thread OpenBLAS 0.3.31 these were written with, whose float64
+    GEMM sums the last N mod 8 columns in another order; on a BLAS where it
+    fails, these tests and those of the background-class path fail together.
+
+    The backward gathers grad_y's k^3 tap rows at every position
+    (``layers._carried_backward``), so its input and weight gradients sum
+    in another order than ``col2im_backward``: each is within
+    ``TestCarriedBackward.RTOL[dtype] * max|oracle|``. Over these 42 cases
+    the worst were 9.7e-7 in float32 and 1.8e-15 in float64. The bias
+    gradient is grad_y's sum, as in the oracle.
     """
 
     # (c_in, c_out, input dims) of blocks 1-4 of the tiny net
@@ -363,8 +372,11 @@ class TestDenseConvBits:
         if not need_input_grad:
             assert grads[0] is None
             grads, oracle = grads[1:], oracle[1:]
+        rtol = TestCarriedBackward.RTOL[x.dtype.type]
         for grad, expected in zip(grads, oracle):
-            assert_same_bits(grad, expected)
+            assert type(grad) is np.ndarray and grad.dtype == expected.dtype
+            assert grad.shape == expected.shape
+            assert np.all(np.abs(grad - expected) <= rtol * np.abs(expected).max())
 
     @staticmethod
     def inputs(c_in, c_out, dims, batch, dtype):
@@ -711,7 +723,7 @@ def block1_backward(monkeypatch, grids, net, dtype, switched_off=False):
     """The tiny net's training forward and backward on ``grids``; returns
     the parameter gradients and the arguments of block 1's conv backward.
     ``switched_off`` drops the first block's windows from that call, so it
-    runs the dense backward."""
+    runs the dense backward, which gathers at every position."""
     weights = network.init_weights(net, seed=4).cast(dtype)
     pred, caches = network.rnet_forward(grids.astype(dtype), weights, net, training=True)
     assert isinstance(caches[0][3][1], layers.Windowed)
@@ -732,25 +744,28 @@ def block1_backward(monkeypatch, grids, net, dtype, switched_off=False):
 
 class TestCarriedBackward:
     """Block 1's conv backward from one gather at block 0's carried windows
-    against the dense ``conv3d_backward`` on the same input.
+    against the im2col and col2im oracle (``col2im_backward``) on the same
+    input.
 
     Tolerances: the input gradient at the windows and the weight gradient
-    are within RTOL[dtype] * max|dense|; the input gradient's per-channel
+    are within RTOL[dtype] * max|oracle|; the input gradient's per-channel
     total and the bias gradient, sums that mostly cancel, within
-    RTOL[dtype] / 10 of the per-channel sum of |dense input gradient| and of
-    |grad_y|. Over 60 random batches per dtype (batches 1, 4 and 32, grids
-    up to 16x16x32, 5-30% of the positions carried) and 20 tiny-panel
-    batches per case, the worst were 1.8e-5 and 6.6e-8 in float32, 1.4e-14
-    and 1.3e-16 in float64. The largest, the weight gradient on the panel
-    at batch 32, is mostly the dense path's own rounding: against the
-    float64 dense backward of the same input the new path was within 7.6e-7
-    there, the dense one within 1.3e-5.
+    RTOL[dtype] / 10 of the per-channel sum of |oracle input gradient| and
+    of |grad_y|. Over 60 random batches per dtype (batches 1, 4 and 32,
+    grids up to 16x16x32, 5-30% of the positions carried) and 20 tiny-panel
+    batches per case, the worst were 2.5e-5 and 6.2e-8 in float32, 1.1e-14
+    and 1.7e-16 in float64. The largest, the weight gradient on the panel
+    at batch 32, is mostly the oracle's own rounding: against a float64
+    backward of the same inputs (5 of those batches) the gather was within
+    1.4e-6, the oracle within 2.5e-5.
 
     Through the network, every parameter gradient with the windows passed
     is within NET_RTOL[dtype] * max|switched off| of the same backward with
-    them dropped. Over the same panel batches the worst, block 0's
-    batchnorm shift, were 3.8e-5 in float32 at batch 32 and 4.1e-14 in
-    float64 at batch 1.
+    them dropped, which gathers at every position. Over the same panel
+    batches the worst were 1.2e-4 in float32 at batch 32 (block 0's
+    batchnorm shift) and 5.5e-14 in float64 at batch 1. That shift reads
+    the dense input gradient's sum outside the windows, and a float32
+    gather rounds each element about 3x worse than a per-tap sum does.
     """
 
     RTOL = {np.float64: 1e-13, np.float32: 1e-4}
@@ -760,7 +775,7 @@ class TestCarriedBackward:
         x = cache[0]
         windows, _ = carried
         got_x, got_w, got_b = layers.conv3d_backward(grad_y, cache, carried=carried)
-        want_x, want_w, want_b = layers.conv3d_backward(grad_y, cache)
+        want_x, want_w, want_b = col2im_backward(grad_y, x, cache[1])
         rtol = self.RTOL[x.dtype.type]
         at = np.take_along_axis(want_x.reshape(x.shape[:2] + (-1,)), windows[:, None, :], axis=2)
         assert isinstance(got_x, layers.Windowed) and got_x.dtype == x.dtype
@@ -835,9 +850,21 @@ class TestCarriedBackward:
         with pytest.raises(layers.ShapeMismatch, match="POOL"):
             got_x.index(0, np.array([0]), np.array([0]), np.array([0]))
 
+    def test_no_input_grad(self):
+        x, windows, background = carried_input(3, (8, 8, 16), 64)
+        w = CARRIED_RNG.standard_normal((16, 8, 3, 3, 3))
+        grad_y = CARRIED_RNG.standard_normal((3, 16, 8, 8, 16))
+        _, cache = layers.conv3d_forward(x, w, np.zeros(16))
+        got = layers.conv3d_backward(grad_y, cache, need_input_grad=False, carried=(windows, background))
+        want = layers.conv3d_backward(grad_y, cache, carried=(windows, background))
+        assert got[0] is None
+        for grad, expected in zip(got[1:], want[1:]):
+            assert_same_bits(grad, expected)
+
     def test_peak_memory_stays_below_the_dense_backward(self, monkeypatch):
-        # An untiled gather of the 27 tap columns at every carried window
-        # would hold far more than the dense backward's buffers.
+        # The dense backward gathers at every position, this one at block
+        # 0's carried windows only; an untiled gather of the 27 tap rows at
+        # those windows would still hold more than the dense tiles.
         grids, net = panel_grids(32)
         _, (grad_y, cache, carried) = block1_backward(monkeypatch, grids, net, np.float32)
         peaks = []

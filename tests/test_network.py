@@ -302,9 +302,10 @@ class TestBackgroundPath:
     ``Windowed`` training sums in another order than the dense layers).
 
     Block 1's conv backward at block 0's carried windows sums in another
-    order than its dense backward. Switched off, one epoch's history stays
-    within 1e-6 (relative) and every weight within 0.01 learning rates: over
-    12 training seeds the worst were 1.5e-7 and 1.3e-3 learning rates."""
+    order than its dense backward, the same gather with every position
+    carried. Switched off, one epoch's history stays within 1e-6 (relative)
+    and every weight within 0.01 learning rates: over 12 training seeds the
+    worst were 1.9e-7 and 1.3e-3 learning rates."""
 
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
