@@ -132,7 +132,7 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     A block whose input is mostly one per-channel background vector
     computes its conv only at the positions near an off-background one,
     plus one value per grid-face class for the rest
-    (``layers._correlate_background``), in training and eval alike, with
+    (``layers._correlate``), in training and eval alike, with
     the dense conv's bytes. On height fields that is the first block, whose
     input is a sparse binary grid, and the second: the first leaves its
     background wherever no voxel was near. The first block's conv output is

@@ -46,6 +46,14 @@ class TrainConfig:
         "beta1": BETA1, "beta2": BETA2, "eps": EPS, "profile": ANY_VALUE,
         "shuffle": True, "compute_dtype": _DTYPE.name}
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+
 
 @dataclass
 class EpochStats:

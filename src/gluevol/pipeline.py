@@ -232,7 +232,7 @@ def _load_split(stage: str, manifest: Manifest, grid_dir: Path, cfg: RunConfig,
     if stack:
         grids = np.stack(stack)
     labels = np.array([s.volume_mm3 for s in rows], dtype=np.float64)
-    return grids, labels, rows
+    return grids, labels
 
 
 def _groups(manifest: Manifest) -> list[tuple[str, bool]]:
@@ -248,12 +248,12 @@ def stage_train(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
     model_dir.mkdir(parents=True, exist_ok=True)
     for glue_type, attached in _groups(manifest):
         name = _group_name(glue_type, attached)
-        train_x, train_y, _ = _load_split(
+        train_x, train_y = _load_split(
             "train", manifest, grid_dir, cfg, glue_type, attached, "train")
         if not len(train_y):  # each type's last deposit is its test split
             raise ConfigError(f"train: {name} has no training samples "
                               "(layout.deposits_per_type must be at least 2)")
-        test_x, test_y, _ = _load_split(
+        test_x, test_y = _load_split(
             "train", manifest, grid_dir, cfg, glue_type, attached, "test")
         result = training.train(train_x, train_y, cfg.net, cfg.train, test_x, test_y)
         if result.history and not np.isfinite(result.history[-1].train_mse):
@@ -283,7 +283,7 @@ def stage_eval(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
             raise MissingInput(f"eval: missing weights {weights_path} (run `train` first)")
         weights = weights_io.read_weights(weights_path)
         weights_io.check_fits(weights, cfg.net, weights_path)
-        test_x, test_y, _ = _load_split(
+        test_x, test_y = _load_split(
             "eval", manifest, grid_dir, cfg, glue_type, attached, "test")
         result = training.evaluate(weights, cfg.net, test_x, test_y)
         if not np.isfinite(result.mse):

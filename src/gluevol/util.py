@@ -88,11 +88,11 @@ def configure_allocator() -> None:
     default malloc settings each one above 128 kB is a fresh mmap whose
     pages fault in again on every use. Raising the mmap threshold and
     disabling trim makes those buffers come from (and return to) the
-    reusable heap. Since the dense conv works in cache-sized tiles this no
-    longer buys time: one tiny-profile epoch took 9.0-9.6 s with it and
-    8.9-9.2 s without (three alternating pairs, one BLAS thread). It stays
-    because it lowers peak RSS, 299 MB against 312 MB in the same runs.
-    No-op where glibc is absent.
+    reusable heap. It buys both time and memory: four alternating pairs of
+    untraced ``perfbench`` ``train-tiny`` runs (seeds 8101-8104, one BLAS
+    thread, a 2-core Xeon) read 56.0-65.4 samples/s and 354-366 MB peak RSS
+    with it, against 52.8-57.7 samples/s and 368-383 MB without. No-op
+    where glibc is absent.
     """
     global _ALLOCATOR_CONFIGURED
     if _ALLOCATOR_CONFIGURED:

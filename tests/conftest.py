@@ -1,10 +1,13 @@
 """Tier-1 runs with one OpenBLAS thread, as CI does.
 
-The forward bit-identity tests of ``test_layers.py`` (``TestDenseConvBits``,
-``TestBackgroundConv`` and ``TestBinaryConv``) assume the summation order of
-a single-thread GEMM. OpenBLAS reads the thread count when numpy loads, so
-it is set here, before any test module imports numpy. The fixtures that
-several test files share follow.
+The conv forward's bit-identity tests, which compare it against the
+test-local im2col oracle ``dense_conv`` in ``test_layers.py``
+(``TestDenseConvBits``, ``TestBackgroundConv`` and ``TestBinaryConv``) or
+across batch sizes in ``test_network.py``
+(``TestBackgroundPath::test_dense_layer_input_is_the_same_at_every_batch_size``),
+assume the summation order of a single-thread GEMM. OpenBLAS reads the
+thread count when numpy loads, so it is set here, before any test module
+imports numpy. The fixtures that several test files share follow.
 """
 
 import os

@@ -280,6 +280,10 @@ class TestCodecRule:
             (set_value("scan", "seed", value=9), "scan.seed is 9, not the run seed 0"),
             (set_value("augment", "seed", value=9), "augment.seed is 9,"),
             (set_value("train", "seed", value=7), "train.seed is 7,"),
+            (set_value("train", "batch_size", value=0), "batch_size must be >= 1, got 0"),
+            (set_value("train", "epochs", value=-1), "epochs must be >= 0, got -1"),
+            (set_value("train", "learning_rate", value=-1e-3),
+             "learning_rate must be finite and > 0, got -0.001"),
         ],
         ids=["unknown_top_level", "unknown_layout", "scan_without_step", "no_profile",
              "float_as_int", "str_as_int", "bool_as_int", "int_as_str", "int_as_bool",
@@ -289,7 +293,8 @@ class TestCodecRule:
              "retired_reposition_as_bool", "retired_squeeze_ratio", "retired_column_scale_range",
              "retired_attach_pattern", "retired_shape", "retired_noise_levels",
              "retired_window_fraction", "retired_coverage_target", "retired_z_base_as_str",
-             "retired_prediction_time", "scan_seed", "augment_seed", "train_seed"],
+             "retired_prediction_time", "scan_seed", "augment_seed", "train_seed",
+             "zero_batch_size", "negative_epochs", "negative_learning_rate"],
     )
 
     @EDITS

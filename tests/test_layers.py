@@ -119,11 +119,43 @@ class TestConv3d:
         assert gx.dtype == np.float32 and gw.dtype == np.float32
 
 
+# The oracles below take their GEMMs over chunks of as many samples as this
+# many bytes of patch matrix hold.
+COL_BUDGET = 96 * 1024 * 1024
+
+
+def im2col(x_pad, k):
+    """(B, Cin*k^3, n_positions) patch matrix of every k^3 patch of x_pad,
+    by k^3 slice copies."""
+    batch, c_in = x_pad.shape[:2]
+    ox, oy, oz = (d - k + 1 for d in x_pad.shape[2:])
+    col = np.empty((batch, c_in, k, k, k, ox, oy, oz), dtype=x_pad.dtype)
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                col[:, :, a, b, c] = x_pad[:, :, a : a + ox, b : b + oy, c : c + oz]
+    return col.reshape(batch, c_in * k**3, ox * oy * oz)
+
+
+def chunked_correlate(x_pad, w_mat, k, out_dims):
+    """Correlation of x_pad without tiles: one im2col patch matrix and one
+    batched GEMM per ``COL_BUDGET`` chunk of samples."""
+    batch, c_out = x_pad.shape[0], w_mat.shape[0]
+    n_positions = int(np.prod(out_dims))
+    chunk = max(1, COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
+    y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
+    flat = y.reshape(batch, c_out, n_positions)
+    for lo in range(0, batch, chunk):
+        col = im2col(x_pad[lo : lo + chunk], k)
+        np.matmul(w_mat, col, out=flat[lo : lo + chunk])
+    return y
+
+
 def dense_conv(x, w, b):
-    """The GEMM path of conv3d_forward: pad, im2col, matmul, bias."""
+    """The forward oracle: pad, one im2col GEMM per sample, bias."""
     k = w.shape[2]
     w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
-    y = layers._correlate(layers._pad_spatial(x, k // 2), w_mat, k)
+    y = chunked_correlate(layers._pad_spatial(x, k // 2), w_mat, k, x.shape[2:])
     y += b[:, None, None, None]
     return y
 
@@ -155,61 +187,65 @@ def assert_same_bits(y, expected):
     assert y.tobytes() == expected.tobytes()
 
 
-def gather_forward(monkeypatch, x, w, b):
-    """conv3d_forward with the dense GEMM made to raise: the input must take
-    the background-class path."""
-    def no_gemm(*args):
-        raise AssertionError("dense GEMM ran on a mostly background input")
+def forward_columns(monkeypatch, x, w, b):
+    """conv3d_forward, and which columns its GEMMs computed: "background"
+    where ``_background_active`` found the active positions and classes,
+    "every" where every position was computed."""
+    found = []
+    background_active = layers._background_active
+
+    def spy(x, k):
+        found.append(background_active(x, k))
+        return found[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(layers, "_correlate", no_gemm)
+        m.setattr(layers, "_background_active", spy)
         y, cache = layers.conv3d_forward(x, w, b)
     assert cache[0] is x and cache[2:] == (None, None)
+    return y, "every" if not found or found[-1] is None else "background"
+
+
+def background_forward(monkeypatch, x, w, b):
+    """conv3d_forward of an input that must take the background-class
+    columns."""
+    y, columns = forward_columns(monkeypatch, x, w, b)
+    assert columns == "background", "every position ran on a mostly background input"
     return y
 
 
-def gemm_forward(monkeypatch, x, w, b):
-    """conv3d_forward with the dense GEMM counted: the input must take it."""
-    calls = []
-    gemm = layers._correlate
-
-    def counted(*args):
-        calls.append(1)
-        return gemm(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(layers, "_correlate", counted)
-        y, _ = layers.conv3d_forward(x, w, b)
-    assert calls, "the input should have taken the dense GEMM path"
+def every_position_forward(monkeypatch, x, w, b):
+    """conv3d_forward of an input that must compute every position."""
+    y, columns = forward_columns(monkeypatch, x, w, b)
+    assert columns == "every", "the input should have computed every position"
     assert not isinstance(y, layers.Windowed)
     return y
 
 
 class TestBinaryConv:
-    """Binary grids take the background-class path in the ``Windowed``
-    form; made dense by ``densify``, its output has the GEMM's bytes. The
-    GEMM is made to raise where the path must run, and counted where the
-    input must fall back to it."""
+    """Binary grids take the background-class columns in the ``Windowed``
+    form; made dense by ``densify``, its output has the im2col oracle's
+    bytes. A spy on ``_background_active`` tells whether the class columns
+    or every position ran."""
 
     @staticmethod
     def sparse_forward(monkeypatch, x, w, b):
-        y = gather_forward(monkeypatch, x, w, b)
+        y = background_forward(monkeypatch, x, w, b)
         assert isinstance(y, layers.Windowed)
         return densify(y)
 
     @staticmethod
     def dense_form_forward(monkeypatch, x, w, b):
-        y = gather_forward(monkeypatch, x, w, b)
+        y = background_forward(monkeypatch, x, w, b)
         assert not isinstance(y, layers.Windowed)
         return y
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_height_fields_match_gemm(self, monkeypatch, dtype, batch):
-        # one 12x12x24 grid is one dense GEMM, so batch 1 takes it
+        # one tile covers a 12x12x24 grid, so batch 1 computes every position
         x = height_fields(batch, dtype=dtype)
         w, b = conv_weights(dtype)
-        forward = gemm_forward if batch == 1 else self.sparse_forward
+        forward = every_position_forward if batch == 1 else self.sparse_forward
         assert_same_bits(forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -244,7 +280,8 @@ class TestBinaryConv:
     def test_sample_order_does_not_pick_the_background(self, monkeypatch, batch):
         # Sample 0's last voxel, where the background is read, is set. The
         # commonest value there is the background, the lower one on a tie
-        # (batch 2), so the batch takes the gather as in any other order.
+        # (batch 2), so the batch takes the class columns as in any other
+        # order.
         x = self.voxels_on_every_face((16, 18, 20))[::-1]
         x = np.concatenate([x, np.zeros_like(x[:1])])[:batch]
         assert x[0, 0, -1, -1, -1] == 1 and not x[1:, 0, -1, -1, -1].any()
@@ -272,10 +309,10 @@ class TestBinaryConv:
         w, b = conv_weights(np.float64)
         assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
-    def test_dense_binary_input_falls_back_to_gemm(self, monkeypatch):
+    def test_dense_binary_input_computes_every_position(self, monkeypatch):
         x = (BINARY_RNG.random((2, 1, 8, 8, 16)) < 0.3).astype(np.float64)
         w, b = conv_weights(np.float64)
-        assert_same_bits(gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(every_position_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("value", [0.5, np.nan])
     def test_non_binary_input_is_dense(self, monkeypatch, value):
@@ -287,24 +324,6 @@ class TestBinaryConv:
 
 # Dense-conv inputs draw from their own generator as well.
 TILE_RNG = np.random.default_rng(10)
-
-# The oracles below take their GEMMs over chunks of as many samples as this
-# many bytes of patch matrix hold.
-COL_BUDGET = 96 * 1024 * 1024
-
-
-def chunked_correlate(x_pad, w_mat, k, out_dims):
-    """The forward GEMM before tiling: one im2col patch matrix and one
-    batched GEMM per ``COL_BUDGET`` chunk of samples."""
-    batch, c_out = x_pad.shape[0], w_mat.shape[0]
-    n_positions = int(np.prod(out_dims))
-    chunk = max(1, COL_BUDGET // (w_mat.shape[1] * n_positions * x_pad.itemsize))
-    y = np.empty((batch, c_out) + tuple(out_dims), dtype=x_pad.dtype)
-    flat = y.reshape(batch, c_out, n_positions)
-    for lo in range(0, batch, chunk):
-        col = layers._im2col(x_pad[lo : lo + chunk], k)
-        np.matmul(w_mat, col, out=flat[lo : lo + chunk])
-    return y
 
 
 def col2im_backward(grad_y, x, w):
@@ -324,7 +343,7 @@ def col2im_backward(grad_y, x, w):
     w_t = np.ascontiguousarray(w.reshape(c_out, -1).T)
     for lo in range(0, batch, chunk):
         hi = min(lo + chunk, batch)
-        col = layers._im2col(x_pad[lo:hi], k)
+        col = im2col(x_pad[lo:hi], k)
         grad_w += np.matmul(grad_flat[lo:hi], col.transpose(0, 2, 1)).sum(axis=0)
         col_grad = np.matmul(w_t, grad_flat[lo:hi]).reshape(hi - lo, c_in, k, k, k, ox, oy, oz)
         for a in range(k):
@@ -336,8 +355,9 @@ def col2im_backward(grad_y, x, w):
 
 
 class TestDenseConvBits:
-    """On the dense tiny-net blocks 1-4, the tiled forward is bit-identical
-    to the chunked im2col GEMM it replaced, and the backward's gathered
+    """On the dense tiny-net blocks 1-4, the forward, which gathers the
+    patch columns of every position a tile at a time, is bit-identical to
+    the chunked im2col GEMM (``dense_conv``), and the backward's gathered
     gradients agree with an im2col GEMM and col2im to float rounding.
 
     The forward computes every output element as the same dot product,
@@ -362,10 +382,7 @@ class TestDenseConvBits:
     @staticmethod
     def compare(x, w, b, need_input_grad=True):
         y, cache = layers.conv3d_forward(x, w, b)
-        w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
-        expected = chunked_correlate(layers._pad_spatial(x, 1), w_mat, 3, x.shape[2:])
-        expected += b[:, None, None, None]
-        assert_same_bits(y, expected)
+        assert_same_bits(y, dense_conv(x, w, b))
         grad_y = TILE_RNG.standard_normal(y.shape).astype(x.dtype)
         grads = layers.conv3d_backward(grad_y, cache, need_input_grad=need_input_grad)
         oracle = col2im_backward(grad_y, x, w)
@@ -450,14 +467,14 @@ def panel_grids(count):
 
 class TestBackgroundConv:
     """Inputs of several channels that mostly equal one per-channel
-    background vector take the background-class path in the dense form
-    (the tile test runs a binary grid too); its output has the bytes of the
-    dense GEMM (``dense_conv``), whose ``_correlate`` is made to raise where
-    the path must run. Like ``TestDenseConvBits``, this rests on the BLAS
-    summing a column alike in any GEMM of the same N, a multiple of 16."""
+    background vector take the background-class columns in the dense form
+    (the tile test runs a binary grid too), as a spy on
+    ``_background_active`` tells; the output has the bytes of the im2col
+    oracle (``dense_conv``). Like ``TestDenseConvBits``, this rests on the
+    BLAS summing a column alike in any GEMM of the same N, a multiple of 16."""
 
     def check(self, monkeypatch, x, w, b):
-        y = gather_forward(monkeypatch, x, w, b)
+        y = background_forward(monkeypatch, x, w, b)
         assert_same_bits(y, dense_conv(x, w, b))
         return y
 
@@ -526,10 +543,10 @@ class TestBackgroundConv:
         assert np.array_equal(interior, np.broadcast_to(interior[:1, :, :1, :1, :1], interior.shape))
         assert len(np.unique(y[0, 2])) == 27
 
-    def test_mostly_active_input_takes_gemm(self, monkeypatch):
+    def test_mostly_active_input_computes_every_position(self, monkeypatch):
         x = background_input(2, dims=(8, 8, 16), columns=1.0)
         w, b = block_weights(np.float64)
-        assert_same_bits(gemm_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(every_position_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("background", [-0.0, np.nan])
     def test_other_bits_of_an_equal_value_are_off(self, monkeypatch, background):
@@ -556,7 +573,7 @@ class TestBackgroundConv:
             columns = np.count_nonzero(active) + 27
             assert columns > 2 * n and columns % n
             assert windowed == (x.shape[1] == 1)
-            y = gather_forward(monkeypatch, x, w, b)
+            y = background_forward(monkeypatch, x, w, b)
             assert_same_bits(densify(y) if windowed else y, dense_conv(x, w, b))
 
 
@@ -646,8 +663,8 @@ class TestWindowed:
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_height_fields_match_dense(self, monkeypatch, dtype, batch):
-        # tiles of 4 x-planes: a batch-1 grid is then more than one dense
-        # GEMM and, as larger batches, takes the Windowed form
+        # tiles of 4 x-planes: a batch-1 grid is then more than one tile
+        # and, as larger batches, takes the Windowed form
         monkeypatch.setattr(layers, "_TILE_BYTES", 4 * 27 * 12 * 24 * np.dtype(dtype).itemsize)
         rng = np.random.default_rng(batch)
         for seed in range(3):

@@ -257,7 +257,7 @@ class TestEvalOrder:
         # Sparse height fields: block 0's conv output comes out Windowed and
         # is pooled in that form. The oracle runs the same eval forward, and
         # the training-order reference, with the background-class path
-        # switched off, on the dense GEMM's conv output; all three agree
+        # switched off, on the conv output of every position; all three agree
         # byte for byte.
         weights = self.weights().cast(dtype)
         assert (weights.blocks[0].bn_gamma < 0).any()
@@ -310,21 +310,46 @@ class TestBackgroundPath:
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
         taken = []
-        correlate = layers._correlate_background
+        background_active = layers._background_active
 
-        def spy(x, w_mat, b, k):
-            y = correlate(x, w_mat, b, k)
-            taken.append((x.shape[1], x.dtype, None if y is None else type(y)))
-            return y
+        def spy(x, k):
+            found = background_active(x, k)
+            taken.append((x.shape[1], x.dtype, None if found is None else found[2]))
+            return found
 
-        monkeypatch.setattr(layers, "_correlate_background", spy)
+        monkeypatch.setattr(layers, "_background_active", spy)
         weights = init_weights(TINY, seed=1)
         predict(grids[:3], weights, TINY, batch_size=1)
         rnet_forward(grids[:8], weights.cast(np.float32), TINY, training=True)
         block0 = [t for t in taken if t[0] == 1]
         block1 = [t for t in taken if t[0] == TINY.channels[0]]
-        assert block0 == [(1, np.float64, layers.Windowed)] * 3 + [(1, np.float32, layers.Windowed)]
-        assert block1 == [(8, np.float64, np.ndarray)] * 3 + [(8, np.float32, np.ndarray)]
+        # the third entry tells the Windowed form
+        assert block0 == [(1, np.float64, True)] * 3 + [(1, np.float32, True)]
+        assert block1 == [(8, np.float64, False)] * 3 + [(8, np.float32, False)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dense_layer_input_is_the_same_at_every_batch_size(self, monkeypatch, tiny_scans,
+                                                                dtype):
+        # Block 2 takes the background-class columns for 12 of the 24
+        # regions at batch 1, for 1 of the 4 batches of 7 and not at batch
+        # 24, and computes every position elsewhere; the dense layer's
+        # input keeps its bytes either way.
+        grids, _ = tiny_scans
+        weights = init_weights(TINY, seed=1).cast(dtype)
+        inputs, dense = [], layers.dense_forward
+
+        def spy(x, w, b):
+            inputs.append(x)
+            return dense(x, w, b)
+
+        monkeypatch.setattr(layers, "dense_forward", spy)
+        flat = {}
+        for size in (1, 7, 24):
+            inputs.clear()
+            predict(grids, weights, TINY, batch_size=size)
+            flat[size] = np.concatenate(inputs)
+        assert flat[1].shape == (len(grids), 256) and flat[1].dtype == dtype
+        assert flat[1].tobytes() == flat[7].tobytes() == flat[24].tobytes()
 
     def test_switched_off_changes_no_bytes(self, monkeypatch, tiny_scans):
         grids, volumes = tiny_scans
