@@ -1,7 +1,8 @@
 """Tensor layers with exact forward and backward passes in numpy.
 
 Tensors are (batch, channels, x, y, z) C-order arrays, float32 in training
-and float64 elsewhere: every layer keeps the dtype of its input. Every
+and float64 elsewhere: every layer keeps the dtype of its input, save that
+the conv takes a bool or integer grid in its kernel's dtype. Every
 forward returns (output, cache); the matching backward consumes the
 upstream gradient plus the cache and returns gradients for its inputs and
 parameters. The layers carry RNet's fixed settings, one constant each: a
@@ -12,39 +13,40 @@ leaky ReLU with slope ``SLOPE``, batchnorm with ``BN_EPS`` and
 3D convolution is cross-correlation lowered to GEMM, cache-blocked in the
 manner of Goto & van de Geijn: the forward gathers patch columns with one
 ``np.take`` into a ``_TILE_BYTES`` (1 MB) tile at a time and runs its GEMM
-while the tile is still in L2 (see ``_correlate``). Every output element is
-the same dot product as in one im2col GEMM per sample, so on the network's
-shapes tiling changes no bits on the BLAS these layers were measured with
-(``tests/test_layers.py::TestDenseConvBits``). The backward builds no
-patch matrix: one tiled gather of grad_y's k^3 tap rows at every input
-position gives the input and weight gradients (see ``conv3d_backward``),
-in another order than an im2col GEMM, so they agree with one to float
-rounding. Each call allocates its own buffers, so the layer functions keep
-no state between calls.
+while the tile is still in L2 (see ``_gemm_columns``). Every output element
+is the same dot product as in one im2col GEMM per sample, so on the
+network's shapes tiling changes no bits on the BLAS these layers were
+measured with (``tests/test_layers.py::TestDenseConvBits``). The backward
+builds no patch matrix: one tiled gather of grad_y's k^3 tap rows at every
+input position gives the input and weight gradients (see
+``conv3d_backward``), in another order than an im2col GEMM, so they agree
+with one to float rounding. Each call allocates its own buffers, so the
+layer functions keep no state between calls.
 
 On height fields most of a conv input is one background value per
 channel: block 0 reads binary grids, under 1% occupied, and block 1's input
 keeps block 0's background wherever its windows held no voxel. Such an
 input takes the background-class columns (see ``conv3d_forward``): an output
 whose patch holds only background and padding has one of k^3 values per
-channel, fixed by the grid faces it touches, so the GEMM computes those
+channel, fixed by the grid faces it touches, so the GEMMs compute those
 k^3 patch columns and the columns of the positions near an off-background
 one (about a twentieth of block 0 and a fifth of block 1 on tiny height
-fields) and no others. Its GEMMs have the same N as a dense input's, so
-each column is the same dot product and the output is bit-identical.
-Every other input is the case of every position active, as in Graham's
-active-site convolution (arXiv:1409.6070): a dense one, or one where more
-than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the positions need their own
-column.
+fields), with the same N as a dense input's, so the output is
+bit-identical. Those active positions are found from coordinates, the way
+Graham's spatially-sparse CNNs (arXiv:1409.6070) dilate the input sites
+and MinkowskiEngine (arXiv:1904.08755) builds its kernel map; a binary
+grid is read once, by one ``np.flatnonzero``, and never copied to a float
+frame. Every other input is the case of every position active: a dense
+one, or one where more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the
+positions need their own column.
 
 The background-class output is dense, or, for a binary grid at most
 ``_WINDOWED_MAX_ACTIVE`` active, a ``Windowed`` tensor: per sample, the
 values of the pool windows that touch an active position, plus one
-background value per channel for every other position. Leaky ReLU,
-batchnorm and max-pool take that form forward and backward, so on tiny
-height-field grids they touch about an eighth of the positions of the
-full-resolution tensor; max-pool returns a dense pooled tensor, so the
-next block's forward is unchanged. The next block's conv backward, told
+background value per channel elsewhere. Leaky ReLU, batchnorm and max-pool
+take that form forward and backward, touching about an eighth of the
+positions on tiny height fields; max-pool returns a dense pooled tensor,
+so the next block's forward is unchanged. The next block's conv backward, told
 those windows, runs a dense input's gather at them only and returns the
 input gradient there plus one per-channel sum over the rest, which is all
 the first block's max-pool backward reads (see ``conv3d_backward``).
@@ -134,22 +136,6 @@ class Windowed(np.ndarray):
         """Background positions per channel over the whole batch."""
         return self.shape[0] * (int(np.prod(self.dims)) - self.shape[2] * self.shape[3])
 
-    def index(self, sample, i, j, l) -> np.ndarray:
-        """Index into one sample's flattened (POOL^3, W) values of each
-        full-resolution position (i, j, l) of the given samples (arrays
-        that broadcast together); -1 where that window is not carried.
-        Raises ``ShapeMismatch`` on the pooled-grid form, whose windows
-        hold one position each."""
-        _require(self.shape[2] == POOL ** 3,
-                 f"index needs POOL^3 = {POOL ** 3} offsets per window, got {self.shape[2]}")
-        w, n = POOL, self.shape[3]
-        pooled = [d // w for d in self.dims]
-        slot = np.full((self.shape[0], int(np.prod(pooled))), -1, dtype=np.intp)
-        np.put_along_axis(slot, self.windows, np.arange(n)[None, :], axis=1)
-        (wi, oi), (wj, oj), (wl, ol) = (np.divmod(c, w) for c in (i, j, l))
-        window = slot[sample, (wi * pooled[1] + wj) * pooled[2] + wl]
-        return np.where(window < 0, -1, ((oi * w + oj) * w + ol) * n + window)
-
 
 def _windowed(values, background, windows, dims) -> Windowed:
     out = np.asarray(values).view(Windowed)
@@ -162,28 +148,6 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeMismatch(message)
 
 
-def _pad_spatial(x: np.ndarray, p: int) -> np.ndarray:
-    """x in a frame of p zeros (or False) along its last three axes."""
-    padded = np.zeros(x.shape[:-3] + tuple(d + 2 * p for d in x.shape[-3:]), dtype=x.dtype)
-    padded[..., p : p + x.shape[-3], p : p + x.shape[-2], p : p + x.shape[-1]] = x
-    return padded
-
-
-def _dilate(padded, k: int) -> np.ndarray:
-    """Separable k^3 box dilation of a mask framed by ``_pad_spatial``:
-    output o is set when its patch padded[o : o + k] (along each axis)
-    holds a set voxel."""
-    active = padded
-    for axis in (1, 2, 3):
-        n = padded.shape[axis] - k + 1
-        lead = (slice(None),) * axis
-        dilated = active[lead + (slice(0, n),)].copy()
-        for a in range(1, k):
-            dilated |= active[lead + (slice(a, a + n),)]
-        active = dilated
-    return active
-
-
 def _tap_offsets(k: int, py: int, pz: int) -> np.ndarray:
     """Flat offset of each tap (a, b, c), in that order, in a grid of
     (y, z) extent (py, pz)."""
@@ -191,8 +155,29 @@ def _tap_offsets(k: int, py: int, pz: int) -> np.ndarray:
     return ((r[:, None, None] * py + r[None, :, None]) * pz + r[None, None, :]).ravel()
 
 
-def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
-    """Weight gradient of the conv of a one-channel 0/1 input.
+def _unravel(flat, shape) -> list:
+    """``np.unravel_index`` by floor division by each extent, which numpy
+    runs several times faster than unravel_index or a remainder."""
+    coords = []
+    for d in shape[:0:-1]:
+        quotient = flat // d
+        coords.insert(0, flat - quotient * d)
+        flat = quotient
+    return [flat] + coords
+
+
+def _pool_window(i, j, l, dims):
+    """(flat window in the pooled grid, in-window offset in (x, y, z) order)
+    of full-resolution positions (i, j, l): a ``Windowed``'s value axes."""
+    wi, wj, wl = (c // POOL for c in (i, j, l))
+    window = (wi * (dims[1] // POOL) + wj) * (dims[2] // POOL) + wl
+    return window, ((i - wi * POOL) * POOL + j - wj * POOL) * POOL + l - wl * POOL
+
+
+def _binary_weight_grad(grad_y: Windowed, voxels, slots, k: int) -> np.ndarray:
+    """Weight gradient of the conv of a binary grid, from its forward's
+    occupied voxels (flat, ascending) and window slot table (see
+    ``_correlate``).
 
     Tap t of the kernel sees input o - k // 2 + t at output o, so its
     gradient is the sum of grad_y at (v + k // 2 - t) over the occupied
@@ -201,46 +186,35 @@ def _binary_weight_grad(grad_y: Windowed, x, k: int) -> np.ndarray:
     voxels in (sample, x, y, z) order, pairwise as ``np.sum`` adds.
     """
     g = np.asarray(grad_y)
-    batch, c_out = g.shape[:2]
-    per_sample = g.shape[2] * g.shape[3]
+    batch, c_out, _, width = g.shape
+    per_sample = g.shape[2] * width
     # (c_out, batch, per_sample + 1): each channel's gradients in one row,
     # with a zero after each sample for the taps that fall off the grid.
     rows = np.zeros((c_out, batch, per_sample + 1), dtype=g.dtype)
     rows[:, :, :per_sample] = g.reshape(batch, c_out, per_sample).transpose(1, 0, 2)
     dims = grad_y.dims
-    sample, voxel = np.divmod(np.flatnonzero(x[:, 0] != 0), int(np.prod(dims)))
-    shift = k // 2 - np.arange(k)[:, None]
+    sample, *coords = _unravel(voxels, (batch,) + dims)
     # (k, n) output coordinates per axis, and whether they are on the grid
-    coords = [v + shift for v in np.unravel_index(voxel, dims)]
+    coords = [v + k // 2 - np.arange(k)[:, None] for v in coords]
     on_grid = [(c >= 0) & (c < d) for c, d in zip(coords, dims)]
     i, j, l = (np.clip(c, 0, d - 1) for c, d in zip(coords, dims))
     inside = on_grid[0][:, None, None] & on_grid[1][None, :, None] & on_grid[2][None, None, :]
-    slot = grad_y.index(sample, i[:, None, None], j[None, :, None], l[None, None, :])
+    window, offset = _pool_window(i[:, None, None], j[None, :, None], l[None, None, :], dims)
+    slot = offset * width + slots[sample, window]
     slot[~inside] = per_sample  # (k, k, k, n)
     gathered = np.take(rows.reshape(c_out, -1), sample * (per_sample + 1) + slot, axis=1)
     return gathered.sum(axis=-1).reshape(c_out, 1, k, k, k)
 
 
-def _background_active(x, k: int):
-    """(background, active output positions, windowed) of a mostly
-    background input.
-
-    The background is the commonest channel vector at the samples' last
-    positions, the lowest bit pattern among equally common ones, so the
-    order of the samples does not decide it. A position is off the
-    background when any channel's bits differ from it, so -0.0 against
-    +0.0, or another NaN payload, counts as off; an output position is
-    active when its k^3 patch holds such a position.
-    Returns None, for every position to be computed, for dims under k, and
-    when more than ``_BACKGROUND_MAX_ACTIVE`` of the output positions are active.
-
-    ``windowed`` tells a binary grid, whose output takes the ``Windowed``
-    form: one channel of +0.0 background and 1.0 elsewhere, dims that
-    ``POOL`` divides and at most ``_WINDOWED_MAX_ACTIVE`` of the output
-    positions active.
+def _background_active(x):
+    """(background, off) of an input: the commonest channel vector at the
+    samples' last positions, the lowest bit pattern among equally common
+    ones, so the order of the samples does not decide it, and the (sample,
+    x, y, z) mask of the positions off it. A position is off when any
+    channel's bits differ from the background, so -0.0 against +0.0, or
+    another NaN payload, counts as off. None where more than
+    ``_BACKGROUND_MAX_ACTIVE`` of the positions are off.
     """
-    if min(x.shape[2:]) < k:
-        return None
     bits = x.view(np.dtype(f"u{x.itemsize}"))
     last = bits[:, :, -1, -1, -1]
     background = last[0]
@@ -248,50 +222,87 @@ def _background_active(x, k: int):
         patterns, counts = np.unique(last, axis=0, return_counts=True)
         background = patterns[np.argmax(counts)]
     off = np.any(bits != background[:, None, None, None], axis=1)
-    limit = _BACKGROUND_MAX_ACTIVE * off.size
-    if np.count_nonzero(off) > limit:  # the dilation can only grow
+    if np.count_nonzero(off) > _BACKGROUND_MAX_ACTIVE * off.size:  # the dilation only grows
         return None
-    active = _dilate(_pad_spatial(off, k // 2), k)
-    count = np.count_nonzero(active)
-    if count > limit:
+    return background.view(x.dtype), off
+
+
+def _occupied(x):
+    """The flat indices, ascending, of the set voxels of a binary grid, one
+    channel of 0 and 1 (+0.0 and 1.0 by bits in a float grid) whose
+    background, as ``_background_active`` picks it, is 0; else None."""
+    if x.shape[1] != 1 or x.dtype.kind not in "biuf":
         return None
-    windowed = (x.shape[1] == 1 and not background.any() and not any(d % POOL for d in x.shape[2:])
-                and count <= _WINDOWED_MAX_ACTIVE * off.size and np.all(x[:, 0][off] == 1))
-    return background.view(x.dtype), active, windowed
+    # nonzero reads a bool mask several times faster than integers
+    voxels = np.flatnonzero(x if x.dtype == bool else x.view(np.dtype(f"u{x.itemsize}")) != 0)
+    if np.any(x.ravel()[voxels] != 1) or 2 * np.count_nonzero(x[:, 0, -1, -1, -1]) > len(x):
+        return None
+    return voxels
+
+
+def _active_corners(seed, at, dims, k: int, limit):
+    """The corners, ascending, of the outputs whose patch holds a position
+    set in the bool frame ``seed`` (at the flat positions ``at``, where
+    known); None where there are more than ``limit``. A corner lies at its
+    output's (x, y, z), at a set position minus a tap offset: a sparse seed
+    scatters each such pair, a denser one takes k shifted ORs along each
+    axis. Corners off the grid fall on the far padding of a row, plane or
+    sample, or on sample 0, and are dropped."""
+    count = np.count_nonzero(seed) if at is None else at.size
+    if count > limit:  # the dilation can only grow
+        return None
+    if count * k**3 < seed.size:
+        at = np.flatnonzero(seed) if at is None else at
+        near, offsets = np.zeros_like(seed), _tap_offsets(k, *seed.shape[2:])
+        chunk = max(1, _TILE_BYTES // offsets.nbytes)  # positions per scatter
+        for lo in range(0, at.size, chunk):
+            near.reshape(-1)[at[lo : lo + chunk, None] - offsets] = True
+    else:
+        near = seed.copy()
+        for axis in (1, 2, 3):
+            lead, marked = (slice(None),) * axis, near.copy()
+            for t in range(1, k):
+                near[lead + (slice(0, -t),)] |= marked[lead + (slice(t, None),)]
+    for axis, d in enumerate(dims, start=1):
+        near[(slice(None),) * axis + (slice(d, None),)] = False
+    corners = np.flatnonzero(near[1:]) + math.prod(seed.shape[1:])
+    return None if corners.size > limit else corners
+
+
+def _gemm_columns(source, offsets, rows, w_mat, values, n: int) -> None:
+    """values[r, :, j] = w_mat @ the patch column at flat position rows[r, j]
+    of source (Cin, positions): one ``np.take`` of the k^3 tap offsets fills
+    a (Cin, k^3, n) tile of at most ``_TILE_BYTES``, and one GEMM turns it
+    into n columns while the tile is still in L2 (a row's last may be
+    shorter). A 0/1 source is gathered, then copied into a float tile."""
+    patch = w_mat.shape[1]
+    gathered = np.empty(patch * n, dtype=source.dtype)
+    tiles = gathered if source.dtype == w_mat.dtype else np.empty(patch * n, dtype=w_mat.dtype)
+    for row, out in zip(rows, values):
+        for lo in range(0, row.size, n):
+            m = min(n, row.size - lo)
+            tile = gathered[: patch * m].reshape(source.shape[0], -1, m)
+            # mode="wrap" lets take write into the tile unbuffered (and took
+            # 0.75 of mode="clip"'s time on float32 tiles); no index wraps
+            np.take(source, offsets[:, None] + row[lo : lo + m], axis=1, out=tile, mode="wrap")
+            columns = tiles[: patch * m].reshape(patch, m)
+            if tiles is not gathered:
+                columns[...] = tile.reshape(patch, m)
+            np.matmul(w_mat, columns, out=out[:, lo : lo + m])
 
 
 def _correlate(x, w_mat, b, k: int):
-    """Exact correlation plus bias of x with a (Cout, Cin*k^3) kernel, by
-    GEMMs of the kernel with gathered patch columns.
-
-    x is copied channel-first into a frame of k // 2 zeros. Its (batch, x,
-    y, z) positions are one flat axis, in which tap (a, b, c) of every
-    output o lies at a fixed offset from its tap (0, 0, 0), the corner
-    padded[o]. One ``np.take`` of the k^3 offsets at n corners fills a
-    (Cin, k^3, n) patch tile of at most ``_TILE_BYTES``, and one GEMM turns
-    it into n output columns while the tile is still in L2.
-
-    An input that ``_background_active`` finds mostly background gathers
-    only the corners of its active positions and of k^3 class
-    representatives. An inactive output's patch holds the background
-    inside the grid and the zero padding outside it. Along each axis that
-    depends only on whether the position is one of the first k // 2, the
-    interior or one of the last k // 2: k^3 classes (27 for k = 3: the
-    interior, 6 faces, 12 edges, 8 corners), each with one representative in
-    a background sample appended to the frame. The output is dense, each
-    inactive position holding its class's value, or, for a binary grid, a
-    ``Windowed`` on each sample's pool windows that touch one of its active
-    positions, padded with its first background windows to the batch's
-    largest count. A binary grid's background and padding are both +0.0, so
-    its classes share one patch column and one value, the ``Windowed``
-    background.
-
-    Every other input is the case of every position active and no class
-    appended: each tile is one sample, or a slab of its x-planes, and its
-    GEMM writes straight into the output.
-    """
+    """Correlation plus bias of x with a (Cout, Cin*k^3) kernel (see
+    ``conv3d_forward``), as (y, x as the backward reads it, voxels, slots).
+    x goes channel-first into a frame of k // 2 zeros around each sample, a
+    binary grid's voxels into a 0/1 frame; tap (a, b, c) of every output o
+    lies at a fixed flat offset from o's corner, its tap (0, 0, 0), at
+    frame[o]. Class representatives lie in a sample 0 of background ahead:
+    along each axis an inactive output's patch depends only on whether it
+    is one of the first k // 2 positions, the interior or the last k // 2."""
     batch, c_in, dims = x.shape[0], x.shape[1], x.shape[2:]
     c_out, patch = w_mat.shape
+    dtype = w_mat.dtype
     ox, oy, oz = dims
     size = ox * oy * oz
     # A tile is as many x-planes of one sample as fit, at least one. A slab
@@ -299,75 +310,97 @@ def _correlate(x, w_mat, b, k: int):
     # planes where that many fit, so that N is a multiple of 16: the class
     # columns need GEMMs of one such N (see conv3d_forward). Where one tile
     # covers the batch, there is nothing for them to save.
-    planes = min(ox, max(1, _TILE_BYTES // max(patch * oy * oz * x.itemsize, 1)))
+    planes = min(ox, max(1, _TILE_BYTES // max(patch * oy * oz * dtype.itemsize, 1)))
     step = 16 // math.gcd(16, oy * oz)
     if step <= planes < ox:
         planes -= planes % step
     n = planes * oy * oz
-    found = None if n % 16 or batch * size <= n else _background_active(x, k)
+    sparse = not (n % 16 or batch * size <= n or min(dims) < k)
+    voxels = _occupied(x) if sparse else None
+    x = x if voxels is not None else x.astype(dtype, copy=False)
+    found = (None, voxels) if voxels is not None else _background_active(x) if sparse else None
+    first = int(found is not None)  # the samples' index in the frame
     p = k // 2
-    ix, iy, iz = (slice(p, p + d) for d in dims)
-    padded = np.zeros((c_in, batch + (found is not None)) + tuple(d + 2 * p for d in dims),
-                      dtype=x.dtype)
-    padded[:, :batch, ix, iy, iz] = x.transpose(1, 0, 2, 3, 4)
-    corners = np.zeros(padded.shape[1:], dtype=bool)
-    if found is None:
-        corners[:batch, :ox, :oy, :oz] = True
-        corner = np.flatnonzero(corners).reshape(batch, size)
-        y = np.empty((batch, c_out) + dims, dtype=x.dtype)
+    frame = (batch + first,) + tuple(d + 2 * p for d in dims)
+    inner = tuple(slice(p, p + d) for d in dims)
+    source = np.zeros((c_in,) + frame, dtype=dtype if voxels is None else bool)  # binary: 0/1
+    if voxels is None:
+        source[(slice(None), slice(first, None)) + inner] = x.transpose(1, 0, 2, 3, 4)
+        if found is not None:  # sample 0 is all background
+            source[(slice(None), 0) + inner] = found[0][:, None, None, None]
+    source = source.reshape(c_in, -1)
+    corners = None
+    if found is not None:  # the positions off the background, set in a frame
+        seed = np.zeros(frame, dtype=bool) if voxels is None else source.reshape(frame)
+        at = None
+        if voxels is None:
+            seed[(slice(1, None),) + inner] = found[1]
+        else:  # the 0/1 frame itself
+            s, i, j, l = _unravel(voxels, (batch,) + dims)
+            at = (((s + 1) * frame[1] + i + p) * frame[2] + j + p) * frame[3] + l + p
+            seed.reshape(-1)[at] = True
+        corners = _active_corners(seed, at, dims, k, _BACKGROUND_MAX_ACTIVE * batch * size)
+    offsets = _tap_offsets(k, *frame[2:])
+    if corners is None:
+        inside = np.zeros(frame, dtype=bool)
+        inside[first:, :ox, :oy, :oz] = True
+        rows = np.flatnonzero(inside).reshape(batch, size)
+        y = np.empty((batch, c_out) + dims, dtype=dtype)
         values = y.reshape(batch, c_out, size)
-    else:
-        background, active, windowed = found
-        padded[:, batch, ix, iy, iz] = background[:, None, None, None]
-        corners[:batch, :ox, :oy, :oz] = active
-        reps = [np.r_[0 : p + 1, d - p : d] for d in dims]  # one per class along each axis
-        corners[(batch,) + np.ix_(*reps)] = True
-        corner = np.flatnonzero(corners)  # active ones, then the classes
-        count = corner.size - k**3
-        corner = np.resize(corner, (1, -(-corner.size // n) * n))
-        values = np.empty((1, c_out, corner.size), dtype=x.dtype)
-
-    source = padded.reshape(c_in, -1)
-    offsets = _tap_offsets(k, *padded.shape[3:])
-    buffer = np.empty(patch * n, dtype=x.dtype)
-    for row, out in zip(corner, values):  # each sample, or the class columns
-        for lo in range(0, row.size, n):
-            m = min(n, row.size - lo)
-            tile = buffer[: patch * m].reshape(c_in, k**3, m)
-            # mode="wrap" lets take write into the tile unbuffered (and took
-            # 0.75 of mode="clip"'s time on float32 tiles); no index wraps
-            np.take(source, offsets[:, None] + row[lo : lo + m], axis=1, out=tile, mode="wrap")
-            np.matmul(w_mat, tile.reshape(patch, m), out=out[:, lo : lo + m])
+    else:  # the classes, the active positions, then class 0 to a multiple of n
+        r = np.arange(k)
+        reps = [np.where(r > p, r + d - k, r) for d in dims]  # one per class along each axis
+        count = corners.size
+        rows = np.zeros((1, -(-(k**3 + count) // n) * n), dtype=np.intp)
+        rows[0, : k**3] = ((reps[0][:, None, None] * frame[2] + reps[1][:, None]) * frame[3]
+                           + reps[2]).ravel()
+        rows[0, k**3 : k**3 + count] = corners
+        values = np.empty((1, c_out, rows.shape[1]), dtype=dtype)
+    _gemm_columns(source, offsets, rows, w_mat, values, n)
+    del source, rows  # before the output is built, which lowers the peak
     values += b[:, None]
-    if found is None:
-        return y
+    if corners is None:
+        return y, x.astype(dtype, copy=False), None, None
 
-    values = values[0]
-    sample, position = np.divmod(np.flatnonzero(active), size)
-    classes = values[:, count : count + k**3].reshape(c_out, k, k, k)
-    if windowed:
-        touched = np.logical_or.reduce(_window_views(active[:, None])).reshape(batch, -1)
-        # Each sample's touched windows, then its untouched ones, ascending.
-        order = np.argsort(~touched, axis=1, kind="stable")
-        windows = np.sort(order[:, : touched.sum(axis=1).max()], axis=1)
-        y = _windowed(np.empty((batch, c_out, POOL**3, windows.shape[1]), dtype=x.dtype),
-                      classes[:, p, p, p].copy(), windows, dims)
-        flat = np.asarray(y).reshape(batch, c_out, -1)
-        flat[...] = y.background[:, None]
-        position = y.index(sample, *np.unravel_index(position, dims))
-    else:
-        spans = [[slice(r, r + 1) for r in rep] for rep in reps]
-        for span, d in zip(spans, dims):
-            span[p] = slice(p, d - p)  # the interior class
-        y = np.empty((batch, c_out) + dims, dtype=x.dtype)
-        for (i, sx), (j, sy), (l, sz) in itertools.product(*map(enumerate, spans)):
-            y[0, :, sx, sy, sz] = classes[:, i, j, l, None, None, None]
+    classes = values[0, :, : k**3].reshape(c_out, k, k, k)
+    values = values[0, :, k**3 : k**3 + count]
+    s, i, j, l = _unravel(corners, frame)
+    s -= 1
+    slots = None
+    if voxels is None or any(d % POOL for d in dims) or count > _WINDOWED_MAX_ACTIVE * batch * size:
+        spans = [[slice(r, d - p if r == p else r + 1) for r in rep] for rep, d in zip(reps, dims)]
+        y = np.empty((batch, c_out) + dims, dtype=dtype)
+        for (ci, sx), (cj, sy), (cl, sz) in itertools.product(*map(enumerate, spans)):
+            y[0, :, sx, sy, sz] = classes[:, ci, cj, cl, None, None, None]
         y[1:] = y[0]
-        flat = y.reshape(batch, c_out, -1)
-    # Advanced indices on either side of the slice: the view takes
-    # (count, c_out) values in place.
-    flat[sample, :, position] = values[:, :count].T
-    return y
+        position = (i * oy + j) * oz + l
+    else:  # each sample's pool windows that touch its active positions
+        window, offset = _pool_window(i, j, l, dims)
+        pooled = size // POOL**3
+        window += s * pooled  # flat in (batch, pooled)
+        touched = np.zeros((batch, pooled), dtype=bool)
+        touched.reshape(-1)[window] = True
+        counts = np.count_nonzero(touched, axis=1)
+        width = counts.max()
+        if counts.min() < width:  # and its first untouched ones, to the largest count
+            touched |= np.cumsum(~touched, axis=1, dtype=np.int32) <= (width - counts)[:, None]
+        index = np.flatnonzero(touched)
+        slots = np.zeros((batch, pooled), dtype=np.intp)
+        slots.reshape(-1)[index] = np.tile(np.arange(width), batch)
+        windows = index.reshape(batch, width) - pooled * np.arange(batch)[:, None]
+        y = _windowed(np.empty((batch, c_out, POOL**3, width), dtype=dtype),
+                      classes[:, p, p, p].copy(), windows, dims)
+        np.asarray(y)[...] = y.background[:, None, None]
+        position = offset * width + slots.reshape(-1)[window]
+    # A 1-D scatter into each channel's view costs about 1 us a call more and
+    # 1 ns an element less than one scatter with a slice between its indices.
+    flat = np.asarray(y).reshape(batch, c_out, -1)
+    if count < 1024:
+        flat[s, :, position] = values.T
+    else:
+        for c in range(c_out):
+            flat.reshape(-1)[c * flat.shape[2] :][s * flat[0].size + position] = values[c]
+    return (y, x, voxels, slots) if slots is not None else (y, x.astype(dtype, copy=False), None, None)
 
 
 def _as_float(arr, like=None) -> np.ndarray:
@@ -384,18 +417,20 @@ def conv3d_forward(x, w, b):
     """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
 
     Stride 1 and padding k // 2 for an odd k, so the output keeps x's dims.
+    A float32 or float64 x sets the dtype; any other, such as the bool or
+    uint8 grid the network hands the first block, takes the kernel's.
     Every output column is a GEMM of the kernel with a gathered patch
     column (``_correlate``). An input computes the columns of its active
     positions only, plus one per background class, when at most
     ``_BACKGROUND_MAX_ACTIVE`` (45%) of the output positions are active: in
     the k^3 box dilation of the positions whose bits differ from the
-    background, the commonest channel vector at the samples' last
-    positions. Comparing bits keeps a +0.0 off a -0.0 background and one NaN
-    off another. Inactive outputs fall into k^3 classes by the grid faces
-    their patch crosses, and each takes the value of its class's
-    representative in a background sample appended to the padded input.
-    Every other input (dims under k, a batch that one tile covers, or more
-    active positions) computes the column of every position.
+    background, the commonest channel vector at the samples' last positions
+    (so +0.0 is off a -0.0 background, one NaN off another). A binary grid,
+    one channel of 0 and 1 (+0.0 and 1.0 by bits) on a 0 background, finds
+    them from its occupied voxels. Inactive outputs fall into k^3 classes by
+    the grid faces their patch crosses, each with one representative. Every
+    other input (dims under k, a batch that one tile covers, or more active
+    positions) computes the column of every position.
 
     Either way the output is bit-identical to one im2col GEMM per sample:
     every value is the dot product of a kernel row with a patch column of
@@ -408,18 +443,17 @@ def conv3d_forward(x, w, b):
     after the GEMM, as there; ``tests/test_layers.py::TestDenseConvBits``,
     ``TestBackgroundConv`` and ``TestBinaryConv`` assert it.
 
-    The output takes one of two forms. A binary grid (one channel, +0.0
-    background and 1.0 elsewhere, dims that ``POOL`` divides) at most
-    ``_WINDOWED_MAX_ACTIVE`` (15%) active returns a ``Windowed``: per
-    sample, the pool windows that touch its active positions, and as the
-    background the value of its classes, which share the all-zero patch.
-    (A batch whose last voxel is occupied in most samples has background
-    1.0 and computes every position.) Every other input returns the dense
-    array. The cache is the same on every path.
+    A binary grid at most ``_WINDOWED_MAX_ACTIVE`` (15%) active, with dims
+    that ``POOL`` divides, returns a ``Windowed``: per sample, the pool
+    windows that touch its active positions, and as the background the
+    value of its classes, which share the all-zero patch. Every other input
+    returns the dense array. The cache is (x, w, voxels, slots): for a
+    ``Windowed`` output x as given, its occupied voxels and its window slot
+    table, which the backward reads; else x in the compute dtype, None, None.
     """
-    x = _as_float(x)
-    w = _as_float(w, like=x)
-    b = _as_float(b, like=x)
+    x = np.asarray(x)
+    w = _as_float(w, like=x if x.dtype in (np.float32, np.float64) else None)
+    b = _as_float(b, like=w)
     _require(x.ndim == 5 and w.ndim == 5, "conv3d expects 5D input and kernel")
     c_in = x.shape[1]
     c_out, kc_in, k = w.shape[0], w.shape[1], w.shape[2]
@@ -428,9 +462,9 @@ def conv3d_forward(x, w, b):
     _require(b.shape == (c_out,), "bias shape must be (c_out,)")
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
-    y = _correlate(x, w_mat, b, k)
+    y, x, voxels, slots = _correlate(x, w_mat, b, k)
     # Four entries, as perfbench/spans.py unpacks them.
-    return y, (x, w, None, None)
+    return y, (x, w, voxels, slots)
 
 
 def _tap_sums(grad_y, k: int) -> np.ndarray:
@@ -547,10 +581,10 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     background's sum. Both sum in another order than the dense path, so
     they agree with it to float rounding.
     """
-    x, w, _, _ = cache
+    x, w, voxels, slots = cache
     if isinstance(grad_y, Windowed):
         grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
-        return None, _binary_weight_grad(grad_y, x, w.shape[2]), grad_b
+        return None, _binary_weight_grad(grad_y, voxels, slots, w.shape[2]), grad_b
     grad_y = _as_float(grad_y, like=x)
     flat = x.reshape(x.shape[:2] + (-1,))
     if carried is None:  # every position carried, over a zero background

@@ -129,19 +129,21 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     ``rnet_backward`` and carry updated batchnorm running statistics,
     applied to ``weights`` by ``apply_running_stats``.
 
-    A block whose input is mostly one per-channel background vector
-    computes its conv only at the positions near an off-background one,
-    plus one value per grid-face class for the rest
-    (``layers._correlate``), in training and eval alike, with
-    the dense conv's bytes. On height fields that is the first block, whose
-    input is a sparse binary grid, and the second: the first leaves its
-    background wherever no voxel was near. The first block's conv output is
-    a ``layers.Windowed``: its active pool windows plus one background value
-    per channel, about an eighth of the full-resolution positions on tiny
-    grids. Leaky ReLU, batchnorm and max-pool run on that form, and the
-    pooled output is dense. Batchnorm statistics and the block's gradients
-    sum in another order than the dense layers, so they match them to float
-    rounding. The second block's conv output is dense.
+    A float x is cast to the weights' dtype; a bool or integer grid goes to
+    the first conv as it is, which computes in that dtype and reads a
+    binary grid's voxels without a float copy. A block whose input is
+    mostly one per-channel background vector computes its conv only at the
+    positions near an off-background one, plus one value per grid-face
+    class for the rest (``layers._correlate``), in training and eval alike,
+    with the dense conv's bytes. On height fields that is the first block,
+    whose input is a sparse binary grid, and the second: the first leaves
+    its background wherever no voxel was near. The first block's conv
+    output is a ``layers.Windowed``: its active pool windows plus one
+    background value per channel, about an eighth of the full-resolution
+    positions on tiny grids. Leaky ReLU, batchnorm and max-pool run on that
+    form, and the pooled output is dense. Batchnorm statistics and the
+    block's gradients sum in another order than the dense layers, so they
+    match them to float rounding. The second block's conv output is dense.
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
@@ -159,7 +161,7 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     alike.
     """
     x = np.asarray(x)
-    if x.dtype != weights.dense_w.dtype:
+    if x.dtype != weights.dense_w.dtype and (x.dtype.kind == "f" or not weights.blocks):
         x = x.astype(weights.dense_w.dtype)
     expected = (1,) + tuple(cfg.input_dims)
     if x.ndim != 5 or x.shape[1:] != expected:
@@ -199,8 +201,9 @@ def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
         h, _, _, _ = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
-    out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
-    return out[:, 0]
+    # One (1, F) @ (F, 1) product a sample, as at batch 1: a (B, F) GEMM's sums depend on B.
+    return np.array([layers.dense_forward(row, weights.dense_w, weights.dense_b)[0][0, 0]
+                     for row in h.reshape(h.shape[0], 1, -1)], dtype=h.dtype)
 
 
 def rnet_backward(grad_pred, caches):
@@ -251,7 +254,10 @@ def apply_running_stats(weights: ModelWeights, caches) -> None:
 
 
 def predict(x, weights: ModelWeights, cfg: NetConfig, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode volume predictions in mm^3 (target scaling undone)."""
+    """Eval-mode volume predictions in mm^3 (target scaling undone), the
+    same bytes at every ``batch_size`` (>= 1)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x)
     outputs = []
     for lo in range(0, x.shape[0], batch_size):

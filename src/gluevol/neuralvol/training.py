@@ -94,7 +94,8 @@ def train(
 ) -> TrainResult:
     """Fit the network; returns final weights plus per-epoch history.
 
-    ``train_x`` is (N, 1, nx, ny, nz) (any dtype; converted per batch) and
+    ``train_x`` is (N, 1, nx, ny, nz), a bool or uint8 stack passed uncast
+    to the first conv or a float one cast per batch to float32, and
     ``train_y`` the volumes in mm^3. Test MSE is evaluated per epoch in eval
     mode when a test split is provided. Raises ``FloatingPointError`` naming
     the epoch and batch at the first batch whose loss or gradient is not
@@ -126,8 +127,7 @@ def train(
         sq_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            batch_x = np.asarray(train_x[idx], dtype=_DTYPE)
-            pred, caches = rnet_forward(batch_x, work, net_cfg, training=True)
+            pred, caches = rnet_forward(train_x[idx], work, net_cfg, training=True)
             apply_running_stats(work, caches)
             loss, grad = layers.loss_mse(pred, scaled_y[idx])
             where = f"at epoch {epoch}, batch {lo // cfg.batch_size}"

@@ -4,6 +4,7 @@ on random small tensors, and the convolution forward against a seven-loop
 brute-force oracle.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -151,11 +152,27 @@ def chunked_correlate(x_pad, w_mat, k, out_dims):
     return y
 
 
+def pad_spatial(x, p):
+    """x in a frame of p zeros along its last three axes."""
+    return np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+
+
+def active_outputs(x, k=3):
+    """The dilation oracle: outputs whose k^3 patch holds a position off
+    the background that ``_background_active`` picks, by k^3 shifted ORs."""
+    _, mask = layers._background_active(x)
+    padded = np.pad(mask, ((0, 0),) + ((k // 2, k // 2),) * 3)
+    active = np.zeros_like(mask)
+    for a, b, c in itertools.product(range(k), repeat=3):
+        active |= padded[:, a : a + mask.shape[1], b : b + mask.shape[2], c : c + mask.shape[3]]
+    return active
+
+
 def dense_conv(x, w, b):
     """The forward oracle: pad, one im2col GEMM per sample, bias."""
     k = w.shape[2]
     w_mat = np.ascontiguousarray(w.reshape(w.shape[0], -1))
-    y = chunked_correlate(layers._pad_spatial(x, k // 2), w_mat, k, x.shape[2:])
+    y = chunked_correlate(pad_spatial(x, k // 2), w_mat, k, x.shape[2:])
     y += b[:, None, None, None]
     return y
 
@@ -188,29 +205,44 @@ def assert_same_bits(y, expected):
 
 
 def forward_columns(monkeypatch, x, w, b):
-    """conv3d_forward, and which columns its GEMMs computed: "background"
-    where ``_background_active`` found the active positions and classes,
-    "every" where every position was computed."""
-    found = []
-    background_active = layers._background_active
+    """conv3d_forward, and which columns its GEMMs computed: "binary" where
+    a binary grid's voxels (``_occupied``) gave the active positions and
+    the classes, "background" where ``_background_active``'s positions off
+    the background did, "every" where every position was computed."""
+    found = {}
 
-    def spy(x, k):
-        found.append(background_active(x, k))
-        return found[-1]
+    def spy(name, original):
+        def call(*args):
+            found[name] = original(*args)
+            return found[name]
+        return call
 
     with monkeypatch.context() as m:
-        m.setattr(layers, "_background_active", spy)
+        for name in ("_occupied", "_active_corners"):
+            m.setattr(layers, name, spy(name, getattr(layers, name)))
         y, cache = layers.conv3d_forward(x, w, b)
-    assert cache[0] is x and cache[2:] == (None, None)
-    return y, "every" if not found or found[-1] is None else "background"
+    # A Windowed output caches x as given, its voxels and its slot table;
+    # any other caches x in the kernel's dtype.
+    windowed = isinstance(y, layers.Windowed)
+    assert (cache[2] is not None) == (cache[3] is not None) == windowed
+    assert cache[0] is x or not windowed and cache[0].dtype == y.dtype != x.dtype
+    if found.get("_active_corners") is None:
+        return y, "every"
+    return y, "background" if found.get("_occupied") is None else "binary"
+
+
+def sparse_forward(monkeypatch, x, w, b, path):
+    """conv3d_forward of an input that must take the class columns of the
+    given path."""
+    y, columns = forward_columns(monkeypatch, x, w, b)
+    assert columns == path, f"{columns} ran where {path} should have"
+    return y
 
 
 def background_forward(monkeypatch, x, w, b):
     """conv3d_forward of an input that must take the background-class
-    columns."""
-    y, columns = forward_columns(monkeypatch, x, w, b)
-    assert columns == "background", "every position ran on a mostly background input"
-    return y
+    columns of ``_background_active``."""
+    return sparse_forward(monkeypatch, x, w, b, "background")
 
 
 def every_position_forward(monkeypatch, x, w, b):
@@ -222,20 +254,20 @@ def every_position_forward(monkeypatch, x, w, b):
 
 
 class TestBinaryConv:
-    """Binary grids take the background-class columns in the ``Windowed``
-    form; made dense by ``densify``, its output has the im2col oracle's
-    bytes. A spy on ``_background_active`` tells whether the class columns
-    or every position ran."""
+    """Binary grids take the class columns from their voxels in the
+    ``Windowed`` form; made dense by ``densify``, its output has the im2col
+    oracle's bytes. A spy on ``_occupied`` and ``_active_corners`` tells
+    which path ran."""
 
     @staticmethod
     def sparse_forward(monkeypatch, x, w, b):
-        y = background_forward(monkeypatch, x, w, b)
+        y = sparse_forward(monkeypatch, x, w, b, "binary")
         assert isinstance(y, layers.Windowed)
         return densify(y)
 
     @staticmethod
-    def dense_form_forward(monkeypatch, x, w, b):
-        y = background_forward(monkeypatch, x, w, b)
+    def dense_form_forward(monkeypatch, x, w, b, path="binary"):
+        y = sparse_forward(monkeypatch, x, w, b, path)
         assert not isinstance(y, layers.Windowed)
         return y
 
@@ -303,7 +335,7 @@ class TestBinaryConv:
 
     def test_above_the_windowed_cutoff_is_dense(self, monkeypatch):
         x = height_fields(4, columns=0.4)
-        _, active, _ = layers._background_active(x, 3)
+        active = active_outputs(x)
         share = np.count_nonzero(active) / active.size
         assert layers._WINDOWED_MAX_ACTIVE < share <= layers._BACKGROUND_MAX_ACTIVE
         w, b = conv_weights(np.float64)
@@ -319,7 +351,101 @@ class TestBinaryConv:
         x = height_fields(2)
         x[1, 0, 4, 4, 4] = value
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        y = self.dense_form_forward(monkeypatch, x, w, b, "background")
+        assert_same_bits(y, dense_conv(x, w, b))
+
+
+# Grid-dtype inputs draw from their own generator as well.
+GRID_RNG = np.random.default_rng(23)
+
+
+def mixed_grids(dims=(16, 18, 20)):
+    """Three samples whose window counts differ: voxels at every position
+    whose coordinates are each first, middle or last (the 8 corners, 12
+    edges, 6 faces and the interior), one voxel, and none."""
+    x = np.zeros((3, 1) + dims, dtype=bool)
+    x[(0, 0) + np.ix_(*[[0, d // 2, d - 1] for d in dims])] = True
+    x[1, 0, 3, 4, 5] = True
+    return x
+
+
+class TestBinaryInputs:
+    """Every dtype a binary grid comes in takes the voxel path, in the
+    kernel's dtype where the grid is not float, with the im2col oracle's
+    bytes; a grid that is not binary takes the float path."""
+
+    @staticmethod
+    def oracle(x, w, b):
+        dtype = x.dtype if x.dtype in (np.float32, np.float64) else w.dtype
+        return dense_conv(x.astype(dtype), w.astype(dtype), b.astype(dtype))
+
+    @pytest.mark.parametrize("kernel", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float32, np.float64])
+    def test_grid_dtypes_match_the_oracle(self, monkeypatch, dtype, kernel):
+        w, b = conv_weights(kernel)
+        heights = height_fields(4, dtype=np.float64).astype(dtype)
+        for x in (mixed_grids().astype(dtype), heights):
+            y = sparse_forward(monkeypatch, x, w, b, "binary")
+            assert isinstance(y, layers.Windowed)
+            assert_same_bits(densify(y), self.oracle(x, w, b))
+
+    @pytest.mark.parametrize("dtype,value", [(np.uint8, 2), (np.float64, -0.0), (np.float64, 0.5),
+                                             (np.float64, np.nan), (np.float32, -0.0)])
+    def test_non_binary_grids_take_the_float_path(self, monkeypatch, dtype, value):
+        x = mixed_grids().astype(dtype)
+        x[2, 0, 7, 8, 9] = value
+        w, b = conv_weights(np.float64)
+        y = sparse_forward(monkeypatch, x, w, b, "background")
+        assert not isinstance(y, layers.Windowed)
+        assert_same_bits(y, self.oracle(x, w, b))
+
+    def test_window_counts_differ_within_a_batch(self, monkeypatch):
+        # Each sample carries the windows its active positions touch, then
+        # its first untouched ones to the batch's largest count; the empty
+        # sample carries the first windows.
+        x = mixed_grids()
+        w, b = conv_weights(np.float64)
+        y = sparse_forward(monkeypatch, x, w, b, "binary")
+        assert_same_bits(densify(y), self.oracle(x, w, b))
+        active = active_outputs(x)
+        touched = active.reshape(3, 8, 2, 9, 2, 10, 2).any(axis=(2, 4, 6)).reshape(3, -1)
+        counts = touched.sum(axis=1)
+        assert counts[0] > counts[1] > counts[2] == 0 and y.windows.shape == (3, counts[0])
+        for sample, windows in enumerate(y.windows):
+            untouched = np.flatnonzero(~touched[sample])[: counts[0] - counts[sample]]
+            expected = np.sort(np.concatenate([np.flatnonzero(touched[sample]), untouched]))
+            assert windows.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_empty_grid_is_bias(self, monkeypatch, dtype):
+        x = np.zeros((2, 1, 8, 8, 16), dtype=dtype)
+        w, b = conv_weights(np.float32)
+        y = sparse_forward(monkeypatch, x, w, b, "binary")
+        assert y.shape == (2, 8, 8, 0) and y.dtype == np.float32
+        assert np.array_equal(y.background, b)  # 0 + b, so -0.0 becomes +0.0
+        assert_same_bits(densify(y), self.oracle(x, w, b))
+
+    def test_memory_stays_below_the_float_frame_path(self, monkeypatch):
+        # Block 0's training forward: the tiny panel's uint8 grids, float32,
+        # batch 32. The parent path, which copied the batch to a float32
+        # frame and scanned full-size masks, peaked at 45.96 MB under
+        # tracemalloc; this one peaks at 22.06 MB and holds 9.00 MB when the
+        # GEMMs start, below the 10.07 MB a float32 frame of the batch
+        # would take alone.
+        grids, net = panel_grids(32)
+        blk = network.init_weights(net, seed=3).cast(np.float32).blocks[0]
+        grids, frame = grids.astype(np.uint8), (32 + 1) * 34 * 34 * 66 * 4
+        held, gemm = [], layers._gemm_columns
+        monkeypatch.setattr(layers, "_gemm_columns",
+                            lambda *args: held.append(tracemalloc.get_traced_memory()[0]) or gemm(*args))
+        tracemalloc.start()
+        try:
+            y, _ = layers.conv3d_forward(grids, blk.conv_w, blk.conv_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(y, layers.Windowed)
+        assert peak < 45.96e6 and held and max(held) < frame
 
 
 # Dense-conv inputs draw from their own generator as well.
@@ -336,7 +462,7 @@ def col2im_backward(grad_y, x, w):
     ox, oy, oz = out_dims = grad_y.shape[2:]
     grad_flat = grad_y.reshape(batch, c_out, -1)
     p = k // 2
-    x_pad = layers._pad_spatial(x, p)
+    x_pad = pad_spatial(x, p)
     chunk = max(1, COL_BUDGET // (c_in * k**3 * ox * oy * oz * x.itemsize))
     grad_w = np.zeros((c_out, c_in * k**3), dtype=x.dtype)
     grad_x = np.zeros_like(x_pad)
@@ -468,8 +594,8 @@ def panel_grids(count):
 class TestBackgroundConv:
     """Inputs of several channels that mostly equal one per-channel
     background vector take the background-class columns in the dense form
-    (the tile test runs a binary grid too), as a spy on
-    ``_background_active`` tells; the output has the bytes of the im2col
+    (the tile test runs a binary grid too, from its voxels), as a spy on
+    ``_occupied`` and ``_active_corners`` tells; the output has the bytes of the im2col
     oracle (``dense_conv``). Like ``TestDenseConvBits``, this rests on the
     BLAS summing a column alike in any GEMM of the same N, a multiple of 16."""
 
@@ -537,7 +663,7 @@ class TestBackgroundConv:
         x = background_input(2, dims=(8, 8, 16), columns=0)
         w, b = block_weights(np.float64)
         y = self.check(monkeypatch, x, w, b)
-        _, active, _ = layers._background_active(x, 3)
+        active = active_outputs(x)
         assert not active.any()
         interior = y[:, :, 1:-1, 1:-1, 1:-1]
         assert np.array_equal(interior, np.broadcast_to(interior[:1, :, :1, :1, :1], interior.shape))
@@ -557,7 +683,7 @@ class TestBackgroundConv:
         x[0, 3, 2, 2, 2] = x[1, 3, 5, 6, 7] = -np.float64(background)
         w, b = block_weights(np.float64)
         self.check(monkeypatch, x, w, b)
-        _, active, _ = layers._background_active(x, 3)
+        active = active_outputs(x)
         assert active[0, 1:4, 1:4, 1:4].all() and active[1, 4:7, 5:8, 6:9].all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -569,12 +695,13 @@ class TestBackgroundConv:
             patch_rows = w[0].size
             monkeypatch.setattr(layers, "_TILE_BYTES", planes * patch_rows * 16 * 32 * x.itemsize)
             n = planes * 16 * 32
-            _, active, windowed = layers._background_active(x, 3)
-            columns = np.count_nonzero(active) + 27
+            active = active_outputs(x)
+            binary = x.shape[1] == 1
+            columns = np.count_nonzero(active) + (1 if binary else 27)
             assert columns > 2 * n and columns % n
-            assert windowed == (x.shape[1] == 1)
-            y = background_forward(monkeypatch, x, w, b)
-            assert_same_bits(densify(y) if windowed else y, dense_conv(x, w, b))
+            y = sparse_forward(monkeypatch, x, w, b, "binary" if binary else "background")
+            assert isinstance(y, layers.Windowed) == binary
+            assert_same_bits(densify(y) if binary else y, dense_conv(x, w, b))
 
 
 def densify(t: layers.Windowed) -> np.ndarray:
@@ -582,13 +709,13 @@ def densify(t: layers.Windowed) -> np.ndarray:
     values = np.asarray(t)
     batch, channels = values.shape[:2]
     out = np.empty((batch, channels) + t.dims, dtype=values.dtype)
-    flat = out.reshape(batch, channels, -1)
-    flat[...] = t.background[:, None]
-    i, j, l = (c.ravel() for c in np.indices(t.dims))
-    for sample in range(batch):
-        index = t.index(sample, i, j, l)
-        carried = index >= 0
-        flat[sample][:, carried] = values[sample].reshape(channels, -1)[:, index[carried]]
+    out[...] = t.background[:, None, None, None]
+    i, j, l = np.unravel_index(t.windows, tuple(d // layers.POOL for d in t.dims))
+    sample = np.arange(batch)[:, None]
+    offsets = itertools.product(range(layers.POOL), repeat=3)  # in (x, y, z) order
+    for offset, (a, b, c) in enumerate(offsets):
+        at = (sample, slice(None), i * layers.POOL + a, j * layers.POOL + b, l * layers.POOL + c)
+        out[at] = values[:, :, offset].transpose(0, 2, 1)
     return out
 
 
@@ -859,13 +986,6 @@ class TestCarriedBackward:
         x[1, :, 2, 1, 3] = 0.5
         got_x = self.check(x, windows, background)
         assert got_x.background_count == 0
-
-    def test_index_refuses_the_pooled_grid_form(self):
-        # One position per window: index's POOL^3 offsets would name wrong slots.
-        x, windows, background = carried_input(2, (4, 4, 8), 8)
-        got_x = self.check(x, windows, background)
-        with pytest.raises(layers.ShapeMismatch, match="POOL"):
-            got_x.index(0, np.array([0]), np.array([0]), np.array([0]))
 
     def test_no_input_grad(self):
         x, windows, background = carried_input(3, (8, 8, 16), 64)

@@ -200,8 +200,9 @@ def reference_eval_forward(x, weights):
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
         h, _ = layers.maxpool3d_forward(h)
-    out, _ = layers.dense_forward(h.reshape(h.shape[0], -1), weights.dense_w, weights.dense_b)
-    return out[:, 0]
+    # one sample a product, as the eval forward takes the dense layer
+    return np.array([layers.dense_forward(row[None], weights.dense_w, weights.dense_b)[0][0, 0]
+                     for row in h.reshape(h.shape[0], -1)])
 
 
 class TestEvalOrder:
@@ -272,7 +273,7 @@ class TestEvalOrder:
                             lambda h: pooled.append(type(h)) or pool(h))
         windowed, _ = rnet_forward(x, weights, self.CFG)
         assert pooled[0] is layers.Windowed
-        monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
+        monkeypatch.setattr(layers, "_active_corners", lambda *args: None)
         dense, _ = rnet_forward(x, weights, self.CFG)
         expected = reference_eval_forward(x, weights)
         assert pooled[len(weights.blocks)] is np.ndarray
@@ -309,23 +310,29 @@ class TestBackgroundPath:
 
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
-        taken = []
-        background_active = layers._background_active
+        taken, corners = [], []
+        conv, active_corners = layers.conv3d_forward, layers._active_corners
 
-        def spy(x, k):
-            found = background_active(x, k)
-            taken.append((x.shape[1], x.dtype, None if found is None else found[2]))
-            return found
+        def spy(x, w, b):
+            corners.clear()
+            y, cache = conv(x, w, b)
+            classes = bool(corners) and corners[-1] is not None
+            taken.append((x.shape[1], x.dtype, y.dtype, type(y), classes))
+            return y, cache
 
-        monkeypatch.setattr(layers, "_background_active", spy)
+        monkeypatch.setattr(layers, "_active_corners",
+                            lambda *args: corners.append(active_corners(*args)) or corners[-1])
+        monkeypatch.setattr(layers, "conv3d_forward", spy)
         weights = init_weights(TINY, seed=1)
         predict(grids[:3], weights, TINY, batch_size=1)
         rnet_forward(grids[:8], weights.cast(np.float32), TINY, training=True)
-        block0 = [t for t in taken if t[0] == 1]
-        block1 = [t for t in taken if t[0] == TINY.channels[0]]
-        # the third entry tells the Windowed form
-        assert block0 == [(1, np.float64, True)] * 3 + [(1, np.float32, True)]
-        assert block1 == [(8, np.float64, False)] * 3 + [(8, np.float32, False)]
+        block0 = [t[1:] for t in taken if t[0] == 1]
+        block1 = [t[1:] for t in taken if t[0] == TINY.channels[0]]
+        # Block 0 takes the uint8 grid, block 1 the float one; both take
+        # the class columns in the weights' dtype, block 0 in the Windowed form.
+        f64, f32 = np.float64, np.float32
+        assert block0 == [(np.uint8, f64, layers.Windowed, True)] * 3 + [(np.uint8, f32, layers.Windowed, True)]
+        assert block1 == [(f64, f64, np.ndarray, True)] * 3 + [(f32, f32, np.ndarray, True)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dense_layer_input_is_the_same_at_every_batch_size(self, monkeypatch, tiny_scans,
@@ -351,6 +358,22 @@ class TestBackgroundPath:
         assert flat[1].shape == (len(grids), 256) and flat[1].dtype == dtype
         assert flat[1].tobytes() == flat[7].tobytes() == flat[24].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predictions_are_the_same_bytes_at_every_batch_size(self, tiny_scans, dtype):
+        # The dense layer takes one sample a product, so a batch's (B, 256)
+        # GEMM cannot sum a prediction in another order than batch 1 does.
+        grids, _ = tiny_scans
+        weights = init_weights(TINY, seed=1).cast(dtype)
+        weights.dense_w = np.random.default_rng(3).standard_normal(weights.dense_w.shape).astype(dtype)
+        preds = {size: predict(grids, weights, TINY, batch_size=size) for size in (1, 7, 24, 64)}
+        assert len(set(p.tobytes() for p in preds.values())) == 1
+
+    @pytest.mark.parametrize("size", [-1, 0])
+    def test_batch_size_below_one_is_refused(self, tiny_scans, size):
+        grids, _ = tiny_scans
+        with pytest.raises(ValueError, match="batch_size"):
+            predict(grids[:3], init_weights(TINY, seed=1), TINY, batch_size=size)
+
     def test_switched_off_changes_no_bytes(self, monkeypatch, tiny_scans):
         grids, volumes = tiny_scans
         weights = init_weights(TINY, seed=2)
@@ -369,18 +392,13 @@ class TestBackgroundPath:
             return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
         preds, (history, trainable) = predictions(), trained()
-        gather = layers._background_active
-
-        def windowed_only(x, k):
-            found = gather(x, k)
-            return found if found is not None and found[2] else None
-
-        monkeypatch.setattr(layers, "_background_active", windowed_only)
+        # block 0's Windowed form only
+        monkeypatch.setattr(layers, "_background_active", lambda x: None)
         assert same_bytes(preds, predictions())
         history_off, trainable_off = trained()
         assert history == history_off
         assert same_bytes(trainable, trainable_off)
-        monkeypatch.setattr(layers, "_background_active", lambda x, k: None)
+        monkeypatch.setattr(layers, "_active_corners", lambda *args: None)
         assert same_bytes(preds, predictions())
 
         monkeypatch.undo()

@@ -186,3 +186,8 @@ class TestEvaluate:
         weights = init_weights(NET, seed=0)
         with pytest.raises(EmptySplit):
             evaluate(weights, NET, np.zeros((0, 1, 8, 8, 8)), np.zeros(0))
+
+    def test_batch_size_below_one_is_refused(self):
+        grids, volumes = toy_dataset()
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(init_weights(NET, seed=0), NET, grids, volumes, batch_size=-4)
