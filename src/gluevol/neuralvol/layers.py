@@ -8,7 +8,9 @@ upstream gradient plus the cache and returns gradients for its inputs and
 parameters. The layers carry RNet's fixed settings, one constant each: a
 stride-1 conv padded by k // 2 (a "same" conv for its odd kernel edge k),
 leaky ReLU with slope ``SLOPE``, batchnorm with ``BN_EPS`` and
-``BN_MOMENTUM``, and a ``POOL``^3 max-pool.
+``BN_MOMENTUM``, and a ``POOL``^3 max-pool. Batchnorm's running statistics
+are the caller's arrays: a training-mode forward moves them toward the
+batch's in place, so no layer returns state besides its cache.
 
 3D convolution is cross-correlation lowered to GEMM, cache-blocked in the
 manner of Goto & van de Geijn: the forward gathers patch columns with one
@@ -40,16 +42,16 @@ frame. Every other input is the case of every position active: a dense
 one, or one where more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the
 positions need their own column.
 
-The background-class output is dense, or, for a binary grid at most
-``_WINDOWED_MAX_ACTIVE`` active, a ``Windowed`` tensor: per sample, the
-values of the pool windows that touch an active position, plus one
-background value per channel elsewhere. Leaky ReLU, batchnorm and max-pool
-take that form forward and backward, touching about an eighth of the
-positions on tiny height fields; max-pool returns a dense pooled tensor,
-so the next block's forward is unchanged. The next block's conv backward, told
-those windows, runs a dense input's gather at them only and returns the
-input gradient there plus one per-channel sum over the rest, which is all
-the first block's max-pool backward reads (see ``conv3d_backward``).
+The background-class output is dense, or, for a binary grid whose dims
+``POOL`` divides, a ``Windowed`` tensor: per sample, the values of the pool
+windows that touch an active position, plus one background value per
+channel elsewhere. Leaky ReLU, batchnorm and max-pool take that form
+forward and backward, touching about an eighth of the positions on tiny
+height fields; max-pool returns a dense pooled tensor, so the next block's
+forward is unchanged. The next block's conv backward, told those windows,
+runs a dense input's gather at them only and returns the input gradient
+there plus one per-channel sum over the rest, which is all the first
+block's max-pool backward reads (see ``conv3d_backward``).
 Per element the forward arithmetic is that of the dense layers. The
 batchnorm statistics, the gradients of batchnorm and of the first two
 blocks' conv weights and bias, and the second block's input gradient are
@@ -93,17 +95,6 @@ _TILE_BYTES = 1024 * 1024
 # took 0.8 of the dense time below 45% active and 0.99-1.02 above 50%.
 # There block 1 is 20% active (27% at most) and block 2 48% (30-65%).
 _BACKGROUND_MAX_ACTIVE = 0.45
-
-# Largest share of output positions that may be active for a binary input's
-# background-class conv to return the ``Windowed`` form, whose windows the
-# layers after the conv then carry instead of the whole grid. On block 0's
-# shape (32x32x64, 8 channels, one BLAS thread) the Windowed form took 0.81
-# of the dense form's time at 15% active and 0.97 at 26% for conv and
-# max-pool in float64 at batch 1, and 0.40 and 0.64 for the training block
-# forward and back in float32 at batch 32, so this cutoff is on the safe
-# side. Tiny height-field grids are about 5% active.
-_WINDOWED_MAX_ACTIVE = 0.15
-
 
 class Windowed(np.ndarray):
     """A full-resolution first-block tensor held on its active pool windows.
@@ -367,7 +358,7 @@ def _correlate(x, w_mat, b, k: int):
     s, i, j, l = _unravel(corners, frame)
     s -= 1
     slots = None
-    if voxels is None or any(d % POOL for d in dims) or count > _WINDOWED_MAX_ACTIVE * batch * size:
+    if voxels is None or any(d % POOL for d in dims):
         spans = [[slice(r, d - p if r == p else r + 1) for r in rep] for rep, d in zip(reps, dims)]
         y = np.empty((batch, c_out) + dims, dtype=dtype)
         for (ci, sx), (cj, sy), (cl, sz) in itertools.product(*map(enumerate, spans)):
@@ -443,11 +434,11 @@ def conv3d_forward(x, w, b):
     after the GEMM, as there; ``tests/test_layers.py::TestDenseConvBits``,
     ``TestBackgroundConv`` and ``TestBinaryConv`` assert it.
 
-    A binary grid at most ``_WINDOWED_MAX_ACTIVE`` (15%) active, with dims
-    that ``POOL`` divides, returns a ``Windowed``: per sample, the pool
-    windows that touch its active positions, and as the background the
-    value of its classes, which share the all-zero patch. Every other input
-    returns the dense array. The cache is (x, w, voxels, slots): for a
+    A binary grid that takes the class columns, with dims that ``POOL``
+    divides, returns a ``Windowed``: per sample, the pool windows that
+    touch its active positions, and as the background the value of its
+    classes, which share the all-zero patch. Every other input returns the
+    dense array. The cache is (x, w, voxels, slots): for a
     ``Windowed`` output x as given, its occupied voxels and its window slot
     table, which the backward reads; else x in the compute dtype, None, None.
     """
@@ -759,10 +750,13 @@ def _normalize(x, mean, inv_std, gamma, beta):
 def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: bool):
     """Per-channel batch normalization over (batch, x, y, z).
 
-    Training mode normalizes by batch statistics (population variance) and
-    returns updated running statistics; eval mode normalizes by the running
-    statistics and returns them unchanged. Only a training-mode cache feeds
-    ``batchnorm3d_backward``: eval mode has no backward.
+    Returns (y, cache) in both modes. Training mode normalizes by batch
+    statistics (population variance) and writes (1 - ``BN_MOMENTUM``) *
+    running + ``BN_MOMENTUM`` * batch, computed in the batch's dtype, into
+    the caller's ``running_mean`` and ``running_var`` arrays in place; eval
+    mode normalizes by those arrays and leaves them untouched. Only a
+    training-mode cache feeds ``batchnorm3d_backward``: eval mode has no
+    backward.
 
     The statistics of a ``Windowed`` input count its background value once
     per background position: the mean adds count * value to the window sum,
@@ -778,8 +772,6 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: boo
         _require(np.shape(arr) == (channels,), f"{name} must have shape ({channels},)")
     gamma = _as_float(gamma, like=values)
     beta = _as_float(beta, like=values)
-    running_mean = _as_float(running_mean, like=values)
-    running_var = _as_float(running_var, like=values)
     axes = (0,) + tuple(range(2, values.ndim))
     windowed = isinstance(x, Windowed)
     if training:
@@ -793,17 +785,17 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: boo
         else:
             mean = values.mean(axis=axes)
             var = values.var(axis=axes)
-        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
-        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            previous = _as_float(running, like=values)
+            running[...] = (1.0 - BN_MOMENTUM) * previous + BN_MOMENTUM * batch
     else:
-        mean, var = running_mean, running_var
-        new_mean, new_var = running_mean, running_var
+        mean, var = _as_float(running_mean, like=values), _as_float(running_var, like=values)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     y, x_hat = _normalize(values, mean, inv_std, gamma, beta)
     if windowed:
         y_bg, x_hat_bg = _normalize(x.background, mean, inv_std, gamma, beta)
         y, x_hat = x.like(y, y_bg), x.like(x_hat, x_hat_bg)
-    return y, (x_hat, inv_std, gamma), new_mean, new_var
+    return y, (x_hat, inv_std, gamma)
 
 
 def batchnorm3d_backward(grad_y, cache):

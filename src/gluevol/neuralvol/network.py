@@ -125,9 +125,10 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
 
     Predictions are in the network's internal (possibly standardized) target
     units; use ``predict`` for volumes in mm^3. Each block is conv ->
-    leaky ReLU -> batchnorm -> max-pool. In training mode the caches feed
-    ``rnet_backward`` and carry updated batchnorm running statistics,
-    applied to ``weights`` by ``apply_running_stats``.
+    leaky ReLU -> batchnorm -> max-pool. In training mode the caches, one
+    (conv, ReLU, batchnorm, max-pool) tuple of layer caches per block, feed
+    ``rnet_backward``, and each block's batchnorm moves its ``bn_mean`` and
+    ``bn_var`` toward the batch statistics in place.
 
     A float x is cast to the weights' dtype; a bool or integer grid goes to
     the first conv as it is, which computes in that dtype and reads a
@@ -173,11 +174,11 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     for blk in weights.blocks:
         h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b)
         h, relu_cache = layers.leaky_relu_forward(h)
-        h, bn_cache, new_mean, new_var = layers.batchnorm3d_forward(
+        h, bn_cache = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=True
         )
         h, pool_cache = layers.maxpool3d_forward(h)
-        caches.append((conv_cache, relu_cache, bn_cache, pool_cache, new_mean, new_var))
+        caches.append((conv_cache, relu_cache, bn_cache, pool_cache))
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = layers.dense_forward(flat, weights.dense_w, weights.dense_b)
     caches.append((dense_cache, h.shape))
@@ -198,7 +199,7 @@ def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
         if flip.any():
             np.negative(h, out=h, where=flip[:, None, None, None])
         h, _ = layers.leaky_relu_forward(h)
-        h, _, _, _ = layers.batchnorm3d_forward(
+        h, _ = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
     # One (1, F) @ (F, 1) product a sample, as at batch 1: a (B, F) GEMM's sums depend on B.
@@ -229,7 +230,7 @@ def rnet_backward(grad_pred, caches):
     first = caches[0][3][1] if len(caches) > 2 else None  # the first block's max-pool input
     carried = (first.windows, first.background) if isinstance(first, layers.Windowed) else None
     for block in reversed(range(len(caches) - 1)):
-        conv_cache, relu_cache, bn_cache, pool_cache, _, _ = caches[block]
+        conv_cache, relu_cache, bn_cache, pool_cache = caches[block]
         grad_h = layers.maxpool3d_backward(grad_h, pool_cache)
         grad_h, grad_gamma, grad_beta = layers.batchnorm3d_backward(grad_h, bn_cache)
         grad_h = layers.leaky_relu_backward(grad_h, relu_cache)
@@ -244,13 +245,6 @@ def rnet_backward(grad_pred, caches):
         grads += blk
     grads += [grad_dw, grad_db]
     return grads
-
-
-def apply_running_stats(weights: ModelWeights, caches) -> None:
-    """Install the batch-updated running statistics from a training forward."""
-    for blk, cache in zip(weights.blocks, caches[:-1]):
-        blk.bn_mean = cache[4]
-        blk.bn_var = cache[5]
 
 
 def predict(x, weights: ModelWeights, cfg: NetConfig, batch_size: int = 64) -> np.ndarray:

@@ -19,7 +19,6 @@ from . import layers
 from .network import (
     ModelWeights,
     NetConfig,
-    apply_running_stats,
     init_weights,
     predict,
     rnet_backward,
@@ -128,7 +127,6 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             pred, caches = rnet_forward(train_x[idx], work, net_cfg, training=True)
-            apply_running_stats(work, caches)
             loss, grad = layers.loss_mse(pred, scaled_y[idx])
             where = f"at epoch {epoch}, batch {lo // cfg.batch_size}"
             if not np.isfinite(loss):

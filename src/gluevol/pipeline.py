@@ -217,7 +217,7 @@ def _load_split(stage: str, manifest: Manifest, grid_dir: Path, cfg: RunConfig,
         for s in manifest.samples
         if s.glue_type == glue_type and s.attached == attached and s.split == split
     ]
-    grids = np.zeros((len(rows), 1, 0, 0, 0), dtype=np.uint8) if not rows else None
+    grids = np.zeros((len(rows), 1, 0, 0, 0), dtype=bool) if not rows else None
     stack = []
     for s in rows:
         path = grid_dir / (Path(s.path).stem + ".ggvg")
@@ -228,7 +228,7 @@ def _load_split(stage: str, manifest: Manifest, grid_dir: Path, cfg: RunConfig,
             raise voxelizer.GridFormatError(
                 f"{stage}: grid {path} has dims {grid.dims} where the config's grid has {dims} "
                 "(run `voxelize` again)")
-        stack.append(grid.occupancy[None].astype(np.uint8))
+        stack.append(grid.occupancy[None])
     if stack:
         grids = np.stack(stack)
     labels = np.array([s.volume_mm3 for s in rows], dtype=np.float64)

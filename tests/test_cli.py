@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import gluevol
-from gluevol import cli, cloudio, config, dataset, geom3d
+from gluevol import cli, cloudio, config, dataset, geom3d, pipeline, voxelizer
 from gluevol.diagnose import VolumeThresholds
 from gluevol.neuralvol import weights_io
 from gluevol.util import encode
@@ -131,6 +131,18 @@ class TestPipeline:
     def test_zero_threads_exits_2(self, tmp_path):
         proc = run_cli("config", "--threads", "0", "--out", tmp_path)
         assert proc.returncode == cli.EXIT_CONFIG
+
+    def test_splits_stack_the_grids_as_read(self, micro):
+        # bool, as read_ggvg returns them, and the empty split's placeholder too
+        manifest = dataset.Manifest.from_json(micro.first / "manifest.json")
+        first = manifest.samples[0]
+        args = (manifest, micro.first / "grids", micro_config(), first.glue_type, first.attached)
+        grids, labels = pipeline._load_split("train", *args, first.split)
+        assert grids.dtype == bool and len(grids) == len(labels) > 0
+        path = micro.first / "grids" / (Path(first.path).stem + ".ggvg")
+        assert np.array_equal(grids[0, 0], voxelizer.read_ggvg(path).occupancy)
+        empty, labels = pipeline._load_split("train", *args, "no such split")
+        assert empty.dtype == bool and empty.shape == (0, 1, 0, 0, 0) and len(labels) == 0
 
 
 class TestAttachedPipeline:

@@ -333,13 +333,14 @@ class TestBinaryConv:
         assert_same_bits(y, dense_conv(x, w, b))
         assert np.array_equal(y, np.broadcast_to(b[:, None, None, None], y.shape))
 
-    def test_above_the_windowed_cutoff_is_dense(self, monkeypatch):
+    def test_every_binary_grid_with_class_columns_is_windowed(self, monkeypatch):
+        # about a third of the outputs active, six times a tiny height field
         x = height_fields(4, columns=0.4)
         active = active_outputs(x)
         share = np.count_nonzero(active) / active.size
-        assert layers._WINDOWED_MAX_ACTIVE < share <= layers._BACKGROUND_MAX_ACTIVE
+        assert 0.3 < share <= layers._BACKGROUND_MAX_ACTIVE
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_dense_binary_input_computes_every_position(self, monkeypatch):
         x = (BINARY_RNG.random((2, 1, 8, 8, 16)) < 0.3).astype(np.float64)
@@ -728,9 +729,8 @@ def block0(x, w, b, gamma, beta, grad, dense):
     if dense and isinstance(h, layers.Windowed):
         h = densify(h)
     h, relu_cache = layers.leaky_relu_forward(h)
-    h, bn_cache, mean, var = layers.batchnorm3d_forward(
-        h, gamma, beta, np.zeros(c), np.ones(c), training=True
-    )
+    mean, var = np.zeros(c), np.ones(c)  # running statistics, updated in place
+    h, bn_cache = layers.batchnorm3d_forward(h, gamma, beta, mean, var, training=True)
     y, pool_cache = layers.maxpool3d_forward(h)
     g = layers.maxpool3d_backward(grad, pool_cache)
     g, grad_gamma, grad_beta = layers.batchnorm3d_backward(g, bn_cache)
@@ -1115,7 +1115,7 @@ class TestBatchNorm3d:
         x = np.full((4, 3, 2, 2, 2), 7.0)
         gamma = RNG.standard_normal(3)
         beta = RNG.standard_normal(3)
-        y, _, _, _ = layers.batchnorm3d_forward(
+        y, _ = layers.batchnorm3d_forward(
             x, gamma, beta, np.zeros(3), np.ones(3), training=True
         )
         assert np.allclose(y, beta[:, None, None, None])
@@ -1124,21 +1124,37 @@ class TestBatchNorm3d:
         x = RNG.standard_normal((2, 2, 2, 2, 2))
         mean = np.array([1.0, -1.0])
         var = np.array([4.0, 9.0])
-        y, _, rm, rv = layers.batchnorm3d_forward(
-            x, np.ones(2), np.zeros(2), mean, var, training=False
-        )
+        rm, rv = mean.copy(), var.copy()
+        y, _ = layers.batchnorm3d_forward(x, np.ones(2), np.zeros(2), rm, rv, training=False)
         expected = (x - mean[:, None, None, None]) / np.sqrt(var + layers.BN_EPS)[:, None, None, None]
         assert np.allclose(y, expected)
         assert np.array_equal(rm, mean) and np.array_equal(rv, var)
 
     def test_running_stats_update(self):
-        x = RNG.standard_normal((8, 2, 2, 2, 2))
-        _, _, rm, rv = layers.batchnorm3d_forward(
-            x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), training=True
-        )
+        # in the caller's arrays, with the bits of (1 - m) * running + m * batch
         m = layers.BN_MOMENTUM
-        assert np.allclose(rm, m * x.mean(axis=(0, 2, 3, 4)))
-        assert np.allclose(rv, 1 - m + m * x.var(axis=(0, 2, 3, 4)))
+        for dtype in (np.float64, np.float32):
+            x = RNG.standard_normal((8, 2, 2, 4, 2)).astype(dtype)
+            rm = RNG.standard_normal(2).astype(dtype)
+            rv = RNG.uniform(0.5, 2.0, 2).astype(dtype)
+            expected_mean = (1.0 - m) * rm + m * x.mean(axis=(0, 2, 3, 4))
+            expected_var = (1.0 - m) * rv + m * x.var(axis=(0, 2, 3, 4))
+            layers.batchnorm3d_forward(x, np.ones(2), np.zeros(2), rm, rv, training=True)
+            assert rm.dtype == rv.dtype == dtype
+            assert rm.tobytes() == expected_mean.tobytes()
+            assert rv.tobytes() == expected_var.tobytes()
+
+    def test_float64_running_arrays_take_a_float32_batch(self):
+        # computed in float32, as the batch, then stored in the float64 arrays
+        x = RNG.standard_normal((4, 3, 2, 2, 2)).astype(np.float32)
+        rm, rv = RNG.standard_normal(3), RNG.uniform(0.5, 2.0, 3)
+        m = layers.BN_MOMENTUM
+        expected_mean = (1.0 - m) * rm.astype(np.float32) + m * x.mean(axis=(0, 2, 3, 4))
+        expected_var = (1.0 - m) * rv.astype(np.float32) + m * x.var(axis=(0, 2, 3, 4))
+        layers.batchnorm3d_forward(x, np.ones(3), np.zeros(3), rm, rv, training=True)
+        assert rm.dtype == rv.dtype == np.float64
+        assert np.array_equal(rm, expected_mean.astype(np.float64))
+        assert np.array_equal(rv, expected_var.astype(np.float64))
 
     def test_gradients_against_finite_differences(self):
         x = RNG.standard_normal((3, 2, 2, 2, 2))
@@ -1147,12 +1163,12 @@ class TestBatchNorm3d:
         proj = RNG.standard_normal(x.shape)
 
         def loss():
-            y, _, _, _ = layers.batchnorm3d_forward(
+            y, _ = layers.batchnorm3d_forward(
                 x, gamma, beta, np.zeros(2), np.ones(2), training=True
             )
             return float((y * proj).sum())
 
-        _, cache, _, _ = layers.batchnorm3d_forward(
+        _, cache = layers.batchnorm3d_forward(
             x, gamma, beta, np.zeros(2), np.ones(2), training=True
         )
         gx, gg, gb = layers.batchnorm3d_backward(proj, cache)

@@ -196,7 +196,7 @@ def reference_eval_forward(x, weights):
     for blk in weights.blocks:
         h, _ = layers.conv3d_forward(h, blk.conv_w, blk.conv_b)
         h, _ = layers.leaky_relu_forward(h)
-        h, _, _, _ = layers.batchnorm3d_forward(
+        h, _ = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=False
         )
         h, _ = layers.maxpool3d_forward(h)

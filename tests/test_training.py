@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,30 @@ def toy_dataset(n=10, seed=0):
         idx = rng.choice(512, size=fill, replace=False)
         grids[i, 0].ravel()[idx] = 1
     return grids, volumes
+
+
+def height_field_dataset(n=10, seed=0):
+    """(n, 1, 8, 8, 16) bool grids, each one deposit of 2x2 to 3x3 columns
+    on an empty background: sparse enough for the first block to run on its
+    ``Windowed`` form."""
+    rng = np.random.default_rng(seed)
+    grids = np.zeros((n, 1, 8, 8, 16), dtype=bool)
+    volumes = np.empty(n)
+    for i in range(n):
+        side, height = rng.integers(2, 4), rng.integers(2, 9)
+        x0, y0 = rng.integers(0, 8 - side, 2)
+        grids[i, 0, x0 : x0 + side, y0 : y0 + side, :height] = True
+        volumes[i] = side * side * height * 1e-4
+    return grids, volumes
+
+
+def running_stats_digest(weights) -> str:
+    """sha256 of every block's bn_mean and bn_var bytes, in block order."""
+    digest = hashlib.sha256()
+    for blk in weights.blocks:
+        digest.update(blk.bn_mean.tobytes())
+        digest.update(blk.bn_var.tobytes())
+    return digest.hexdigest()[:16]
 
 
 class TestAdam:
@@ -93,6 +119,22 @@ class TestTrain:
     def test_empty_split_raises(self):
         with pytest.raises(EmptySplit):
             train(np.zeros((0, 1, 8, 8, 8)), np.zeros(0), NET, TrainConfig(epochs=1))
+
+    # The running statistics after two epochs, as the training forward's
+    # batchnorm leaves them; the bytes were recorded when train installed
+    # the statistics that the forward returned, so the in-place update must
+    # reproduce them. Dense toy grids run every layer dense, the height
+    # fields run the first block on its Windowed form; batch 4 of 10 ends
+    # each epoch with a batch of 2.
+    @pytest.mark.parametrize("data,net,digest", [
+        ("toy", NET, "9d8bbf5aff822721"),
+        ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "5d6d09a09b538442"),
+    ])
+    def test_running_stats_keep_their_recorded_bytes(self, data, net, digest):
+        grids, volumes = toy_dataset() if data == "toy" else height_field_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=5, standardize_targets=True)
+        weights = train(grids, volumes, net, cfg).weights
+        assert running_stats_digest(weights) == digest
 
     def test_non_finite_batch_loss_names_epoch_and_batch(self):
         grids, volumes = toy_dataset()
