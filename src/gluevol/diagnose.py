@@ -49,11 +49,17 @@ class VolumeThresholds:
 def classify(
     volume: float, thresholds: Mapping[str, VolumeThresholds], glue_type: str
 ) -> FaultLabel:
-    """Fault label of one volume estimate; boundary values are Normal."""
+    """Fault label of one volume estimate; boundary values are Normal.
+
+    A NaN or infinite volume raises FloatingPointError: NaN fails both
+    comparisons, so it would otherwise pass as Normal.
+    """
     try:
         t = thresholds[glue_type]
     except KeyError:
         raise UnknownType(f"no thresholds for glue type {glue_type!r}") from None
+    if not np.isfinite(volume):
+        raise FloatingPointError(f"cannot classify the non-finite volume {volume} ({glue_type})")
     if volume < t.lower_mm3:
         return FaultLabel.INSUFFICIENT
     if volume > t.upper_mm3:

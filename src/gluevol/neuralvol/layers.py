@@ -42,16 +42,25 @@ frame. Every other input is the case of every position active: a dense
 one, or one where more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the
 positions need their own column.
 
-The background-class output is dense, or, for a binary grid whose dims
-``POOL`` divides, a ``Windowed`` tensor: per sample, the values of the pool
-windows that touch an active position, plus one background value per
-channel elsewhere. Leaky ReLU, batchnorm and max-pool take that form
-forward and backward, touching about an eighth of the positions on tiny
-height fields; max-pool returns a dense pooled tensor, so the next block's
-forward is unchanged. The next block's conv backward, told those windows,
-runs a dense input's gather at them only and returns the input gradient
-there plus one per-channel sum over the rest, which is all the first
-block's max-pool backward reads (see ``conv3d_backward``).
+The background-class output, where ``POOL`` divides the dims, is a
+``Windowed`` tensor: the values of the pool windows that touch an active
+position, one list over the batch, plus one value per class and channel
+elsewhere (a binary grid's classes all share one, its bias). Leaky ReLU and
+batchnorm map the class values as they map the windows', batchnorm counting
+each class's positions outside the windows, and max-pool gives every other
+window the maximum over its pattern's classes, taken in the dense
+max-pool's order (see ``_on_patterns``); in training on tiny height fields
+the windows hold about a tenth of block 0's positions and a third of block
+1's.
+Max-pool returns a dense pooled tensor, so the next block's forward is
+unchanged. Backward, a position outside the windows has its class's
+constant plus, at its window's first maximum, its class's multiple of the
+pooled gradient there; batchnorm and leaky ReLU map both per class. A conv
+backward writes that into the frame it gathers from (``_grad_frame``). The
+next block's conv backward, told windows whose classes share one value, as
+a binary grid's, runs a dense input's gather at them only and returns the
+input gradient there plus one per-channel sum over the rest, which is all
+that block's max-pool backward reads (see ``conv3d_backward``).
 Per element the forward arithmetic is that of the dense layers. The
 batchnorm statistics, the gradients of batchnorm and of the first two
 blocks' conv weights and bias, and the second block's input gradient are
@@ -64,6 +73,7 @@ constants take the batch sums from gamma's and beta's gradients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -97,41 +107,140 @@ _TILE_BYTES = 1024 * 1024
 _BACKGROUND_MAX_ACTIVE = 0.45
 
 class Windowed(np.ndarray):
-    """A full-resolution first-block tensor held on its active pool windows.
+    """A full-resolution tensor held on its active pool windows.
 
-    The array is (batch, channels, POOL^3, W): for each sample, the
-    values of W windows of the pooled grid, ``windows[sample]`` (flat
-    indices into it, ascending), by in-window offset in (x, y, z) order, so
-    that each offset is one contiguous run per channel. A sample with fewer
-    active windows than W carries some of its background windows too. Every
-    other position of the (batch, channels) + ``dims`` tensor is
-    background, one number per channel: in a forward pass ``background`` is
-    the value there; in a backward pass it is the sum of the gradient over
-    all those positions, which is all the layers before need of it.
-    The second block's conv backward returns its input gradient, on the
-    pooled grid, in this form with one position per window: (batch,
-    channels, 1, W), and ``dims`` the pooled grid's.
+    The array is (batch, channels, POOL^3, W): the values of the batch's
+    carried windows, ``windows`` (batch, W), flat indices into the (batch,)
+    + pooled grid, ascending through the rows, by in-window offset in (x,
+    y, z) order, so that each offset is one contiguous run per channel. The
+    windows that touch an active position are one list over the batch, cut
+    into batch rows of W, so a row is not a sample; the first other windows
+    fill the last row. Every other position of the (batch, channels) +
+    ``dims`` tensor holds the value of its class: the grid faces that a k^3
+    patch centred there crosses, k^3 classes in all (see ``_axes``). In a
+    forward pass ``background`` is (1, channels, k, k, k), each class's
+    value. In a backward pass it is (2, channels, k, k, k): a position's
+    gradient is its class's first entry plus, at its window's first
+    maximum, its class's second entry times the pooled gradient there.
+    ``routes`` then holds what ``maxpool3d_backward`` found: the first
+    maxima of the class values on the pattern grid (see ``_on_patterns``),
+    the pooled gradient summed over the uncarried windows of each pattern
+    at them, and the pooled gradient itself, channel-last (None where it
+    came summed). The next block's conv backward returns its input
+    gradient, on the pooled grid, in this form with one position per
+    window: (batch, channels, 1, W), ``dims`` the pooled grid's, and as
+    ``background`` the per-channel sum of the gradient over every other
+    position.
     Arithmetic on the array returns arrays without this metadata; the
     layers read the values with ``np.asarray`` and wrap their results with
     ``like``.
     """
 
-    background = windows = dims = None
+    background = windows = dims = routes = counts = None
 
-    def like(self, values, background) -> "Windowed":
-        """``values`` on the same windows, with the given background."""
-        return _windowed(values, background, self.windows, self.dims)
+    def like(self, values, background, routes=None) -> "Windowed":
+        """``values`` on the same windows, with the given background and
+        routes (by default this tensor's)."""
+        out = _windowed(values, background, self.windows, self.dims)
+        out.routes = self.routes if routes is None else routes
+        out.counts = self.counts
+        return out
 
     @property
-    def background_count(self) -> int:
-        """Background positions per channel over the whole batch."""
-        return self.shape[0] * (int(np.prod(self.dims)) - self.shape[2] * self.shape[3])
+    def axes(self):
+        return _axes(self.dims, self.background.shape[-1])
+
+    def class_counts(self) -> np.ndarray:
+        """(k, k, k): each class's positions outside the windows, over the
+        batch, kept for the tensors ``like`` makes. A window's pattern (its
+        classes) is one per axis."""
+        if self.counts is None:
+            axes, k = self.axes, self.background.shape[-1]
+            shape = tuple(len(rows) for _, _, rows in axes)
+            pattern = _window_patterns(self.dims, k).take(self.windows, mode="wrap")
+            windows = [np.bincount(of_window) for _, of_window, _ in axes]
+            carried = np.bincount(pattern.ravel(), minlength=math.prod(shape)).reshape(shape)
+            uncarried = len(self) * np.einsum("x,y,z->xyz", *windows) - carried
+            classes = [np.stack([np.bincount(row, minlength=k) for row in rows])
+                       for _, _, rows in axes]
+            self.counts = np.einsum("xyz,xa,yb,zc->abc", uncarried, *classes)
+        return self.counts
 
 
 def _windowed(values, background, windows, dims) -> Windowed:
     out = np.asarray(values).view(Windowed)
     out.background, out.windows, out.dims = background, windows, dims
     return out
+
+
+def _pooled(dims) -> tuple:
+    return tuple(d // POOL for d in dims)
+
+
+@functools.lru_cache(maxsize=None)
+def _axes(dims, k: int) -> tuple:
+    """Per axis of a grid: the class of each position (the first k // 2
+    positions are classes 0.., the last k // 2 the classes after k // 2, the
+    rest k // 2), each pool window's pattern (an index into the distinct
+    rows of its positions' classes, in window order), and those rows."""
+    out = []
+    for d in dims:
+        r, p = np.arange(d), k // 2
+        classes = np.where(r < p, r, np.where(r >= d - p, r + k - d, p))
+        rows, of_window = np.unique(classes.reshape(-1, POOL), axis=0, return_inverse=True)
+        out.append((classes, of_window.ravel(), rows))
+    return tuple(out)
+
+
+def _take3(t, ix, iy, iz):
+    """t[:, :, ix, iy, iz] over the outer product of the three index arrays
+    (one take per axis, several times faster than one fancy index)."""
+    return t.take(ix, axis=2).take(iy, axis=3).take(iz, axis=4)
+
+
+def _on_patterns(t, axes):
+    """Class values t (n, channels, k, k, k) on the pattern grid: one window
+    per pattern and axis, so that ``_pool`` of it gives each pattern's
+    maximum, in the order the dense max-pool takes it."""
+    return _take3(t, *(rows.ravel() for _, _, rows in axes))
+
+
+@functools.lru_cache(maxsize=None)
+def _window_patterns(dims, k: int) -> np.ndarray:
+    """The flat pattern, in (x, y, z) order, of each window of the pooled
+    grid, flat; ``take`` it with mode="wrap" at windows of a batch."""
+    pattern = np.zeros((), dtype=np.intp)
+    for _, of_window, rows in _axes(dims, k):
+        pattern = (pattern * len(rows))[..., None] + of_window
+    return pattern.ravel()
+
+
+def _class_fill(background, windows, dims) -> np.ndarray:
+    """(batch, channels, POOL^3, W): the class value at each window
+    position, each window's POOL^3 values those of its pattern."""
+    k, channels = background.shape[-1], background.shape[1]
+    axes = _axes(dims, k)
+    n = [len(rows) for _, _, rows in axes]
+    grid = _on_patterns(background, axes).reshape(channels, n[0], POOL, n[1], POOL, n[2], POOL)
+    per_pattern = grid.transpose(0, 2, 4, 6, 1, 3, 5).reshape(channels * POOL**3, -1)
+    out = np.empty((len(windows), channels, POOL**3, windows.shape[1]), dtype=background.dtype)
+    for sample, pattern in zip(out, _window_patterns(dims, k).take(windows, mode="wrap")):
+        # mode="clip" lets take write into the row unbuffered; no index clips
+        np.take(per_pattern, pattern, axis=1, out=sample.reshape(len(per_pattern), -1), mode="clip")
+    return out
+
+
+def _outside(grad: Windowed, like: Windowed | None = None) -> np.ndarray:
+    """Per-channel sum of a backward ``Windowed`` over the positions
+    outside its windows, each times ``like``'s value there if given."""
+    const, scale = grad.background
+    axes = grad.axes
+    per_class = grad.class_counts().astype(const.dtype) * const
+    at_peaks = grad.routes[1][0] * _on_patterns(scale[None], axes)[0]
+    if like is not None:
+        per_class *= like.background[0]
+        at_peaks *= _on_patterns(like.background, axes)[0]
+    return per_class.sum(axis=(1, 2, 3)) + at_peaks.sum(axis=(1, 2, 3))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -178,9 +287,9 @@ def _binary_weight_grad(grad_y: Windowed, voxels, slots, k: int) -> np.ndarray:
     """
     g = np.asarray(grad_y)
     batch, c_out, _, width = g.shape
-    per_sample = g.shape[2] * width
+    per_sample = g.shape[2] * width  # per row of values
     # (c_out, batch, per_sample + 1): each channel's gradients in one row,
-    # with a zero after each sample for the taps that fall off the grid.
+    # with a zero after each row of values for the taps that fall off the grid.
     rows = np.zeros((c_out, batch, per_sample + 1), dtype=g.dtype)
     rows[:, :, :per_sample] = g.reshape(batch, c_out, per_sample).transpose(1, 0, 2)
     dims = grad_y.dims
@@ -191,9 +300,10 @@ def _binary_weight_grad(grad_y: Windowed, voxels, slots, k: int) -> np.ndarray:
     i, j, l = (np.clip(c, 0, d - 1) for c, d in zip(coords, dims))
     inside = on_grid[0][:, None, None] & on_grid[1][None, :, None] & on_grid[2][None, None, :]
     window, offset = _pool_window(i[:, None, None], j[None, :, None], l[None, None, :], dims)
-    slot = offset * width + slots[sample, window]
+    row, column = np.divmod(slots[sample, window], max(width, 1))
+    slot = offset * width + column
     slot[~inside] = per_sample  # (k, k, k, n)
-    gathered = np.take(rows.reshape(c_out, -1), sample * (per_sample + 1) + slot, axis=1)
+    gathered = np.take(rows.reshape(c_out, -1), row * (per_sample + 1) + slot, axis=1)
     return gathered.sum(axis=-1).reshape(c_out, 1, k, k, k)
 
 
@@ -358,31 +468,33 @@ def _correlate(x, w_mat, b, k: int):
     s, i, j, l = _unravel(corners, frame)
     s -= 1
     slots = None
-    if voxels is None or any(d % POOL for d in dims):
+    if any(d % POOL for d in dims):
         spans = [[slice(r, d - p if r == p else r + 1) for r in rep] for rep, d in zip(reps, dims)]
         y = np.empty((batch, c_out) + dims, dtype=dtype)
         for (ci, sx), (cj, sy), (cl, sz) in itertools.product(*map(enumerate, spans)):
             y[0, :, sx, sy, sz] = classes[:, ci, cj, cl, None, None, None]
         y[1:] = y[0]
         position = (i * oy + j) * oz + l
-    else:  # each sample's pool windows that touch its active positions
+    else:  # the pool windows that touch an active position, in rows of one width
         window, offset = _pool_window(i, j, l, dims)
         pooled = size // POOL**3
         window += s * pooled  # flat in (batch, pooled)
-        touched = np.zeros((batch, pooled), dtype=bool)
-        touched.reshape(-1)[window] = True
-        counts = np.count_nonzero(touched, axis=1)
-        width = counts.max()
-        if counts.min() < width:  # and its first untouched ones, to the largest count
-            touched |= np.cumsum(~touched, axis=1, dtype=np.int32) <= (width - counts)[:, None]
+        touched = np.zeros(batch * pooled, dtype=bool)
+        touched[window] = True
+        count = np.count_nonzero(touched)
+        width = -(-count // batch)
+        if batch * width > count:  # and the first untouched ones, to fill the rows
+            touched |= np.cumsum(~touched, dtype=np.int32) <= batch * width - count
         index = np.flatnonzero(touched)
         slots = np.zeros((batch, pooled), dtype=np.intp)
-        slots.reshape(-1)[index] = np.tile(np.arange(width), batch)
-        windows = index.reshape(batch, width) - pooled * np.arange(batch)[:, None]
-        y = _windowed(np.empty((batch, c_out, POOL**3, width), dtype=dtype),
-                      classes[:, p, p, p].copy(), windows, dims)
-        np.asarray(y)[...] = y.background[:, None, None]
-        position = offset * width + slots.reshape(-1)[window]
+        slots.reshape(-1)[index] = np.arange(index.size)
+        windows = index.reshape(batch, width)
+        if voxels is not None:  # every class has the all-zero patch
+            classes[...] = classes[:, p : p + 1, p : p + 1, p : p + 1]
+        background = classes[None].copy()
+        y = _windowed(_class_fill(background, windows, dims), background, windows, dims)
+        s, column = np.divmod(slots.reshape(-1)[window], max(width, 1))  # the row of values
+        position = offset * width + column
     # A 1-D scatter into each channel's view costs about 1 us a call more and
     # 1 ns an element less than one scatter with a slice between its indices.
     flat = np.asarray(y).reshape(batch, c_out, -1)
@@ -391,7 +503,9 @@ def _correlate(x, w_mat, b, k: int):
     else:
         for c in range(c_out):
             flat.reshape(-1)[c * flat.shape[2] :][s * flat[0].size + position] = values[c]
-    return (y, x, voxels, slots) if slots is not None else (y, x.astype(dtype, copy=False), None, None)
+    if voxels is None or slots is None:
+        return y, x.astype(dtype, copy=False), None, None
+    return y, x, voxels, slots
 
 
 def _as_float(arr, like=None) -> np.ndarray:
@@ -434,13 +548,14 @@ def conv3d_forward(x, w, b):
     after the GEMM, as there; ``tests/test_layers.py::TestDenseConvBits``,
     ``TestBackgroundConv`` and ``TestBinaryConv`` assert it.
 
-    A binary grid that takes the class columns, with dims that ``POOL``
-    divides, returns a ``Windowed``: per sample, the pool windows that
-    touch its active positions, and as the background the value of its
-    classes, which share the all-zero patch. Every other input returns the
-    dense array. The cache is (x, w, voxels, slots): for a
-    ``Windowed`` output x as given, its occupied voxels and its window slot
-    table, which the backward reads; else x in the compute dtype, None, None.
+    An input that takes the class columns, with dims that ``POOL`` divides,
+    returns a ``Windowed``: the pool windows that touch an active position,
+    one list over the batch, and as the background each class's value (a
+    binary grid's classes share the all-zero patch, so all take the centre
+    class's bytes). Every other input returns the dense array. The cache is
+    (x, w, voxels, slots): for a binary grid's ``Windowed`` output x as
+    given, its occupied voxels and its window slot table, which the
+    backward reads; else x in the compute dtype, None, None.
     """
     x = np.asarray(x)
     w = _as_float(w, like=x if x.dtype in (np.float32, np.float64) else None)
@@ -458,13 +573,13 @@ def conv3d_forward(x, w, b):
     return y, (x, w, voxels, slots)
 
 
-def _tap_sums(grad_y, k: int) -> np.ndarray:
-    """(Cout, k, k, k): for each tap (a, b, c), grad_y summed over the
-    batch and the outputs whose tap lands inside the grid. Along an axis of
-    extent d, tap t of output o reads input o - k // 2 + t, so the outputs
-    are those in [max(0, k // 2 - t), d - max(0, t - k // 2))."""
+def _tap_sums(sums, k: int) -> np.ndarray:
+    """(Cout, k, k, k): for each tap (a, b, c), the (Cout, x, y, z) sums of
+    grad_y over the batch summed over the outputs whose tap lands inside
+    the grid. Along an axis of extent d, tap t of output o reads input
+    o - k // 2 + t, so the outputs are those in [max(0, k // 2 - t),
+    d - max(0, t - k // 2))."""
     p = k // 2
-    sums = grad_y.sum(axis=0)
     for _ in range(3):  # x, then y, then z becomes a trailing tap axis
         d = sums.shape[1]
         sums = np.stack([sums[:, max(0, p - t) : d - max(0, t - p)].sum(axis=1)
@@ -472,12 +587,45 @@ def _tap_sums(grad_y, k: int) -> np.ndarray:
     return sums
 
 
-def _carried_backward(grad_y, x, w, windows, off, need_input_grad: bool):
-    """The input gradient at the flat positions ``windows[sample]`` (None
-    unless ``need_input_grad``) and the weight gradient of the part ``off``
-    (batch, Cin, W) of x at those positions. A dense input passes every
-    position, ``windows`` one row of all of them that every sample shares,
-    and x itself as ``off``; windows over a background pass x minus it.
+def _grad_frame(grad_y, p: int, dtype) -> np.ndarray:
+    """grad_y channel-last in a frame of p zeros: (batch, x + 2p, y + 2p,
+    z + 2p, Cout). A backward ``Windowed`` is written there one (x, y)
+    in-window offset and sample at a time: its classes' constants plus
+    their multiples of the pooled gradient (zero but at a window's first
+    maximum), then the values of its carried windows."""
+    windowed = isinstance(grad_y, Windowed)
+    dims = grad_y.dims if windowed else grad_y.shape[2:]
+    batch, c_out = grad_y.shape[:2]
+    frame = np.zeros((batch,) + tuple(d + 2 * p for d in dims) + (c_out,), dtype=dtype)
+    inner = frame[:, p : p + dims[0], p : p + dims[1], p : p + dims[2]]
+    if not windowed:
+        inner[...] = grad_y.transpose(0, 2, 3, 4, 1)
+        return frame
+    axes, (first, _, pooled) = grad_y.axes, grad_y.routes
+    on_grid = _on_patterns(grad_y.background, axes)  # each class's constant and multiple
+    on_grid[1] *= first[0]  # the multiple only at a window's first maximum
+    pooled = pooled.repeat(POOL, axis=3)  # channel-last; each (x, y) row of z contiguous
+    of_z = axes[2][1]
+    along_z = POOL * of_z.repeat(POOL) + np.tile(np.arange(POOL), len(of_z))
+    for a, b in itertools.product(range(POOL), repeat=2):
+        at = (POOL * axes[0][1] + a, POOL * axes[1][1] + b, along_z)
+        base, peak = np.moveaxis(_take3(on_grid, *at), 1, -1).copy()  # channel-last, as the frame
+        for sample, view in zip(pooled, inner[:, a::POOL, b::POOL]):  # one in cache at a time
+            np.multiply(sample, peak, out=view)
+            view += base
+    sample, i, j, l = _unravel(grad_y.windows, (batch,) + _pooled(dims))
+    corner = np.ravel_multi_index((sample, *(POOL * c + p for c in (i, j, l))), frame.shape[:4])
+    corner = corner[:, None, :] + _tap_offsets(POOL, *frame.shape[2:4])[:, None]
+    frame.reshape(-1, c_out)[corner] = np.moveaxis(np.asarray(grad_y), 1, -1)
+    return frame
+
+
+def _carried_backward(frame, x, w, windows, off, need_input_grad: bool):
+    """The input gradient at ``windows``, flat indices into x's (batch,) +
+    dims (None unless ``need_input_grad``), and the weight gradient of the
+    part ``off`` (rows, Cin, W) of x there. A dense input passes every
+    position, a row a sample, and x itself as ``off``; windows over a
+    background pass x minus it.
 
     Input v feeds output v + k // 2 - t through tap t. In grad_y's
     channel-last copy in a zero frame of k // 2, that output is the padded
@@ -489,20 +637,16 @@ def _carried_backward(grad_y, x, w, windows, off, need_input_grad: bool):
     block 1's shape it took 5 ms per float32 batch of 32 against 15 ms
     channel-first.)
 
-    Returns the input gradient as (batch, W, Cin) values and the weight
-    gradient. Every position of a dense block-1 input takes longer than the
-    per-tap path this replaced (see ``conv3d_backward``); no workload has one.
+    Returns the input gradient as windows.shape + (Cin,) values and the
+    weight gradient. Every position of a dense block-1 input takes longer
+    than the per-tap path this replaced (see ``conv3d_backward``); no
+    workload has one.
     """
     batch, c_in, dims = x.shape[0], x.shape[1], x.shape[2:]
     c_out, k = w.shape[0], w.shape[2]
-    p = k // 2
-    padded = np.zeros((batch,) + tuple(d + 2 * p for d in dims) + (c_out,), dtype=x.dtype)
-    padded[:, p : p + dims[0], p : p + dims[1], p : p + dims[2]] = grad_y.transpose(0, 2, 3, 4, 1)
-    source = padded.reshape(-1, c_out)
-    px, py, pz = padded.shape[1:4]
-    i, j, l = np.unravel_index(windows, dims)
-    corner = (((np.arange(batch)[:, None] * px + i) * py + j) * pz + l).ravel()
-    offsets = _tap_offsets(k, py, pz)
+    source = frame.reshape(-1, c_out)
+    corner = np.ravel_multi_index(_unravel(windows, (batch,) + dims), frame.shape[:4]).ravel()
+    offsets = _tap_offsets(k, *frame.shape[2:4])
     rows = k**3 * c_out  # (tap, Cout) order
     off = off.transpose(0, 2, 1).reshape(-1, c_in)
 
@@ -525,7 +669,7 @@ def _carried_backward(grad_y, x, w, windows, off, need_input_grad: bool):
         grad_w_flip += tile.T @ off[lo : lo + m]
     grad_w = grad_w_flip.reshape(k, k, k, c_out, c_in)[::-1, ::-1, ::-1].transpose(3, 4, 0, 1, 2)
     if values is not None:
-        values = values.reshape(batch, -1, c_in)
+        values = values.reshape(windows.shape + (c_in,))
     return values, np.ascontiguousarray(grad_w)
 
 
@@ -536,14 +680,15 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     and its GEMM, which the network uses for its first block.
 
     ``carried=(windows, background)`` says that the input is one
-    per-channel ``background`` vector everywhere but at the flat positions
-    ``windows[sample]`` (ascending), as the second block's input is outside
-    the first block's carried pool windows. A dense input is the case of
-    every position carried over a zero background, as in Graham's
-    active-site convolution (arXiv:1409.6070). Either way all three
-    gradients come from one tiled gather of grad_y at the carried positions
-    (``_carried_backward``). A dense input's gradients come back dense, its
-    bias gradient grad_y's plain sum.
+    per-channel ``background`` vector everywhere but at ``windows`` (flat
+    indices into its (batch,) + dims, ascending), as a block's input is
+    outside the carried pool windows of the block before when that one read
+    a binary grid. A dense input is the case of every position carried over
+    a zero background, as in Graham's active-site convolution
+    (arXiv:1409.6070). Either way all three gradients come from one tiled
+    gather of grad_y at the carried positions (``_carried_backward``). A
+    dense input's gradients come back dense, its bias gradient grad_y's
+    plain sum.
 
     With windows the background's own weight-gradient part is background ⊗
     S_t, S_t being grad_y's sum over the outputs whose tap t lands inside
@@ -551,7 +696,7 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     gradient's total per channel is Σ_t W_tᵀ S_t. The input gradient is a
     ``Windowed`` on the input's grid: (batch, Cin, 1, W) values at the
     windows and, as its background, the gradient summed over every other
-    position, which is all the first block's ``maxpool3d_backward`` reads.
+    position, which is all that block's ``maxpool3d_backward`` reads.
 
     The weight gradient and the input gradient sum in another order than an
     im2col GEMM and col2im of k^3 slice-adds, so they agree with those to
@@ -564,31 +709,44 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     against 154 ms, medians of seven runs), which happens only when block
     0's forward is not ``Windowed``.
 
-    A ``Windowed`` gradient (from a binary input's training forward, which
-    only the first block sees) gives no input gradient. Its weight gradient
-    gathers, for each tap, the gradient at every occupied voxel minus that
-    tap (see ``_binary_weight_grad``) instead of a GEMM over every
-    position, and its bias gradient is the sum over the windows plus the
-    background's sum. Both sum in another order than the dense path, so
-    they agree with it to float rounding.
+    A ``Windowed`` gradient of a binary input (the first block's) gives no
+    input gradient. Its weight gradient gathers, for each tap, the
+    gradient at every occupied voxel minus that tap (see
+    ``_binary_weight_grad``) instead of a GEMM over every position, and its
+    bias gradient is the sum over the windows plus that over the rest, per
+    class. Any other ``Windowed`` gradient is written into the gather's
+    frame as the dense gradient it stands for (``_grad_frame``). These sum
+    in another order than the dense path, so they agree with it to float
+    rounding.
     """
     x, w, voxels, slots = cache
-    if isinstance(grad_y, Windowed):
-        grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + grad_y.background
-        return None, _binary_weight_grad(grad_y, voxels, slots, w.shape[2]), grad_b
-    grad_y = _as_float(grad_y, like=x)
+    c_out, c_in, k = w.shape[:3]
+    windowed = isinstance(grad_y, Windowed)
+    if windowed and voxels is not None:
+        grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + _outside(grad_y)
+        return None, _binary_weight_grad(grad_y, voxels, slots, k), grad_b
+    grad_y = grad_y if windowed else _as_float(grad_y, like=x)
+    frame = _grad_frame(grad_y, k // 2, x.dtype)
+
+    def summed():  # grad_y summed over the batch, (Cout, x, y, z): grad_y.sum(axis=0)'s bits
+        inner = frame[(slice(None),) + tuple(slice(k // 2, k // 2 + d) for d in x.shape[2:])]
+        return inner.sum(axis=0).transpose(3, 0, 1, 2)
+
     flat = x.reshape(x.shape[:2] + (-1,))
     if carried is None:  # every position carried, over a zero background
-        positions = np.arange(flat.shape[2])[None, :]
-        values, grad_w = _carried_backward(grad_y, x, w, positions, flat, need_input_grad)
+        positions = np.arange(flat.shape[0] * flat.shape[2]).reshape(flat.shape[0], -1)
+        values, grad_w = _carried_backward(frame, x, w, positions, flat, need_input_grad)
         if values is not None:
             values = np.ascontiguousarray(values.transpose(0, 2, 1)).reshape(x.shape)
-        return values, grad_w, grad_y.sum(axis=(0, 2, 3, 4))
+        # a contiguous row per channel, so that each sums pairwise
+        grad_b = (np.ascontiguousarray(summed()).reshape(c_out, -1).sum(axis=1) if windowed
+                  else grad_y.sum(axis=(0, 2, 3, 4)))
+        return values, grad_w, grad_b
     windows, background = carried
-    off = np.take_along_axis(flat, windows[:, None, :], axis=2) - background[:, None]
-    values, grad_w = _carried_backward(grad_y, x, w, windows, off, need_input_grad)
-    c_out, c_in, k = w.shape[:3]
-    sums = _tap_sums(grad_y, k)
+    sample, position = (t[:, None] for t in np.divmod(windows, flat.shape[2]))
+    off = flat[sample, np.arange(c_in)[:, None], position] - background[:, None]
+    values, grad_w = _carried_backward(frame, x, w, windows, off, need_input_grad)
+    sums = _tap_sums(summed(), k)
     grad_w += background[:, None, None, None] * sums[:, None]
     grad_x = None
     if values is not None:
@@ -608,13 +766,13 @@ def _leaky_relu(x):
 
 
 def _leaky_relu_grad(grad_y, positive):
-    # grad * 1 is grad exactly; a product is faster than a masked copy.
-    one, slope = grad_y.dtype.type(1), grad_y.dtype.type(SLOPE)
-    return grad_y * np.where(positive, one, slope)
+    # grad * 1 is grad exactly; a product with the factor looked up by the
+    # mask's bytes took half the time of np.where(positive, 1, slope).
+    return grad_y * np.array([SLOPE, 1], dtype=grad_y.dtype).take(positive.view(np.uint8))
 
 
 def leaky_relu_forward(x):
-    """Elementwise; a ``Windowed`` input also maps its background."""
+    """Elementwise; a ``Windowed`` input also maps its class values."""
     y, positive = _leaky_relu(_as_float(x))
     if isinstance(x, Windowed):
         y_bg, positive_bg = _leaky_relu(x.background)
@@ -623,8 +781,8 @@ def leaky_relu_forward(x):
 
 
 def leaky_relu_backward(grad_y, cache):
-    """A ``Windowed`` gradient's background sum scales by its channel's
-    slope: every background position has the same sign."""
+    """A ``Windowed`` gradient's class constants and multiples scale by
+    their class's slope: every position of a class has the same sign."""
     (positive,) = cache
     out = _leaky_relu_grad(np.asarray(grad_y), np.asarray(positive))
     if isinstance(grad_y, Windowed):
@@ -656,22 +814,30 @@ def maxpool3d_forward(x):
     are monotone per channel; see ``network.rnet_forward``).
 
     A ``Windowed`` input takes a running maximum over its window offsets
-    and gives every other window its background value, in a dense output;
-    the cache then holds the (batch, channels, W) window maxima.
+    (the first maximal value in window order, as the dense passes keep)
+    and gives every other window its pattern's maximum, the dense passes
+    over the pattern grid; the output is dense, and the cache holds the
+    (batch, channels, W) window maxima.
     """
     if isinstance(x, Windowed):
         offsets = np.asarray(x).transpose(2, 0, 1, 3)
         peaks = np.maximum(offsets[0], offsets[1])
         for view in offsets[2:]:
             np.maximum(peaks, view, out=peaks)
-        y = np.empty(peaks.shape[:2] + tuple(d // POOL for d in x.dims), dtype=peaks.dtype)
-        flat = y.reshape(peaks.shape[:2] + (-1,))
-        flat[...] = x.background[:, None]
-        np.put_along_axis(flat, x.windows[:, None, :], peaks, axis=2)
+        y = np.repeat(_pool(_on_patterns(x.background, x.axes)), len(peaks), axis=0)
+        for axis in (4, 3, 2):  # each pattern's windows are one run along an axis
+            y = np.repeat(y, np.bincount(x.axes[axis - 2][1]), axis)
+        sample, window = (t[:, None] for t in np.divmod(x.windows, y[0, 0].size))
+        y.reshape(y.shape[:2] + (-1,))[sample, np.arange(y.shape[1])[:, None], window] = peaks
         return y, (peaks, x)
     x = _as_float(x)
     _require(not any(d % POOL for d in x.shape[2:]),
              f"dims {x.shape[2:]} not divisible by pool window {POOL}")
+    y = _pool(x)
+    return y, (y, x)
+
+
+def _pool(x):
     y = x
     for axis in (4, 3, 2):
         lead = (slice(None),) * axis
@@ -679,7 +845,7 @@ def maxpool3d_forward(x):
         y = np.maximum(views[0], views[1])  # a new array
         for view in views[2:]:
             np.maximum(y, view, out=y)
-    return y, (y, x)
+    return y
 
 
 def _route_to_first_max(grad_y, y, x_views, grad_views) -> None:
@@ -699,27 +865,47 @@ def maxpool3d_backward(grad_y, cache):
     in every block-0 window, so this rule decides where their gradients go.
     A window whose output is NaN passes no gradient.
 
-    For a ``Windowed`` input the rule is applied inside its windows. An
-    all-background window that is not carried sends its gradient to its
-    first offset, a background position, so the background's gradient sum
-    is the sum of grad_y over all windows minus the carried ones. grad_y
-    may itself be a ``Windowed`` on the pooled grid, as the next block's
-    conv backward returns it when given these windows: its values at them
-    and, as its background, that sum.
+    For a ``Windowed`` input the rule is applied inside its windows. A
+    window that is not carried holds its pattern's class values, so its
+    first maximum is its pattern's (found on the pattern grid, none where
+    the pattern's maximum is NaN). The result is a backward ``Windowed``
+    whose classes have constant 0 and multiple 1; its ``routes`` keep the
+    first maxima, grad_y channel-last and its sum over the uncarried
+    windows of each pattern. grad_y may itself be a ``Windowed`` on the
+    pooled grid, as the next block's conv backward returns it when given
+    these windows: its values at them and, as its background, their sum
+    over the rest. That sum is put on the first pattern, which is exact
+    where the classes share one value, as a binary grid's do, the only
+    windows ``network.rnet_backward`` passes.
     """
     y, x = cache
     if isinstance(x, Windowed):
+        axes = x.axes
+        grid = _on_patterns(x.background, axes)
+        first = np.zeros(grid.shape, dtype=bool)
+        peaks = _pool(grid)
+        _route_to_first_max(np.ones(peaks.shape, dtype=bool), peaks, _window_views(grid),
+                            _window_views(first))
         if isinstance(grad_y, Windowed):  # (batch, channels, 1, W) at x's windows
-            carried, grad_bg = np.asarray(grad_y)[:, :, 0], grad_y.background
-        else:
-            flat = np.asarray(grad_y).reshape(y.shape[:2] + (-1,))
-            carried = np.take_along_axis(flat, x.windows[:, None, :], axis=2)
-            grad_bg = flat.sum(axis=(0, 2)) - carried.sum(axis=(0, 2))
-        grad_bg = np.where(np.isnan(x.background), 0, grad_bg)
+            carried, pooled = np.asarray(grad_y)[:, :, 0], None
+            sums = np.zeros(peaks.shape, dtype=carried.dtype)
+            sums[..., 0, 0, 0] = grad_y.background
+        else:  # channel-last, as the conv backward's frame
+            pooled = np.array(np.moveaxis(np.asarray(grad_y), 1, -1), order="C")  # a copy
+            flat = pooled.reshape(-1, pooled.shape[-1])
+            carried = flat[x.windows].transpose(0, 2, 1)
+            flat[x.windows] = 0
+            sums = np.moveaxis(pooled.sum(axis=0, keepdims=True), -1, 1)
+            for axis, (_, of_window, _) in enumerate(axes, start=2):
+                sums = np.add.reduceat(sums, np.flatnonzero(np.diff(of_window, prepend=-1)), axis)
+        for axis in (2, 3, 4):
+            sums = sums.repeat(POOL, axis)
         grad_x = np.zeros(x.shape, dtype=carried.dtype)
         _route_to_first_max(carried, y, np.asarray(x).transpose(2, 0, 1, 3),
                             grad_x.transpose(2, 0, 1, 3))
-        return x.like(grad_x, grad_bg)
+        background = np.zeros((2,) + x.background.shape[1:], dtype=carried.dtype)
+        background[1] = 1
+        return x.like(grad_x, background, (first, first * sums, pooled))
     grad_y = np.asarray(grad_y)
     grad_x = np.zeros(x.shape, dtype=grad_y.dtype)
     _route_to_first_max(grad_y, y, _window_views(x), _window_views(grad_x))
@@ -727,9 +913,8 @@ def maxpool3d_backward(grad_y, cache):
 
 
 def _channels(v, ndim: int):
-    """A per-channel vector shaped to broadcast along axis 1 of an ndim
-    tensor (a 1-D background is already per channel)."""
-    return v.reshape((-1,) + (1,) * max(ndim - 2, 0))
+    """A per-channel vector shaped to broadcast along axis 1 of an ndim tensor."""
+    return v.reshape((-1,) + (1,) * (ndim - 2))
 
 
 def _channel_dot(a, b):
@@ -758,12 +943,12 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: boo
     training-mode cache feeds ``batchnorm3d_backward``: eval mode has no
     backward.
 
-    The statistics of a ``Windowed`` input count its background value once
-    per background position: the mean adds count * value to the window sum,
-    and the variance, taken about that mean (two passes, not
-    E[x^2] - E[x]^2), adds count * (value - mean)^2. Window values and the
-    background are then normalized alike, and the cached x_hat is
-    ``Windowed`` too.
+    The statistics of a ``Windowed`` input count each class's value once
+    per position of that class outside the windows: the mean adds count *
+    value per class to the window sum, and the variance, taken about that
+    mean (two passes, not E[x^2] - E[x]^2), adds count * (value - mean)^2.
+    Window values and class values are then normalized alike, and the
+    cached x_hat is ``Windowed`` too.
     """
     values = _as_float(x)
     channels = values.shape[1]
@@ -776,12 +961,13 @@ def batchnorm3d_forward(x, gamma, beta, running_mean, running_var, training: boo
     windowed = isinstance(x, Windowed)
     if training:
         if windowed:
-            count, background = x.background_count, x.background
-            n = values.size // channels + count
-            mean = (values.sum(axis=axes) + count * background) / n
+            counts, background = x.class_counts().astype(values.dtype), x.background
+            n = len(values) * math.prod(x.dims)
+            mean = (values.sum(axis=axes) + (counts * background).sum(axis=(0, 2, 3, 4))) / n
             deviation = values - _channels(mean, values.ndim)
             np.square(deviation, out=deviation)
-            var = (deviation.sum(axis=axes) + count * (background - mean) ** 2) / n
+            spread = counts * (background - _channels(mean, 5)) ** 2
+            var = (deviation.sum(axis=axes) + spread.sum(axis=(0, 2, 3, 4))) / n
         else:
             mean = values.mean(axis=axes)
             var = values.var(axis=axes)
@@ -804,10 +990,10 @@ def batchnorm3d_backward(grad_y, cache):
     The input gradient's two sums over the batch are gamma times beta's and
     gamma's gradients, so it is one per-channel affine of g and x_hat.
 
-    For a ``Windowed`` gradient the background adds its gradient sum G to
-    the sums of g (beta's gradient) and of g * x_hat (gamma's), as G times
-    the background's x_hat. The background's input-gradient sum then
-    follows in closed form from G, the background count and the same affine.
+    For a ``Windowed`` gradient the positions outside the windows add
+    their sums to those of g (beta's gradient) and of g * x_hat (gamma's),
+    per class (``_outside``), and the same affine maps each class's
+    constant and multiple: the multiple by gamma * inv_std alone.
     """
     x_hat, inv_std, gamma = cache
     g = _as_float(grad_y, like=x_hat)
@@ -818,10 +1004,9 @@ def batchnorm3d_backward(grad_y, cache):
     n = g.size // g.shape[1]
     windowed = isinstance(grad_y, Windowed)
     if windowed:
-        grad_bg, x_hat_bg, count = grad_y.background, x_hat.background, x_hat.background_count
-        grad_gamma += grad_bg * x_hat_bg
-        grad_beta += grad_bg
-        n += count
+        grad_gamma += _outside(grad_y, x_hat)
+        grad_beta += _outside(grad_y)
+        n = len(g) * math.prod(grad_y.dims)
     # (n * gamma * g - sum(gamma * g) - x_hat * sum(gamma * g * x_hat)) * inv_std / n,
     # whose two sums are gamma times grad_beta and grad_gamma: one affine of g and x_hat
     scale = gamma * inv_std
@@ -830,8 +1015,9 @@ def batchnorm3d_backward(grad_y, cache):
     grad_x += xh * _channels(slope_x, g.ndim)
     grad_x += _channels(shift, g.ndim)
     if windowed:
-        bg_sum = slope_g * grad_bg + count * (slope_x * x_hat_bg + shift)
-        grad_x = grad_y.like(grad_x, bg_sum)
+        background = grad_y.background * _channels(slope_g, 5)
+        background[:1] += x_hat.background * _channels(slope_x, 5) + _channels(shift, 5)
+        grad_x = grad_y.like(grad_x, background)
     return grad_x, grad_gamma, grad_beta
 
 

@@ -138,13 +138,16 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     class for the rest (``layers._correlate``), in training and eval alike,
     with the dense conv's bytes. On height fields that is the first block,
     whose input is a sparse binary grid, and the second: the first leaves
-    its background wherever no voxel was near. The first block's conv
-    output is a ``layers.Windowed``: its active pool windows plus one
-    background value per channel, about an eighth of the full-resolution
-    positions on tiny grids. Leaky ReLU, batchnorm and max-pool run on that
-    form, and the pooled output is dense. Batchnorm statistics and the
+    its background wherever no voxel was near. Such a conv output, where
+    the pool divides the dims, is a ``layers.Windowed``: its active pool
+    windows, one list over the batch, plus one value per grid-face class
+    and channel: in training on tiny grids about a tenth of the first
+    block's full-resolution positions and a third of the second's. Leaky
+    ReLU, batchnorm and max-pool run on that form, and the pooled output is
+    dense. Batchnorm statistics and the
     block's gradients sum in another order than the dense layers, so they
-    match them to float rounding. The second block's conv output is dense.
+    match them to float rounding. The form is chosen by the input alone:
+    the third block takes it too where its input qualifies.
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
@@ -211,34 +214,35 @@ def rnet_backward(grad_pred, caches):
     """Backward pass; returns per-parameter gradients in trainable() order.
 
     A block that ran on ``layers.Windowed`` tensors gets its gradients in
-    that form from max-pool back to its conv, whose weight gradient is a
-    gather at the occupied voxels. Every other conv backward gathers grad_y
-    at its input positions: all of them for a dense input. When the first
-    block ran on windows, the second block's input is the first's pooled
-    background outside its carried windows, so the second block's conv
-    backward is handed those windows and that background and gathers at
-    them only: it returns the input gradient there, plus its sum over the
-    rest, as a ``layers.Windowed`` that the first block's max-pool backward
-    reads, and sums its weight and bias gradients in another order than
-    with every position carried.
+    that form from max-pool back to its conv: a binary input's weight
+    gradient is a gather at the occupied voxels, any other conv writes the
+    gradient into its dense frame. Every other conv backward gathers grad_y
+    at its input positions: all of them for a dense input. When a block
+    ran on a binary grid's windows, whose classes share one value, the
+    next block's input is that value outside the carried windows, so the
+    next block's conv backward is handed those windows and that background
+    and gathers at them only: it returns the input gradient there, plus its
+    sum over the rest, as a ``layers.Windowed`` that the block's max-pool
+    backward reads, and sums its weight and bias gradients in another order
+    than with every position carried.
     """
     dense_cache, pre_flat_shape = caches[-1]
     grad_out = np.asarray(grad_pred, dtype=np.float64)[:, None]
     grad_flat, grad_dw, grad_db = layers.dense_backward(grad_out, dense_cache)
     grad_h = grad_flat.reshape(pre_flat_shape)
     block_grads = []
-    first = caches[0][3][1] if len(caches) > 2 else None  # the first block's max-pool input
-    carried = (first.windows, first.background) if isinstance(first, layers.Windowed) else None
     for block in reversed(range(len(caches) - 1)):
         conv_cache, relu_cache, bn_cache, pool_cache = caches[block]
         grad_h = layers.maxpool3d_backward(grad_h, pool_cache)
         grad_h, grad_gamma, grad_beta = layers.batchnorm3d_backward(grad_h, bn_cache)
         grad_h = layers.leaky_relu_backward(grad_h, relu_cache)
+        carried = None
+        if block and caches[block - 1][0][2] is not None:  # the block before read a binary grid
+            below = caches[block - 1][3][1]  # its max-pool input, whose classes share one value
+            carried = (below.windows, below.background[0, :, 0, 0, 0])
         # The first block's input gradient leads nowhere; skip its GEMM.
         grad_h, grad_w, grad_b = layers.conv3d_backward(
-            grad_h, conv_cache, need_input_grad=block > 0,
-            carried=carried if block == 1 else None,
-        )
+            grad_h, conv_cache, need_input_grad=block > 0, carried=carried)
         block_grads.append([grad_w, grad_b, grad_gamma, grad_beta])
     grads = []
     for blk in reversed(block_grads):

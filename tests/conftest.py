@@ -8,7 +8,9 @@ test-local im2col oracle ``dense_conv`` in ``test_layers.py``
 and ``test_predictions_are_the_same_bytes_at_every_batch_size``), and
 ``test_training.py``'s ``TestTrain::test_running_stats_keep_their_recorded_bytes``,
 which compares two epochs' batchnorm running statistics with recorded
-hashes, assume the summation order of a single-thread GEMM. OpenBLAS reads the
+hashes, and ``test_cli.py``'s ``TestWindowedPipeline::test_rerun_is_byte_identical``,
+which compares a pipeline run in this process with a ``--threads 1`` CLI
+run, assume the summation order of a single-thread GEMM. OpenBLAS reads the
 thread count when numpy loads, so it is set here, before any test module
 imports numpy. The fixtures that several test files share follow.
 """

@@ -6,7 +6,9 @@ deposits, one epoch) runs every stage in about a second. Its attached
 variant (two rows; attached, unattached and half-attached panels) covers
 the die-attached labels propagated from the unattached annotations, and
 its annotated variant (``label_source="annotated"``) the labels taken from
-the annotations themselves.
+the annotations themselves. Their 8x8x16 grids are too dense for any block
+to train on its active pool windows; the windowed variant's 16x16x64 grids
+train blocks 0 and 1 on them.
 """
 
 import csv
@@ -26,7 +28,7 @@ import pytest
 import gluevol
 from gluevol import cli, cloudio, config, dataset, geom3d, pipeline, voxelizer
 from gluevol.diagnose import VolumeThresholds
-from gluevol.neuralvol import weights_io
+from gluevol.neuralvol import layers, weights_io
 from gluevol.util import encode
 
 SRC = str(Path(gluevol.__file__).resolve().parents[1])
@@ -47,6 +49,12 @@ def attached_micro_config() -> config.RunConfig:
     cfg = micro_config()
     return replace(cfg, attach_patterns=("attached", "unattached", "half"),
                    layout=replace(cfg.layout, rows=2))
+
+
+def windowed_micro_config() -> config.RunConfig:
+    cfg = micro_config()
+    return replace(cfg, grid=replace(cfg.grid, nx=16, ny=16, nz=64),
+                   net=replace(cfg.net, input_dims=(16, 16, 64)))
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
@@ -96,6 +104,29 @@ def micro_attached(tmp_path_factory):
 def micro_annotated(tmp_path_factory):
     return two_runs(tmp_path_factory.mktemp("micro_annotated"),
                     replace(micro_config(), label_source="annotated"))
+
+
+@pytest.fixture(scope="module")
+def micro_windowed(tmp_path_factory):
+    """The windowed micro config run in this process, with a spy on the
+    training-mode batchnorm inputs (channels, type), then again by the CLI."""
+    root = tmp_path_factory.mktemp("micro_windowed")
+    cfg_path = root / "micro.json"
+    cfg_path.write_text(encode(windowed_micro_config()))
+    seen, forward = set(), layers.batchnorm3d_forward
+
+    def spy(x, *args, training):
+        if training:
+            seen.add((x.shape[1], type(x)))
+        return forward(x, *args, training=training)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "batchnorm3d_forward", spy)
+        code = run_stage(cfg_path, "pipeline", root / "first")
+    proc = run_cli("pipeline", "--config", cfg_path, "--out", root / "second", "--threads", "1",
+                   "--quiet")
+    return SimpleNamespace(first=root / "first", second=root / "second", seen=seen,
+                           codes=(code, proc.returncode))
 
 
 @pytest.fixture
@@ -158,6 +189,19 @@ class TestAttachedPipeline:
     def test_rerun_is_byte_identical(self, micro_attached):
         first = workspace_files(micro_attached.first)
         second = workspace_files(micro_attached.second)
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []
+
+
+class TestWindowedPipeline:
+    def test_blocks_0_and_1_train_windowed(self, micro_windowed):
+        assert micro_windowed.codes == (cli.EXIT_OK, cli.EXIT_OK)
+        channels = windowed_micro_config().net.channels
+        assert micro_windowed.seen == {(c, layers.Windowed) for c in channels}
+
+    def test_rerun_is_byte_identical(self, micro_windowed):
+        first = workspace_files(micro_windowed.first)
+        second = workspace_files(micro_windowed.second)
         assert sorted(first) == sorted(second)
         assert [name for name in first if first[name] != second[name]] == []
 
@@ -284,6 +328,16 @@ class TestNumericFailure:
         weights_io.write_weights(weights, path)
         assert run_stage(micro.cfg_path, "eval", ws) == cli.EXIT_NUMERIC
         assert "non-finite MSE for A_unattached" in capsys.readouterr().err
+
+
+    def test_nan_prediction_in_eval_json_exits_4(self, micro, ws, capsys):
+        path = ws / "eval" / "eval_A_unattached.json"
+        doc = json.loads(path.read_text())
+        doc["predictions"][0] = float("nan")
+        path.write_text(json.dumps(doc))  # NaN, as json writes it
+        assert run_stage(micro.cfg_path, "diagnose", ws) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite volume nan" in err
 
 
 class TestMisfitConfig:

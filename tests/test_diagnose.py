@@ -41,6 +41,12 @@ class TestClassify:
         labels = [rank[classify(v, THRESHOLDS, "A")] for v in volumes]
         assert all(b >= a for a, b in zip(labels, labels[1:]))
 
+    @pytest.mark.parametrize("volume", [np.nan, np.inf, -np.inf])
+    def test_non_finite_volume_raises(self, volume):
+        # NaN fails both comparisons; it must not pass as Normal
+        with pytest.raises(FloatingPointError, match="non-finite volume"):
+            classify(volume, THRESHOLDS, "A")
+
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
             VolumeThresholds(0.02, 0.01)

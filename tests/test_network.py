@@ -296,17 +296,22 @@ def tiny_scans():
 
 class TestBackgroundPath:
     """Blocks 0 and 1 of the tiny net take the background-class conv on
-    height fields, at inspection and in training: block 0 in the
-    ``Windowed`` form, block 1 in the dense form. Switching the path off
-    changes no byte of predictions; switching off its dense form alone
-    changes no byte of training history or weights either (block 0's
-    ``Windowed`` training sums in another order than the dense layers).
+    height fields, at inspection and in training, both in the ``Windowed``
+    form. Switching the path off changes no byte of predictions.
 
-    Block 1's conv backward at block 0's carried windows sums in another
-    order than its dense backward, the same gather with every position
-    carried. Switched off, one epoch's history stays within 1e-6 (relative)
-    and every weight within 0.01 learning rates: over 12 training seeds the
-    worst were 1.9e-7 and 1.3e-3 learning rates."""
+    Training sums in another order on the form than on the dense layers.
+    With block 1's form switched off (``_background_active`` giving None,
+    so block 1 computes every position), one epoch's history stays within
+    2e-6 (relative) and every weight within 0.1 learning rates: over 12
+    training seeds the worst history was 3.2e-7, and the weights stayed
+    within 0.04 learning rates but at seed 6, 0.28 (Adam scales a rounding
+    change of a gradient near zero up to a step of its own); this test's
+    seed 5 reads 0.016. Block 1's conv backward at block 0's carried
+    windows sums in another order than its dense backward, the same
+    gather with every position carried. Switched off, one epoch's history
+    stays within 1e-6 (relative) and every weight within 0.01 learning
+    rates: over 12 training seeds the worst were 1.7e-7 and 7.9e-4
+    learning rates."""
 
     def test_block1_takes_it(self, monkeypatch, tiny_scans):
         grids, _ = tiny_scans
@@ -329,10 +334,10 @@ class TestBackgroundPath:
         block0 = [t[1:] for t in taken if t[0] == 1]
         block1 = [t[1:] for t in taken if t[0] == TINY.channels[0]]
         # Block 0 takes the uint8 grid, block 1 the float one; both take
-        # the class columns in the weights' dtype, block 0 in the Windowed form.
+        # the class columns in the weights' dtype, in the Windowed form.
         f64, f32 = np.float64, np.float32
         assert block0 == [(np.uint8, f64, layers.Windowed, True)] * 3 + [(np.uint8, f32, layers.Windowed, True)]
-        assert block1 == [(f64, f64, np.ndarray, True)] * 3 + [(f32, f32, np.ndarray, True)]
+        assert block1 == [(f64, f64, layers.Windowed, True)] * 3 + [(f32, f32, layers.Windowed, True)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dense_layer_input_is_the_same_at_every_batch_size(self, monkeypatch, tiny_scans,
@@ -391,13 +396,16 @@ class TestBackgroundPath:
         def same_bytes(a, b):
             return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
+        def close(history_off, trainable_off, rtol, steps):
+            assert np.allclose(history_off, history, rtol=rtol, atol=0)
+            for got, want in zip(trainable_off, trainable):
+                assert np.all(np.abs(got - want) <= steps * train_cfg.learning_rate)
+
         preds, (history, trainable) = predictions(), trained()
         # block 0's Windowed form only
         monkeypatch.setattr(layers, "_background_active", lambda x: None)
         assert same_bytes(preds, predictions())
-        history_off, trainable_off = trained()
-        assert history == history_off
-        assert same_bytes(trainable, trainable_off)
+        close(*trained(), rtol=2e-6, steps=0.1)
         monkeypatch.setattr(layers, "_active_corners", lambda *args: None)
         assert same_bytes(preds, predictions())
 
@@ -406,10 +414,7 @@ class TestBackgroundPath:
         monkeypatch.setattr(layers, "conv3d_backward",
                             lambda grad_y, cache, need_input_grad=True, carried=None:
                             conv(grad_y, cache, need_input_grad))
-        history_off, trainable_off = trained()
-        assert np.allclose(history_off, history, rtol=1e-6, atol=0)
-        for got, want in zip(trainable_off, trainable):
-            assert np.all(np.abs(got - want) <= 0.01 * train_cfg.learning_rate)
+        close(*trained(), rtol=1e-6, steps=0.01)
 
 
 class TestWeightsIo:

@@ -124,11 +124,15 @@ class TestTrain:
     # batchnorm leaves them; the bytes were recorded when train installed
     # the statistics that the forward returned, so the in-place update must
     # reproduce them. Dense toy grids run every layer dense, the height
-    # fields run the first block on its Windowed form; batch 4 of 10 ends
-    # each epoch with a batch of 2.
+    # fields run the first block on its Windowed form, and the second on it
+    # in the last batch; batch 4 of 10 ends each epoch with a batch of 2.
+    # The height fields' bytes were recorded again when the second block
+    # took the form and the windows became one list over the batch: they
+    # are within 1.5e-7 (relative) of the previous ones, and of those of the
+    # same run with the second block's form switched off.
     @pytest.mark.parametrize("data,net,digest", [
         ("toy", NET, "9d8bbf5aff822721"),
-        ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "5d6d09a09b538442"),
+        ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "911c053166433a4e"),
     ])
     def test_running_stats_keep_their_recorded_bytes(self, data, net, digest):
         grids, volumes = toy_dataset() if data == "toy" else height_field_dataset()
