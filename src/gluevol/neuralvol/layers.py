@@ -42,30 +42,38 @@ frame. Every other input is the case of every position active: a dense
 one, or one where more than ``_BACKGROUND_MAX_ACTIVE`` (45%) of the
 positions need their own column.
 
-The background-class output, where ``POOL`` divides the dims, is a
-``Windowed`` tensor: the values of the pool windows that touch an active
-position, one list over the batch, plus one value per class and channel
-elsewhere (a binary grid's classes all share one, its bias). Leaky ReLU and
-batchnorm map the class values as they map the windows', batchnorm counting
-each class's positions outside the windows, and max-pool gives every other
-window the maximum over its pattern's classes, taken in the dense
-max-pool's order (see ``_on_patterns``); in training on tiny height fields
-the windows hold about a tenth of block 0's positions and a third of block
-1's.
-Max-pool returns a dense pooled tensor, so the next block's forward is
-unchanged. Backward, a position outside the windows has its class's
-constant plus, at its window's first maximum, its class's multiple of the
-pooled gradient there; batchnorm and leaky ReLU map both per class. A conv
-backward writes that into the frame it gathers from (``_grad_frame``). The
-next block's conv backward, told windows whose classes share one value, as
-a binary grid's, runs a dense input's gather at them only and returns the
-input gradient there plus one per-channel sum over the rest, which is all
-that block's max-pool backward reads (see ``conv3d_backward``).
+The background-class output (only dims that ``POOL`` divides take it) is
+a ``Windowed`` tensor: the values of the pool windows that touch an
+active position, one list over the batch, plus one value per class and
+channel elsewhere (a binary grid's classes all share one, its bias). Leaky
+ReLU and batchnorm map the class values as they map the windows',
+batchnorm counting each class's positions outside the windows, and
+max-pool gives every other window the maximum over its pattern's classes,
+taken in the dense max-pool's order (see ``_on_patterns``); in training on
+tiny height fields the windows hold about a tenth of block 0's positions
+and a third of block 1's.
+Max-pool returns a dense pooled tensor, which outside the carried windows
+holds one value per pattern (``Windowed.pattern_maxima``): one value per
+channel where the classes share one, as a binary grid's do. There the next
+block's forward is handed the windows as its positions off the background
+and scans no bit of its input, so every 27-tap neighbourhood of a handed
+window lies in its own carried windows. Backward, a position
+outside the windows has its class's constant plus, at its window's first
+maximum, its class's multiple of the pooled gradient there; batchnorm and
+leaky ReLU map both per class. A conv backward handed the windows of the
+block before, with the value of each pattern, gathers at them only and
+returns the input gradient there plus one sum per pattern over the rest,
+which is all that block's max-pool backward reads (see
+``conv3d_backward``). It writes its gradient into the frame it gathers
+from (``_grad_frame``): where its forward was handed those windows, only
+its own windows' values, and grad_y's sums per cell of the pattern grid
+come in closed form. So RNet's blocks 1 and 2 gather at the windows of the
+block before, and block 1 reads no gradient outside its windows.
 Per element the forward arithmetic is that of the dense layers. The
-batchnorm statistics, the gradients of batchnorm and of the first two
-blocks' conv weights and bias, and the second block's input gradient are
-sums in another order, so they agree with the dense path to float
-rounding (``tests/test_layers.py::TestWindowed`` and
+batchnorm statistics, the gradients of batchnorm and of the first three
+blocks' conv weights and bias, and the second and third blocks' input
+gradients are sums in another order, so they agree with the dense path to
+float rounding (``tests/test_layers.py::TestWindowed`` and
 ``TestCarriedBackward``), not bit for bit. Batchnorm's input gradient is
 one per-channel affine of the gradient and x_hat on every form, whose
 constants take the batch sums from gamma's and beta's gradients.
@@ -117,20 +125,24 @@ class Windowed(np.ndarray):
     into batch rows of W, so a row is not a sample; the first other windows
     fill the last row. Every other position of the (batch, channels) +
     ``dims`` tensor holds the value of its class: the grid faces that a k^3
-    patch centred there crosses, k^3 classes in all (see ``_axes``). In a
+    patch centred there crosses, k^3 classes in all (see ``_axes``). A
+    window's pattern is the classes of its positions, one per axis: its
+    first plane, the interior or its last plane for a 3^3 kernel. In a
     forward pass ``background`` is (1, channels, k, k, k), each class's
-    value. In a backward pass it is (2, channels, k, k, k): a position's
-    gradient is its class's first entry plus, at its window's first
-    maximum, its class's second entry times the pooled gradient there.
-    ``routes`` then holds what ``maxpool3d_backward`` found: the first
-    maxima of the class values on the pattern grid (see ``_on_patterns``),
-    the pooled gradient summed over the uncarried windows of each pattern
-    at them, and the pooled gradient itself, channel-last (None where it
-    came summed). The next block's conv backward returns its input
-    gradient, on the pooled grid, in this form with one position per
+    value, and max-pool gives every uncarried window its pattern's maximum
+    (``pattern_maxima``). In a backward pass it is (2, channels, k, k, k): a
+    position's gradient is its class's first entry plus, at its window's
+    first maximum, its class's second entry times the pooled gradient
+    there. ``routes`` then holds what ``maxpool3d_backward`` found: the
+    first maxima of the class values on the pattern grid (see
+    ``_on_patterns``), the pooled gradient summed over the uncarried
+    windows of each pattern at them, and the pooled gradient itself,
+    channel-last (None where it came summed). The next block's conv
+    backward, handed these windows and the pattern maxima, returns its
+    input gradient, on the pooled grid, in this form with one position per
     window: (batch, channels, 1, W), ``dims`` the pooled grid's, and as
-    ``background`` the per-channel sum of the gradient over every other
-    position.
+    ``background`` (channels,) + the pattern counts per axis, each
+    pattern's gradient summed over its other positions.
     Arithmetic on the array returns arrays without this metadata; the
     layers read the values with ``np.asarray`` and wrap their results with
     ``like``.
@@ -150,21 +162,30 @@ class Windowed(np.ndarray):
     def axes(self):
         return _axes(self.dims, self.background.shape[-1])
 
-    def class_counts(self) -> np.ndarray:
-        """(k, k, k): each class's positions outside the windows, over the
-        batch, kept for the tensors ``like`` makes. A window's pattern (its
-        classes) is one per axis."""
+    def pattern_counts(self) -> np.ndarray:
+        """(nx, ny, nz): each pattern's windows outside the carried ones,
+        over the batch, kept for the tensors ``like`` makes."""
         if self.counts is None:
             axes, k = self.axes, self.background.shape[-1]
             shape = tuple(len(rows) for _, _, rows in axes)
             pattern = _window_patterns(self.dims, k).take(self.windows, mode="wrap")
             windows = [np.bincount(of_window) for _, of_window, _ in axes]
             carried = np.bincount(pattern.ravel(), minlength=math.prod(shape)).reshape(shape)
-            uncarried = len(self) * np.einsum("x,y,z->xyz", *windows) - carried
-            classes = [np.stack([np.bincount(row, minlength=k) for row in rows])
-                       for _, _, rows in axes]
-            self.counts = np.einsum("xyz,xa,yb,zc->abc", uncarried, *classes)
+            self.counts = len(self) * np.einsum("x,y,z->xyz", *windows) - carried
         return self.counts
+
+    def class_counts(self) -> np.ndarray:
+        """(k, k, k): each class's positions outside the windows, over the
+        batch."""
+        k = self.background.shape[-1]
+        classes = [np.stack([np.bincount(row, minlength=k) for row in rows])
+                   for _, _, rows in self.axes]
+        return np.einsum("xyz,xa,yb,zc->abc", self.pattern_counts(), *classes)
+
+    def pattern_maxima(self) -> np.ndarray:
+        """(channels, nx, ny, nz): the max-pool of each pattern's class
+        values, which every uncarried window of that pattern pools to."""
+        return _pool(_on_patterns(self.background, self.axes))[0]
 
 
 def _windowed(values, background, windows, dims) -> Windowed:
@@ -231,16 +252,22 @@ def _class_fill(background, windows, dims) -> np.ndarray:
 
 
 def _outside(grad: Windowed, like: Windowed | None = None) -> np.ndarray:
-    """Per-channel sum of a backward ``Windowed`` over the positions
-    outside its windows, each times ``like``'s value there if given."""
+    """(channels,) + the pattern grid: a backward ``Windowed``'s sum over
+    the positions outside its windows in each cell of the grid (the
+    positions at one in-window offset of one pattern's windows), each
+    position times ``like``'s value there if given."""
     const, scale = grad.background
     axes = grad.axes
-    per_class = grad.class_counts().astype(const.dtype) * const
+    counts = grad.pattern_counts().astype(const.dtype)
+    for axis in range(3):
+        counts = counts.repeat(POOL, axis)
+    per_cell = counts * _on_patterns(const[None], axes)[0]
     at_peaks = grad.routes[1][0] * _on_patterns(scale[None], axes)[0]
     if like is not None:
-        per_class *= like.background[0]
-        at_peaks *= _on_patterns(like.background, axes)[0]
-    return per_class.sum(axis=(1, 2, 3)) + at_peaks.sum(axis=(1, 2, 3))
+        on_grid = _on_patterns(like.background, axes)[0]
+        per_cell *= on_grid
+        at_peaks *= on_grid
+    return per_cell + at_peaks
 
 
 def _require(cond: bool, message: str) -> None:
@@ -392,9 +419,9 @@ def _gemm_columns(source, offsets, rows, w_mat, values, n: int) -> None:
             np.matmul(w_mat, columns, out=out[:, lo : lo + m])
 
 
-def _correlate(x, w_mat, b, k: int):
+def _correlate(x, w_mat, b, k: int, windows=None):
     """Correlation plus bias of x with a (Cout, Cin*k^3) kernel (see
-    ``conv3d_forward``), as (y, x as the backward reads it, voxels, slots).
+    ``conv3d_forward``), as (y, x as the backward reads it, off, slots).
     x goes channel-first into a frame of k // 2 zeros around each sample, a
     binary grid's voxels into a 0/1 frame; tap (a, b, c) of every output o
     lies at a fixed flat offset from o's corner, its tap (0, 0, 0), at
@@ -416,10 +443,16 @@ def _correlate(x, w_mat, b, k: int):
     if step <= planes < ox:
         planes -= planes % step
     n = planes * oy * oz
-    sparse = not (n % 16 or batch * size <= n or min(dims) < k)
-    voxels = _occupied(x) if sparse else None
+    sparse = not (n % 16 or batch * size <= n or min(dims) < k or any(d % POOL for d in dims))
+    voxels = _occupied(x) if sparse and windows is None else None
     x = x if voxels is not None else x.astype(dtype, copy=False)
-    found = (None, voxels) if voxels is not None else _background_active(x) if sparse else None
+    found = None  # (background, the positions off it: a mask or flat indices)
+    if voxels is not None:
+        found = (None, voxels)
+    elif sparse and windows is not None:
+        found = (_background_outside(x, windows), windows.ravel())
+    elif sparse:
+        found = _background_active(x)
     first = int(found is not None)  # the samples' index in the frame
     p = k // 2
     frame = (batch + first,) + tuple(d + 2 * p for d in dims)
@@ -434,10 +467,10 @@ def _correlate(x, w_mat, b, k: int):
     if found is not None:  # the positions off the background, set in a frame
         seed = np.zeros(frame, dtype=bool) if voxels is None else source.reshape(frame)
         at = None
-        if voxels is None:
+        if found[1].dtype == bool:
             seed[(slice(1, None),) + inner] = found[1]
-        else:  # the 0/1 frame itself
-            s, i, j, l = _unravel(voxels, (batch,) + dims)
+        else:  # flat (sample, x, y, z) positions; a binary grid's land in its 0/1 frame itself
+            s, i, j, l = _unravel(found[1], (batch,) + dims)
             at = (((s + 1) * frame[1] + i + p) * frame[2] + j + p) * frame[3] + l + p
             seed.reshape(-1)[at] = True
         corners = _active_corners(seed, at, dims, k, _BACKGROUND_MAX_ACTIVE * batch * size)
@@ -463,38 +496,29 @@ def _correlate(x, w_mat, b, k: int):
     if corners is None:
         return y, x.astype(dtype, copy=False), None, None
 
+    # the pool windows that touch an active position, in rows of one width
     classes = values[0, :, : k**3].reshape(c_out, k, k, k)
     values = values[0, :, k**3 : k**3 + count]
     s, i, j, l = _unravel(corners, frame)
-    s -= 1
-    slots = None
-    if any(d % POOL for d in dims):
-        spans = [[slice(r, d - p if r == p else r + 1) for r in rep] for rep, d in zip(reps, dims)]
-        y = np.empty((batch, c_out) + dims, dtype=dtype)
-        for (ci, sx), (cj, sy), (cl, sz) in itertools.product(*map(enumerate, spans)):
-            y[0, :, sx, sy, sz] = classes[:, ci, cj, cl, None, None, None]
-        y[1:] = y[0]
-        position = (i * oy + j) * oz + l
-    else:  # the pool windows that touch an active position, in rows of one width
-        window, offset = _pool_window(i, j, l, dims)
-        pooled = size // POOL**3
-        window += s * pooled  # flat in (batch, pooled)
-        touched = np.zeros(batch * pooled, dtype=bool)
-        touched[window] = True
-        count = np.count_nonzero(touched)
-        width = -(-count // batch)
-        if batch * width > count:  # and the first untouched ones, to fill the rows
-            touched |= np.cumsum(~touched, dtype=np.int32) <= batch * width - count
-        index = np.flatnonzero(touched)
-        slots = np.zeros((batch, pooled), dtype=np.intp)
-        slots.reshape(-1)[index] = np.arange(index.size)
-        windows = index.reshape(batch, width)
-        if voxels is not None:  # every class has the all-zero patch
-            classes[...] = classes[:, p : p + 1, p : p + 1, p : p + 1]
-        background = classes[None].copy()
-        y = _windowed(_class_fill(background, windows, dims), background, windows, dims)
-        s, column = np.divmod(slots.reshape(-1)[window], max(width, 1))  # the row of values
-        position = offset * width + column
+    window, offset = _pool_window(i, j, l, dims)
+    pooled = size // POOL**3
+    window += (s - 1) * pooled  # flat in (batch, pooled)
+    touched = np.zeros(batch * pooled, dtype=bool)
+    touched[window] = True
+    count = np.count_nonzero(touched)
+    width = -(-count // batch)
+    if batch * width > count:  # and the first untouched ones, to fill the rows
+        touched |= np.cumsum(~touched, dtype=np.int32) <= batch * width - count
+    index = np.flatnonzero(touched)
+    slots = np.zeros((batch, pooled), dtype=np.intp)
+    slots.reshape(-1)[index] = np.arange(index.size)
+    out_windows = index.reshape(batch, width)
+    if voxels is not None:  # every class has the all-zero patch
+        classes[...] = classes[:, p : p + 1, p : p + 1, p : p + 1]
+    background = classes[None].copy()
+    y = _windowed(_class_fill(background, out_windows, dims), background, out_windows, dims)
+    s, column = np.divmod(slots.reshape(-1)[window], max(width, 1))  # the row of values
+    position = offset * width + column
     # A 1-D scatter into each channel's view costs about 1 us a call more and
     # 1 ns an element less than one scatter with a slice between its indices.
     flat = np.asarray(y).reshape(batch, c_out, -1)
@@ -503,9 +527,21 @@ def _correlate(x, w_mat, b, k: int):
     else:
         for c in range(c_out):
             flat.reshape(-1)[c * flat.shape[2] :][s * flat[0].size + position] = values[c]
-    if voxels is None or slots is None:
-        return y, x.astype(dtype, copy=False), None, None
+    if voxels is None:
+        return y, x, windows, None
     return y, x, voxels, slots
+
+
+def _background_outside(x, windows) -> np.ndarray:
+    """x's channel vector at its first position outside ``windows`` (flat,
+    ascending), zeros where there is none."""
+    flat = windows.ravel()
+    gaps = np.flatnonzero(flat != np.arange(flat.size))
+    position = gaps[0] if gaps.size else flat.size
+    if position == x.shape[0] * math.prod(x.shape[2:]):
+        return np.zeros(x.shape[1], dtype=x.dtype)
+    sample, at = divmod(int(position), math.prod(x.shape[2:]))
+    return x.reshape(x.shape[:2] + (-1,))[sample, :, at].copy()
 
 
 def _as_float(arr, like=None) -> np.ndarray:
@@ -518,7 +554,7 @@ def _as_float(arr, like=None) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def conv3d_forward(x, w, b):
+def conv3d_forward(x, w, b, windows=None):
     """3D cross-correlation: x (B,Cin,X,Y,Z), w (Cout,Cin,k,k,k), b (Cout,).
 
     Stride 1 and padding k // 2 for an odd k, so the output keeps x's dims.
@@ -528,14 +564,19 @@ def conv3d_forward(x, w, b):
     column (``_correlate``). An input computes the columns of its active
     positions only, plus one per background class, when at most
     ``_BACKGROUND_MAX_ACTIVE`` (45%) of the output positions are active: in
-    the k^3 box dilation of the positions whose bits differ from the
-    background, the commonest channel vector at the samples' last positions
-    (so +0.0 is off a -0.0 background, one NaN off another). A binary grid,
-    one channel of 0 and 1 (+0.0 and 1.0 by bits) on a 0 background, finds
-    them from its occupied voxels. Inactive outputs fall into k^3 classes by
-    the grid faces their patch crosses, each with one representative. Every
-    other input (dims under k, a batch that one tile covers, or more active
-    positions) computes the column of every position.
+    the k^3 box dilation of the positions off the background. A binary
+    grid, one channel of 0 and 1 (+0.0 and 1.0 by bits) on a 0 background,
+    finds them from its occupied voxels. ``windows`` (flat indices into x's
+    (batch,) + dims, ascending) hands them over: outside them x holds one
+    per-channel vector, as the next block's input does outside the carried
+    windows of a block that read a binary grid, and no bit of x is scanned.
+    Any other input takes the positions whose bits differ from the
+    commonest channel vector at the samples' last positions (so +0.0 is off
+    a -0.0 background, one NaN off another). Inactive outputs fall into k^3
+    classes by the grid faces their patch crosses, each with one
+    representative. Every other input (dims under k or that ``POOL`` does
+    not divide, a batch that one tile covers, or more active positions)
+    computes the column of every position.
 
     Either way the output is bit-identical to one im2col GEMM per sample:
     every value is the dot product of a kernel row with a patch column of
@@ -546,16 +587,20 @@ def conv3d_forward(x, w, b):
     (with another N it need not: at N <= 64 a small-matrix kernel summed
     block 2's K = 432 columns in another order), and the bias is added
     after the GEMM, as there; ``tests/test_layers.py::TestDenseConvBits``,
-    ``TestBackgroundConv`` and ``TestBinaryConv`` assert it.
+    ``TestBackgroundConv`` and ``TestBinaryConv`` assert it. More positions
+    taken as off change which columns are computed, not their bits.
 
-    An input that takes the class columns, with dims that ``POOL`` divides,
-    returns a ``Windowed``: the pool windows that touch an active position,
-    one list over the batch, and as the background each class's value (a
-    binary grid's classes share the all-zero patch, so all take the centre
-    class's bytes). Every other input returns the dense array. The cache is
-    (x, w, voxels, slots): for a binary grid's ``Windowed`` output x as
-    given, its occupied voxels and its window slot table, which the
-    backward reads; else x in the compute dtype, None, None.
+    An input that takes the class columns returns a ``Windowed``: the pool
+    windows that touch an active position, one list over the batch, and as
+    the background each class's value (a binary grid's classes share the
+    all-zero patch, so all take the centre class's bytes). Every other
+    input returns the dense array. The cache is (x, w, off, slots): for a
+    binary grid's ``Windowed`` output x as given, its occupied voxels and
+    its window slot table, which the backward reads; for a ``Windowed``
+    output of handed ``windows`` x in the compute dtype, those windows,
+    None (every active output then lies in the output's windows, so the
+    backward handed them reads nothing else); else x in the compute dtype,
+    None, None.
     """
     x = np.asarray(x)
     w = _as_float(w, like=x if x.dtype in (np.float32, np.float64) else None)
@@ -568,56 +613,99 @@ def conv3d_forward(x, w, b):
     _require(b.shape == (c_out,), "bias shape must be (c_out,)")
 
     w_mat = np.ascontiguousarray(w.reshape(c_out, -1))
-    y, x, voxels, slots = _correlate(x, w_mat, b, k)
+    y, x, off, slots = _correlate(x, w_mat, b, k, windows)
     # Four entries, as perfbench/spans.py unpacks them.
-    return y, (x, w, voxels, slots)
+    return y, (x, w, off, slots)
 
 
-def _tap_sums(sums, k: int) -> np.ndarray:
-    """(Cout, k, k, k): for each tap (a, b, c), the (Cout, x, y, z) sums of
-    grad_y over the batch summed over the outputs whose tap lands inside
-    the grid. Along an axis of extent d, tap t of output o reads input
-    o - k // 2 + t, so the outputs are those in [max(0, k // 2 - t),
-    d - max(0, t - k // 2))."""
+def _tap_sums(sums, k: int, patterns, cells=None) -> np.ndarray:
+    """(Cout, k, k, k) + the input's pattern counts: for each tap (a, b, c)
+    and input pattern, grad_y summed over the outputs whose tap lands inside
+    the grid on an input of that pattern. ``sums`` is grad_y summed over the
+    batch, one entry per cell of outputs along each axis: a position each,
+    or where given, ``cells[axis][o]`` is output o's cell; ``patterns[axis]``
+    is each input position's pattern. Along an axis of extent d, tap t of
+    output o reads input o - k // 2 + t. A cell counts where its outputs
+    read that pattern, which takes the cell whole: so a cell must lie inside
+    or outside each tap's run of outputs, as the pattern grid's cells do
+    for a 3^3 kernel (see ``_grad_frame``)."""
     p = k // 2
-    for _ in range(3):  # x, then y, then z becomes a trailing tap axis
-        d = sums.shape[1]
-        sums = np.stack([sums[:, max(0, p - t) : d - max(0, t - p)].sum(axis=1)
-                         for t in range(k)], axis=-1)
-    return sums
+    for axis, pattern in enumerate(patterns):  # x, then y, then z becomes trailing (tap, pattern) axes
+        o = np.arange(len(pattern))
+        cell = o if cells is None else cells[axis]
+        taps = np.zeros((sums.shape[1], k, pattern.max() + 1), dtype=sums.dtype)
+        for t in range(k):
+            inside = (o - p + t >= 0) & (o - p + t < len(o))
+            taps[cell[inside], t, pattern[o[inside] - p + t]] = 1
+        sums = np.tensordot(sums, taps, axes=(1, 0))
+    return sums.transpose(0, 1, 3, 5, 2, 4, 6)
 
 
-def _grad_frame(grad_y, p: int, dtype) -> np.ndarray:
-    """grad_y channel-last in a frame of p zeros: (batch, x + 2p, y + 2p,
-    z + 2p, Cout). A backward ``Windowed`` is written there one (x, y)
-    in-window offset and sample at a time: its classes' constants plus
-    their multiples of the pooled gradient (zero but at a window's first
-    maximum), then the values of its carried windows."""
+def _grad_frame(grad_y, p: int, dtype, full: bool = True):
+    """(frame, sums, cells): grad_y channel-last in a frame of p zeros,
+    (batch, x + 2p, y + 2p, z + 2p, Cout), and its sum over the batch,
+    (Cout,) + one entry per cell along each axis (see ``_tap_sums``; cells
+    None: a position each).
+
+    A backward ``Windowed`` writes the values of its carried windows, and
+    where ``full``, every other position one (x, y) in-window offset and
+    sample at a time: its class's constant plus its multiple of the pooled
+    gradient (zero but at a window's first maximum). Without ``full`` the
+    frame is left unwritten outside the windows and its padding, and the
+    sums are by cell of the pattern grid: the windows' per pattern, plus
+    the rest's in closed form (``_outside``).
+    """
     windowed = isinstance(grad_y, Windowed)
     dims = grad_y.dims if windowed else grad_y.shape[2:]
     batch, c_out = grad_y.shape[:2]
-    frame = np.zeros((batch,) + tuple(d + 2 * p for d in dims) + (c_out,), dtype=dtype)
+    frame = np.empty((batch,) + tuple(d + 2 * p for d in dims) + (c_out,), dtype=dtype)
+    for axis in (1, 2, 3):  # the padding
+        lead = (slice(None),) * axis
+        frame[lead + (slice(0, p),)] = 0
+        frame[lead + (slice(p + dims[axis - 1], None),)] = 0
     inner = frame[:, p : p + dims[0], p : p + dims[1], p : p + dims[2]]
     if not windowed:
         inner[...] = grad_y.transpose(0, 2, 3, 4, 1)
-        return frame
-    axes, (first, _, pooled) = grad_y.axes, grad_y.routes
-    on_grid = _on_patterns(grad_y.background, axes)  # each class's constant and multiple
-    on_grid[1] *= first[0]  # the multiple only at a window's first maximum
-    pooled = pooled.repeat(POOL, axis=3)  # channel-last; each (x, y) row of z contiguous
-    of_z = axes[2][1]
-    along_z = POOL * of_z.repeat(POOL) + np.tile(np.arange(POOL), len(of_z))
-    for a, b in itertools.product(range(POOL), repeat=2):
-        at = (POOL * axes[0][1] + a, POOL * axes[1][1] + b, along_z)
-        base, peak = np.moveaxis(_take3(on_grid, *at), 1, -1).copy()  # channel-last, as the frame
-        for sample, view in zip(pooled, inner[:, a::POOL, b::POOL]):  # one in cache at a time
-            np.multiply(sample, peak, out=view)
-            view += base
+        return frame, grad_y.sum(axis=0), None
+    axes = grad_y.axes
+    if full:
+        first, _, pooled = grad_y.routes
+        _require(pooled is not None, "a gradient summed per pattern is only gathered at its windows")
+        on_grid = _on_patterns(grad_y.background, axes)  # each class's constant and multiple
+        on_grid[1] *= first[0]  # the multiple only at a window's first maximum
+        pooled = pooled.repeat(POOL, axis=3)  # channel-last; each (x, y) row of z contiguous
+        of_z = axes[2][1]
+        along_z = POOL * of_z.repeat(POOL) + np.tile(np.arange(POOL), len(of_z))
+        for a, b in itertools.product(range(POOL), repeat=2):
+            at = (POOL * axes[0][1] + a, POOL * axes[1][1] + b, along_z)
+            base, peak = np.moveaxis(_take3(on_grid, *at), 1, -1).copy()  # channel-last, as the frame
+            for sample, view in zip(pooled, inner[:, a::POOL, b::POOL]):  # one in cache at a time
+                np.multiply(sample, peak, out=view)
+                view += base
+    values = np.asarray(grad_y)
     sample, i, j, l = _unravel(grad_y.windows, (batch,) + _pooled(dims))
     corner = np.ravel_multi_index((sample, *(POOL * c + p for c in (i, j, l))), frame.shape[:4])
     corner = corner[:, None, :] + _tap_offsets(POOL, *frame.shape[2:4])[:, None]
-    frame.reshape(-1, c_out)[corner] = np.moveaxis(np.asarray(grad_y), 1, -1)
-    return frame
+    frame.reshape(-1, c_out)[corner] = np.moveaxis(values, 1, -1)
+    if full:
+        return frame, inner.sum(axis=0).transpose(3, 0, 1, 2), None
+    n = [len(rows) for _, _, rows in axes]
+    pattern = _window_patterns(dims, grad_y.background.shape[-1]).take(grad_y.windows, mode="wrap")
+    at_windows = _pattern_sums(values.reshape(batch, -1, values.shape[-1]), pattern, math.prod(n))
+    at_windows = at_windows.reshape((c_out,) + (POOL,) * 3 + tuple(n)).transpose(0, 4, 1, 5, 2, 6, 3)
+    # each position's cell: its window's pattern and its offset in the window
+    cells = [POOL * of_window.repeat(POOL) + np.tile(np.arange(POOL), len(of_window))
+             for _, of_window, _ in axes]
+    outside = _outside(grad_y)
+    return frame, at_windows.reshape(outside.shape) + outside, cells
+
+
+def _pattern_sums(values, pattern, n: int) -> np.ndarray:
+    """(K, n): values (rows, K, W) summed over its windows by their
+    pattern (rows, W), one GEMM a row with the patterns' indicator."""
+    of_pattern = np.zeros(pattern.shape + (n,), dtype=values.dtype)
+    np.put_along_axis(of_pattern, pattern[..., None], 1, axis=-1)
+    return np.matmul(values, of_pattern).sum(axis=0)
 
 
 def _carried_backward(frame, x, w, windows, off, need_input_grad: bool):
@@ -658,6 +746,7 @@ def _carried_backward(frame, x, w, windows, off, need_input_grad: bool):
         w_flip = np.ascontiguousarray(w_flip).reshape(rows, c_in)
         values = np.empty((corner.size, c_in), dtype=x.dtype)
     grad_w_flip = np.zeros((rows, c_in), dtype=x.dtype)
+    partial = np.empty_like(grad_w_flip)  # each tile's, in one buffer
     for lo in range(0, corner.size, n):
         m = min(n, corner.size - lo)
         tile = col if m == n else np.empty((m, k**3, c_out), dtype=x.dtype)
@@ -666,7 +755,8 @@ def _carried_backward(frame, x, w, windows, off, need_input_grad: bool):
         tile = tile.reshape(m, rows)
         if need_input_grad:
             np.matmul(tile, w_flip, out=values[lo : lo + m])
-        grad_w_flip += tile.T @ off[lo : lo + m]
+        np.matmul(tile.T, off[lo : lo + m], out=partial)
+        grad_w_flip += partial
     grad_w = grad_w_flip.reshape(k, k, k, c_out, c_in)[::-1, ::-1, ::-1].transpose(3, 4, 0, 1, 2)
     if values is not None:
         values = values.reshape(windows.shape + (c_in,))
@@ -679,24 +769,27 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     ``need_input_grad=False`` skips the input gradient (None in its slot)
     and its GEMM, which the network uses for its first block.
 
-    ``carried=(windows, background)`` says that the input is one
-    per-channel ``background`` vector everywhere but at ``windows`` (flat
-    indices into its (batch,) + dims, ascending), as a block's input is
-    outside the carried pool windows of the block before when that one read
-    a binary grid. A dense input is the case of every position carried over
-    a zero background, as in Graham's active-site convolution
+    ``carried=(windows, background)`` says that the input holds
+    ``background`` everywhere but at ``windows`` (flat indices into its
+    (batch,) + dims, ascending): (Cin,) + a pattern grid, one value per
+    pattern, as a block's input is outside the carried pool windows of a
+    block before whose backward reads only its windows (see
+    ``Windowed.pattern_maxima``); a background of one pattern per axis is
+    one per-channel vector. A dense input is the case of every position
+    carried over a zero background, as in Graham's active-site convolution
     (arXiv:1409.6070). Either way all three gradients come from one tiled
     gather of grad_y at the carried positions (``_carried_backward``). A
     dense input's gradients come back dense, its bias gradient grad_y's
     plain sum.
 
-    With windows the background's own weight-gradient part is background ⊗
-    S_t, S_t being grad_y's sum over the outputs whose tap t lands inside
-    the grid (``_tap_sums``); grad_b is S at the centre tap, and the input
-    gradient's total per channel is Σ_t W_tᵀ S_t. The input gradient is a
-    ``Windowed`` on the input's grid: (batch, Cin, 1, W) values at the
-    windows and, as its background, the gradient summed over every other
-    position, which is all that block's ``maxpool3d_backward`` reads.
+    With windows, the background's own weight-gradient part is the sum over
+    patterns q of background_q ⊗ S_tq, S_tq being grad_y's sum over the
+    outputs whose tap t lands inside the grid on an input of pattern q
+    (``_tap_sums``), and Σ_t W_tᵀ S_tq is the input gradient's total over
+    pattern q. The input gradient is a ``Windowed`` on the input's grid:
+    (batch, Cin, 1, W) values at the windows and, as its background, the
+    gradient summed over every other position of each pattern, which is
+    all that block's ``maxpool3d_backward`` reads.
 
     The weight gradient and the input gradient sum in another order than an
     im2col GEMM and col2im of k^3 slice-adds, so they agree with those to
@@ -713,48 +806,67 @@ def conv3d_backward(grad_y, cache, need_input_grad: bool = True, carried=None):
     input gradient. Its weight gradient gathers, for each tap, the
     gradient at every occupied voxel minus that tap (see
     ``_binary_weight_grad``) instead of a GEMM over every position, and its
-    bias gradient is the sum over the windows plus that over the rest, per
-    class. Any other ``Windowed`` gradient is written into the gather's
-    frame as the dense gradient it stands for (``_grad_frame``). These sum
-    in another order than the dense path, so they agree with it to float
-    rounding.
+    bias gradient is the sum over the windows plus that over the rest.
+    Any other ``Windowed`` gradient is written into the gather's frame
+    (``_grad_frame``): where its forward was handed the windows passed
+    here, each gathered 27-tap neighbourhood lies in its windows, so only
+    their values are written, and grad_y's sums come per cell of the
+    pattern grid in closed form; else as the dense gradient it stands for.
+    These sum in another order than the dense path, so they agree with it
+    to float rounding.
     """
-    x, w, voxels, slots = cache
+    x, w, off, slots = cache
     c_out, c_in, k = w.shape[:3]
     windowed = isinstance(grad_y, Windowed)
-    if windowed and voxels is not None:
-        grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + _outside(grad_y)
-        return None, _binary_weight_grad(grad_y, voxels, slots, k), grad_b
+    if windowed and slots is not None:  # a binary grid's
+        grad_b = np.asarray(grad_y).sum(axis=(0, 2, 3)) + _outside(grad_y).sum(axis=(1, 2, 3))
+        return None, _binary_weight_grad(grad_y, off, slots, k), grad_b
     grad_y = grad_y if windowed else _as_float(grad_y, like=x)
-    frame = _grad_frame(grad_y, k // 2, x.dtype)
-
-    def summed():  # grad_y summed over the batch, (Cout, x, y, z): grad_y.sum(axis=0)'s bits
-        inner = frame[(slice(None),) + tuple(slice(k // 2, k // 2 + d) for d in x.shape[2:])]
-        return inner.sum(axis=0).transpose(3, 0, 1, 2)
-
+    # a forward handed these windows put every tap the gather reads in grad_y's windows
+    full = not (windowed and off is not None and carried is not None
+                and np.array_equal(carried[0], off))
+    frame, sums, cells = _grad_frame(grad_y, k // 2, x.dtype, full)
+    # a contiguous row per channel, so that each sums pairwise
+    grad_b = (np.ascontiguousarray(sums).reshape(c_out, -1).sum(axis=1) if windowed
+              else grad_y.sum(axis=(0, 2, 3, 4)))
     flat = x.reshape(x.shape[:2] + (-1,))
     if carried is None:  # every position carried, over a zero background
         positions = np.arange(flat.shape[0] * flat.shape[2]).reshape(flat.shape[0], -1)
         values, grad_w = _carried_backward(frame, x, w, positions, flat, need_input_grad)
         if values is not None:
             values = np.ascontiguousarray(values.transpose(0, 2, 1)).reshape(x.shape)
-        # a contiguous row per channel, so that each sums pairwise
-        grad_b = (np.ascontiguousarray(summed()).reshape(c_out, -1).sum(axis=1) if windowed
-                  else grad_y.sum(axis=(0, 2, 3, 4)))
         return values, grad_w, grad_b
     windows, background = carried
-    sample, position = (t[:, None] for t in np.divmod(windows, flat.shape[2]))
-    off = flat[sample, np.arange(c_in)[:, None], position] - background[:, None]
+    counts = background.shape[1:]  # patterns per axis
+    patterns = _input_patterns(x.shape[2:], counts, k)
+    sample, i, j, l = _unravel(windows, x.shape[:1] + x.shape[2:])
+    pattern = (patterns[0][i] * counts[1] + patterns[1][j]) * counts[2] + patterns[2][l]
+    background = background.reshape(c_in, -1)
+    size = flat.shape[2]
+    at = (windows + sample * ((c_in - 1) * size))[:, None, :] + (np.arange(c_in) * size)[:, None]
+    off = flat.reshape(-1).take(at) - background[:, pattern].transpose(1, 0, 2)  # (rows, Cin, W)
     values, grad_w = _carried_backward(frame, x, w, windows, off, need_input_grad)
-    sums = _tap_sums(summed(), k)
-    grad_w += background[:, None, None, None] * sums[:, None]
+    taps = _tap_sums(sums, k, patterns, cells).reshape(c_out, k**3, -1)
+    grad_w += (taps @ background.T).transpose(0, 2, 1).reshape(w.shape)
     grad_x = None
     if values is not None:
-        total = np.einsum("oit,ot->i", w.reshape(c_out, c_in, -1), sums.reshape(c_out, -1))
         values = values.transpose(0, 2, 1)
+        total = np.einsum("oit,otq->iq", w.reshape(c_out, c_in, -1), taps)
+        outside = total - _pattern_sums(values, pattern, background.shape[1])
         grad_x = _windowed(np.ascontiguousarray(values[:, :, None]),
-                           total - values.sum(axis=(0, 2)), windows, x.shape[2:])
-    return grad_x, grad_w, sums[:, k // 2, k // 2, k // 2].copy()
+                           outside.reshape((c_in,) + counts), windows, x.shape[2:])
+    return grad_x, grad_w, grad_b
+
+
+def _input_patterns(dims, counts, k: int) -> list:
+    """Per axis of a grid of ``dims``, the pattern of each position: the
+    pattern of its pool window in the grid it was pooled from (see
+    ``_axes``) where the axis has that many, else, for one, 0."""
+    patterns = []
+    for d, n, (_, of_window, rows) in zip(dims, counts, _axes(tuple(POOL * d for d in dims), k)):
+        _require(n in (1, len(rows)), f"{n} background patterns on an axis of {d} windows")
+        patterns.append(of_window if n > 1 else np.zeros(d, dtype=np.intp))
+    return patterns
 
 
 def _leaky_relu(x):
@@ -824,7 +936,7 @@ def maxpool3d_forward(x):
         peaks = np.maximum(offsets[0], offsets[1])
         for view in offsets[2:]:
             np.maximum(peaks, view, out=peaks)
-        y = np.repeat(_pool(_on_patterns(x.background, x.axes)), len(peaks), axis=0)
+        y = np.repeat(x.pattern_maxima()[None], len(peaks), axis=0)
         for axis in (4, 3, 2):  # each pattern's windows are one run along an axis
             y = np.repeat(y, np.bincount(x.axes[axis - 2][1]), axis)
         sample, window = (t[:, None] for t in np.divmod(x.windows, y[0, 0].size))
@@ -873,10 +985,8 @@ def maxpool3d_backward(grad_y, cache):
     first maxima, grad_y channel-last and its sum over the uncarried
     windows of each pattern. grad_y may itself be a ``Windowed`` on the
     pooled grid, as the next block's conv backward returns it when given
-    these windows: its values at them and, as its background, their sum
-    over the rest. That sum is put on the first pattern, which is exact
-    where the classes share one value, as a binary grid's do, the only
-    windows ``network.rnet_backward`` passes.
+    these windows: its values at them and, as its background, its sum over
+    each pattern's other windows, which is read as it is.
     """
     y, x = cache
     if isinstance(x, Windowed):
@@ -888,8 +998,8 @@ def maxpool3d_backward(grad_y, cache):
                             _window_views(first))
         if isinstance(grad_y, Windowed):  # (batch, channels, 1, W) at x's windows
             carried, pooled = np.asarray(grad_y)[:, :, 0], None
-            sums = np.zeros(peaks.shape, dtype=carried.dtype)
-            sums[..., 0, 0, 0] = grad_y.background
+            sums = grad_y.background[None]
+            _require(sums.shape == peaks.shape, "the gradient's patterns are not the input's")
         else:  # channel-last, as the conv backward's frame
             pooled = np.array(np.moveaxis(np.asarray(grad_y), 1, -1), order="C")  # a copy
             flat = pooled.reshape(-1, pooled.shape[-1])
@@ -992,7 +1102,7 @@ def batchnorm3d_backward(grad_y, cache):
 
     For a ``Windowed`` gradient the positions outside the windows add
     their sums to those of g (beta's gradient) and of g * x_hat (gamma's),
-    per class (``_outside``), and the same affine maps each class's
+    per cell of the pattern grid (``_outside``), and the same affine maps each class's
     constant and multiple: the multiple by gamma * inv_std alone.
     """
     x_hat, inv_std, gamma = cache
@@ -1004,8 +1114,8 @@ def batchnorm3d_backward(grad_y, cache):
     n = g.size // g.shape[1]
     windowed = isinstance(grad_y, Windowed)
     if windowed:
-        grad_gamma += _outside(grad_y, x_hat)
-        grad_beta += _outside(grad_y)
+        grad_gamma += _outside(grad_y, x_hat).sum(axis=(1, 2, 3))
+        grad_beta += _outside(grad_y).sum(axis=(1, 2, 3))
         n = len(g) * math.prod(grad_y.dims)
     # (n * gamma * g - sum(gamma * g) - x_hat * sum(gamma * g * x_hat)) * inv_std / n,
     # whose two sums are gamma times grad_beta and grad_gamma: one affine of g and x_hat

@@ -144,16 +144,20 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     and channel: in training on tiny grids about a tenth of the first
     block's full-resolution positions and a third of the second's. Leaky
     ReLU, batchnorm and max-pool run on that form, and the pooled output is
-    dense. Batchnorm statistics and the
-    block's gradients sum in another order than the dense layers, so they
-    match them to float rounding. The form is chosen by the input alone:
-    the third block takes it too where its input qualifies.
+    dense. A block whose conv read a binary grid hands its carried windows
+    to the next block's conv as the positions off its background, so the
+    second block scans no bit of its input, and every output near a handed
+    window is in the second block's own windows. Batchnorm statistics and
+    the block's gradients sum in another order than the dense layers, so
+    they match them to float rounding. Otherwise the form is chosen by the
+    input alone: the third block takes it too where its input qualifies.
 
     Eval mode keeps no caches (``None`` is returned in their place) and runs
     each block as conv -> max-pool -> leaky ReLU -> batchnorm, so ReLU and
     batchnorm touch 1/POOL^3 of the conv output. As in training, a sparse
     binary input's full-resolution conv output is never built: it is pooled
-    as a ``layers.Windowed``, with the dense conv's values. The result is
+    as a ``layers.Windowed``, with the dense conv's values, and its windows
+    are handed to the next block's conv. The result is
     bit for bit that of the training order: float rounding is monotone, so
     leaky ReLU and the running-statistics batchnorm affine are
     non-decreasing per channel where ``bn_gamma >= 0`` and non-increasing
@@ -173,15 +177,16 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     if not training:
         return _eval_forward(x, weights), None
     caches = []
-    h = x
+    h, windows = x, None
     for blk in weights.blocks:
-        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b)
+        h, conv_cache = layers.conv3d_forward(h, blk.conv_w, blk.conv_b, windows=windows)
         h, relu_cache = layers.leaky_relu_forward(h)
         h, bn_cache = layers.batchnorm3d_forward(
             h, blk.bn_gamma, blk.bn_beta, blk.bn_mean, blk.bn_var, training=True
         )
         h, pool_cache = layers.maxpool3d_forward(h)
         caches.append((conv_cache, relu_cache, bn_cache, pool_cache))
+        windows = _handed(conv_cache, pool_cache)
     flat = h.reshape(h.shape[0], -1)
     out, dense_cache = layers.dense_forward(flat, weights.dense_w, weights.dense_b)
     caches.append((dense_cache, h.shape))
@@ -190,15 +195,16 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
 
 def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
     """Eval-mode predictions, pooling each conv output first (see rnet_forward)."""
-    h = x
+    h, windows = x, None
     for blk in weights.blocks:
         flip = blk.bn_gamma < 0
         conv_w, conv_b = blk.conv_w, blk.conv_b
         if flip.any():
             conv_w = np.where(flip[:, None, None, None, None], -conv_w, conv_w)
             conv_b = np.where(flip, -conv_b, conv_b)
-        h, _ = layers.conv3d_forward(h, conv_w, conv_b)
-        h, _ = layers.maxpool3d_forward(h)
+        h, conv_cache = layers.conv3d_forward(h, conv_w, conv_b, windows=windows)
+        h, pool_cache = layers.maxpool3d_forward(h)
+        windows = _handed(conv_cache, pool_cache)
         if flip.any():
             np.negative(h, out=h, where=flip[:, None, None, None])
         h, _ = layers.leaky_relu_forward(h)
@@ -210,19 +216,31 @@ def _eval_forward(x, weights: ModelWeights) -> np.ndarray:
                      for row in h.reshape(h.shape[0], 1, -1)], dtype=h.dtype)
 
 
+def _handed(conv_cache, pool_cache):
+    """The windows a block hands the next block's conv: its carried ones
+    where its conv read a binary grid, outside which its pooled output
+    holds one value per channel, else None."""
+    return pool_cache[1].windows if conv_cache[3] is not None else None
+
+
 def rnet_backward(grad_pred, caches):
     """Backward pass; returns per-parameter gradients in trainable() order.
 
     A block that ran on ``layers.Windowed`` tensors gets its gradients in
     that form from max-pool back to its conv: a binary input's weight
     gradient is a gather at the occupied voxels, any other conv writes the
-    gradient into its dense frame. Every other conv backward gathers grad_y
-    at its input positions: all of them for a dense input. When a block
-    ran on a binary grid's windows, whose classes share one value, the
-    next block's input is that value outside the carried windows, so the
-    next block's conv backward is handed those windows and that background
-    and gathers at them only: it returns the input gradient there, plus its
-    sum over the rest, as a ``layers.Windowed`` that the block's max-pool
+    gradient into its gather frame. Every other conv backward gathers
+    grad_y at its input positions: all of them for a dense input.
+
+    The rule: a block's windows are carried into the next block's conv
+    backward when the block ran on ``layers.Windowed`` tensors and its own
+    backward reads only its windows, as the first block's does (a binary
+    grid's) and the second's (its forward was handed the first block's
+    windows). Outside them the next block's input holds one value per
+    pattern (``layers.Windowed.pattern_maxima``), so that conv backward is
+    handed the windows and those values and gathers at the windows only:
+    it returns the input gradient there, plus its sum over the rest of
+    each pattern, as a ``layers.Windowed`` that the block's max-pool
     backward reads, and sums its weight and bias gradients in another order
     than with every position carried.
     """
@@ -237,9 +255,9 @@ def rnet_backward(grad_pred, caches):
         grad_h, grad_gamma, grad_beta = layers.batchnorm3d_backward(grad_h, bn_cache)
         grad_h = layers.leaky_relu_backward(grad_h, relu_cache)
         carried = None
-        if block and caches[block - 1][0][2] is not None:  # the block before read a binary grid
-            below = caches[block - 1][3][1]  # its max-pool input, whose classes share one value
-            carried = (below.windows, below.background[0, :, 0, 0, 0])
+        if block and caches[block - 1][0][2] is not None:  # the block before reads only its windows
+            below = caches[block - 1][3][1]  # its Windowed max-pool input
+            carried = (below.windows, below.pattern_maxima())
         # The first block's input gradient leads nowhere; skip its GEMM.
         grad_h, grad_w, grad_b = layers.conv3d_backward(
             grad_h, conv_cache, need_input_grad=block > 0, carried=carried)

@@ -223,11 +223,11 @@ def forward_columns(monkeypatch, x, w, b):
         y, cache = layers.conv3d_forward(x, w, b)
     columns = "every" if found.get("_active_corners") is None else (
         "background" if found.get("_occupied") is None else "binary")
-    # The output is Windowed where the class columns ran and the pool
-    # divides the dims. A binary grid's Windowed output caches x as given,
-    # its voxels and its slot table; any other caches x in the kernel's dtype.
+    # The output is Windowed where the class columns ran. A binary grid's
+    # caches x as given, its voxels and its slot table; any other caches x
+    # in the kernel's dtype.
     windowed = isinstance(y, layers.Windowed)
-    assert windowed == (columns != "every" and not any(d % layers.POOL for d in x.shape[2:]))
+    assert windowed == (columns != "every")
     binary = windowed and columns == "binary"
     assert (cache[2] is not None) == (cache[3] is not None) == binary
     assert cache[0] is x or not binary and cache[0].dtype == y.dtype != x.dtype
@@ -267,12 +267,6 @@ class TestBinaryConv:
         y = sparse_forward(monkeypatch, x, w, b, "binary")
         assert isinstance(y, layers.Windowed)
         return densify(y)
-
-    @staticmethod
-    def dense_form_forward(monkeypatch, x, w, b, path="binary"):
-        y = sparse_forward(monkeypatch, x, w, b, path)
-        assert not isinstance(y, layers.Windowed)
-        return y
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -325,9 +319,10 @@ class TestBinaryConv:
         assert_same_bits(self.sparse_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_dims_the_pool_does_not_divide_are_dense(self, monkeypatch):
+        # such dims compute every position, with the oracle's bytes
         x = self.voxels_on_every_face((16, 17, 18))
         w, b = conv_weights(np.float64)
-        assert_same_bits(self.dense_form_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
+        assert_same_bits(every_position_forward(monkeypatch, x, w, b), dense_conv(x, w, b))
 
     def test_empty_grid_is_bias(self, monkeypatch):
         x = np.zeros((2, 1, 8, 8, 16))
@@ -484,10 +479,14 @@ def col2im_backward(grad_y, x, w):
                 for c in range(k):
                     grad_x[lo:hi, :, a : a + ox, b : b + oy, c : c + oz] += col_grad[:, :, a, b, c]
     grad_x = grad_x[:, :, p : grad_x.shape[2] - p, p : grad_x.shape[3] - p, p : grad_x.shape[4] - p]
-    # the bias gradient in float64: a float32 sum over the (0, 2, 3, 4) axes
-    # accumulates naively, and on block 1's windowed gradients, whose
-    # constant classes cancel, it strayed 5x past TestCarriedBackward.RTOL
-    grad_b = grad_y.sum(axis=(0, 2, 3, 4), dtype=np.float64).astype(grad_y.dtype)
+    # the bias gradient in float64, pairwise over a contiguous row per
+    # channel: a float32 sum over the (0, 2, 3, 4) axes accumulates naively,
+    # and on block 1's windowed gradients, whose constant classes cancel, it
+    # strayed 5x past TestCarriedBackward.RTOL; so did a float64 sum over
+    # the transposed gradient dense_grad returns (1e-14 of sum |grad_y| off
+    # math.fsum)
+    rows = np.ascontiguousarray(grad_y.transpose(1, 0, 2, 3, 4)).reshape(c_out, -1)
+    grad_b = rows.sum(axis=1, dtype=np.float64).astype(grad_y.dtype)
     return grad_x, grad_w.reshape(w.shape), grad_b
 
 
@@ -625,9 +624,9 @@ class TestBackgroundConv:
         weights = network.init_weights(net, seed=3).cast(dtype)
         inputs, conv = [], layers.conv3d_forward
 
-        def spy(x, w, b):
-            inputs.append(x)
-            return conv(x, w, b)
+        def spy(x, w, b, windows=None):
+            inputs.append((x, windows))
+            return conv(x, w, b, windows=windows)
 
         with monkeypatch.context() as m:
             m.setattr(layers, "conv3d_forward", spy)
@@ -640,10 +639,14 @@ class TestBackgroundConv:
 
     @pytest.mark.parametrize("dtype,batch", [(np.float64, 1), (np.float32, 8)])
     def test_block1_inputs_on_height_fields(self, monkeypatch, dtype, batch):
+        # from the positions off the background, and from block 0's windows
         inputs, w, b = self.block1_inputs(monkeypatch, dtype, batch)
-        assert len(inputs) == 24 // batch and inputs[0].shape[1:] == (8, 16, 16, 32)
-        for x in inputs:
+        assert len(inputs) == 24 // batch and inputs[0][0].shape[1:] == (8, 16, 16, 32)
+        for x, windows in inputs:
             self.check(monkeypatch, x, w, b)
+            y, cache = layers.conv3d_forward(x, w, b, windows=windows)
+            assert isinstance(y, layers.Windowed) and cache[2] is windows
+            assert_same_bits(densify(y), dense_conv(x, w, b))
 
     @pytest.mark.parametrize("batch", [1, 4, 32, 64])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -741,7 +744,7 @@ def densify(t: layers.Windowed) -> np.ndarray:
 def dense_grad(g: layers.Windowed) -> np.ndarray:
     """The full-resolution gradient a backward ``Windowed`` stands for, as
     the conv backward writes it into its frame."""
-    return layers._grad_frame(g, 0, g.dtype).transpose(0, 4, 1, 2, 3)
+    return layers._grad_frame(g, 0, g.dtype)[0].transpose(0, 4, 1, 2, 3)
 
 
 def block0(x, w, b, gamma, beta, grad, dense):
@@ -778,11 +781,12 @@ class TestWindowed:
     max|dense| of the dense path, except the conv bias gradient, a sum
     that mostly cancels, which is within RTOL[dtype] / 10 of the
     per-channel sum of |conv-output gradient|. Over 90 random batches per
-    dtype (12x12x24 grids, batches 1, 4 and 32) the worst were 2.1e-6 and
-    2.9e-7 in float32, 6.4e-15 and 4.1e-16 in float64. Over 60 batches
-    per dtype of block 1's form (8x8x16 and 16x16x32 grids, batches 1, 4
-    and 32) they were 7.4e-6 and 1.3e-7 in float32, 1.1e-14 and 3.6e-16
-    in float64.
+    dtype (12x12x24 grids, batches 1, 4 and 32) the worst were 1.2e-6 and
+    6.2e-7 in float32, 3.4e-15 and 3.3e-16 in float64, with the sums
+    outside the windows taken per cell of the pattern grid. Over 60
+    batches per dtype of block 1's form (8x8x16 and 16x16x32 grids,
+    batches 1, 4 and 32) they were 7.1e-6 and 1.1e-7 in float32, 5.8e-15
+    and 1.8e-16 in float64.
     """
 
     RTOL = {np.float64: 1e-13, np.float32: 2e-5}
@@ -932,54 +936,64 @@ def carried_input(batch, dims, width, c_in=8, dtype=np.float64, padding=0.2):
     return x.reshape((batch, c_in) + dims).astype(dtype), windows, background.astype(dtype)
 
 
-def block1_backward(monkeypatch, grids, net, dtype, switched_off=False):
+def pattern_of(dims, counts):
+    """Per axis, the pattern of each position under a background of
+    ``counts`` patterns: one, or the first plane, the interior and the last
+    plane (the two planes alone on an axis of 2)."""
+    return [np.minimum(position_classes(d, 3), n - 1) for d, n in zip(dims, counts)]
+
+
+def chain_backward(monkeypatch, grids, net, dtype, dropped=()):
     """The tiny net's training forward and backward on ``grids``; returns
-    the parameter gradients and the arguments of block 1's conv backward.
-    ``switched_off`` drops the first block's windows from that call, so it
-    runs the dense backward, which gathers at every position."""
+    the parameter gradients, the caches and, by block, the arguments of
+    each conv backward that was handed windows. The blocks in ``dropped``
+    run theirs without the windows, so they gather at every position."""
     weights = network.init_weights(net, seed=4).cast(dtype)
     pred, caches = network.rnet_forward(grids.astype(dtype), weights, net, training=True)
     assert isinstance(caches[0][3][1], layers.Windowed)
     grad = np.random.default_rng(len(grids)).standard_normal(pred.shape).astype(dtype)
-    calls, conv = [], layers.conv3d_backward
+    calls, conv = {}, layers.conv3d_backward
 
     def spy(grad_y, cache, need_input_grad=True, carried=None):
-        calls.append((grad_y, cache, carried))
-        return conv(grad_y, cache, need_input_grad, None if switched_off else carried)
+        block = next(b for b, c in enumerate(caches[:-1]) if c[0] is cache)
+        if carried is not None:
+            calls[block] = (grad_y, cache, carried)
+        return conv(grad_y, cache, need_input_grad, None if block in dropped else carried)
 
     with monkeypatch.context() as m:
         m.setattr(layers, "conv3d_backward", spy)
         grads = network.rnet_backward(grad, caches)
-    carried = [call for call in calls if call[2] is not None]
-    assert len(carried) == 1 and carried[0][1] is caches[1][0]
-    return grads, carried[0]
+    return grads, caches, calls
 
 
 class TestCarriedBackward:
-    """Block 1's conv backward from one gather at block 0's carried windows
-    against the im2col and col2im oracle (``col2im_backward``) on the same
-    input.
+    """The conv backward from one gather at the carried windows of the
+    block before against the im2col and col2im oracle
+    (``col2im_backward``) on the same input: block 1's at block 0's
+    windows, over one background vector, and block 2's at block 1's, over
+    one background value per pattern.
 
     Tolerances: the input gradient at the windows and the weight gradient
-    are within RTOL[dtype] * max|oracle|; the input gradient's per-channel
-    total and the bias gradient, sums that mostly cancel, within
-    RTOL[dtype] / 10 of the per-channel sum of |oracle input gradient| and
-    of |grad_y|. Over 60 random batches per dtype (batches 1, 4 and 32,
-    grids up to 16x16x32, 5-30% of the positions carried) and 20 tiny-panel
-    batches per case, the worst were 2.5e-5 and 6.2e-8 in float32, 1.1e-14
-    and 1.7e-16 in float64. The largest, the weight gradient on the panel
-    at batch 32, is mostly the oracle's own rounding: against a float64
-    backward of the same inputs (5 of those batches) the gather was within
-    1.4e-6, the oracle within 2.5e-5.
+    are within RTOL[dtype] * max|oracle|; the input gradient's total per
+    pattern and per channel and the bias gradient, sums that mostly cancel,
+    within RTOL[dtype] / 10 of the channel's sum of |oracle input gradient|
+    and of |grad_y|. Over 60 random batches per dtype (batches 1, 4 and 32
+    of 8x8x16 grids, 5-30% of the positions carried), 20 of one value per
+    pattern (8x8x16 and 4x6x8 grids) and 20 tiny-panel batches per case for
+    each of blocks 1 and 2, the worst were 2.2e-5 and 1.5e-7 in float32,
+    1.9e-14 and 3.7e-16 in float64. The largest, block 1's weight gradient
+    on the panel at batch 32, is mostly the oracle's own rounding: against
+    a float64 backward of the same inputs (5 of those batches) the gather
+    was within 8.9e-7, the oracle within 2.2e-5.
 
-    Through the network, every parameter gradient with the windows passed
-    is within NET_RTOL[dtype] * max|switched off| of the same backward with
-    them dropped, which gathers at every position. Over 20 panel batches
-    per case (init seeds 0-19) the worst were 1.7e-4 in float32 at batch
-    32 (block 0's batchnorm shift) and 3.4e-14 in float64 at batch 1. That
-    shift reads the dense input gradient's sum outside the windows, and a
-    float32 gather rounds each element about 3x worse than a per-tap sum
-    does.
+    Through the network, every parameter gradient with blocks 1 and 2
+    carried is within NET_RTOL[dtype] * max|dropped| of the same backward
+    with their windows dropped, which gathers at every position. Over 20
+    panel batches per case (init seeds 0-19) the worst were 1.5e-4 in
+    float32 at batch 32 (block 0's batchnorm shift) and 8.7e-14 in float64
+    at batch 4. That shift reads the dense input gradient's sum outside
+    the windows, and a float32 gather rounds each element about 3x worse
+    than a per-tap sum does.
     """
 
     RTOL = {np.float64: 1e-13, np.float32: 1e-4}
@@ -987,42 +1001,88 @@ class TestCarriedBackward:
 
     def compare(self, grad_y, cache, carried):
         x = cache[0]
-        if isinstance(grad_y, layers.Windowed):  # block 1's, as its max-pool backward built it
-            grad_y = dense_grad(grad_y)
-        windows, _ = carried
+        # block 1's, as its max-pool backward built it, against its dense form
+        dense = dense_grad(grad_y) if isinstance(grad_y, layers.Windowed) else grad_y
+        windows, background = carried
         got_x, got_w, got_b = layers.conv3d_backward(grad_y, cache, carried=carried)
-        want_x, want_w, want_b = col2im_backward(grad_y, x, cache[1])
+        want_x, want_w, want_b = col2im_backward(dense, x, cache[1])
         rtol = self.RTOL[x.dtype.type]
         sample, position = np.divmod(windows[:, None, :], np.prod(x.shape[2:]))
         at = want_x.reshape(x.shape[:2] + (-1,))[sample, np.arange(x.shape[1])[:, None], position]
         assert isinstance(got_x, layers.Windowed) and got_x.dtype == x.dtype
         assert got_x.shape == at.shape[:2] + (1,) + at.shape[2:] and got_x.dims == x.shape[2:]
+        assert got_x.background.shape == background.shape
         assert np.all(np.abs(np.asarray(got_x)[:, :, 0] - at) <= rtol * np.abs(want_x).max())
+        # each pattern's total: the background, plus its windows' values
+        maps = pattern_of(x.shape[2:], background.shape[1:])
+        onehots = [np.eye(n)[m] for n, m in zip(background.shape[1:], maps)]
+
+        def per_pattern(t):
+            return np.einsum("bcxyz,xp,yq,zr->cpqr", t, *onehots)
+
+        total = got_x.background.astype(np.float64)
+        _, i, j, l = np.unravel_index(windows, x.shape[:1] + x.shape[2:])
+        np.add.at(total, (slice(None), maps[0][i], maps[1][j], maps[2][l]),
+                  np.asarray(got_x)[:, :, 0].transpose(1, 0, 2))
         channel = (0, 2, 3, 4)
-        total = np.asarray(got_x).sum(axis=(0, 2, 3)) + got_x.background
-        assert np.all(np.abs(total - want_x.sum(axis=channel))
-                      <= rtol / 10 * np.abs(want_x).sum(axis=channel))
+        scale = rtol / 10 * np.abs(want_x).sum(axis=channel)
+        assert np.all(np.abs(total - per_pattern(want_x)) <= scale[:, None, None, None])
+        assert np.all(np.abs(total.sum(axis=(1, 2, 3)) - want_x.sum(axis=channel)) <= scale)
         for got, want in ((got_w, want_w), (got_b, want_b)):
             assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(np.abs(got_w - want_w) <= rtol * np.abs(want_w).max())
-        assert np.all(np.abs(got_b - want_b) <= rtol / 10 * np.abs(grad_y).sum(axis=channel))
+        assert np.all(np.abs(got_b - want_b) <= rtol / 10 * np.abs(dense).sum(axis=channel))
         return got_x
 
     def check(self, x, windows, background, c_out=16):
         w = CARRIED_RNG.standard_normal((c_out, x.shape[1], 3, 3, 3)).astype(x.dtype)
         grad_y = CARRIED_RNG.standard_normal((len(x), c_out) + x.shape[2:]).astype(x.dtype)
         _, cache = layers.conv3d_forward(x, w, np.zeros(c_out, dtype=x.dtype))
+        if background.ndim == 1:  # one pattern per axis
+            background = background[:, None, None, None]
         return self.compare(grad_y, cache, (windows, background))
 
-    @pytest.mark.parametrize("dtype,batch", [(np.float64, 1), (np.float32, 32)])
+    @pytest.mark.parametrize("dtype,batch", [(np.float64, 1), (np.float64, 4), (np.float32, 32)])
     def test_tiny_panel_matches_dense(self, monkeypatch, dtype, batch):
         grids, net = panel_grids(batch)
-        grads, (grad_y, cache, carried) = block1_backward(monkeypatch, grids, net, dtype)
-        self.compare(grad_y, cache, carried)
-        grads_off, _ = block1_backward(monkeypatch, grids, net, dtype, switched_off=True)
+        grads, caches, calls = chain_backward(monkeypatch, grids, net, dtype)
+        assert sorted(calls) == [1, 2]
+        assert calls[1][1] is caches[1][0] and calls[2][1] is caches[2][0]
+        self.compare(*calls[2])
+        # Block 1's gradient came back per pattern from block 2's, so it has
+        # no dense form; with block 2's windows dropped it has.
+        _, _, calls = chain_backward(monkeypatch, grids, net, dtype, dropped=(2,))
+        self.compare(*calls[1])
+        grads_off, _, _ = chain_backward(monkeypatch, grids, net, dtype, dropped=(1, 2))
         for got, want in zip(grads, grads_off):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.all(np.abs(got - want) <= self.NET_RTOL[dtype] * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype,batch", [(np.float64, 1), (np.float64, 4), (np.float32, 32)])
+    def test_block1_gathers_inside_its_windows(self, dtype, batch):
+        # Block 1's conv backward gathers grad_y at the 27 taps around each
+        # of block 0's carried windows, padding windows included; block 1's
+        # forward, handed them, carries every pool window those touch.
+        grids, net = panel_grids(24)
+        weights = network.init_weights(net, seed=4).cast(dtype)
+        padding = 0
+        for lo in range(0, len(grids), batch):
+            x = grids[lo : lo + batch].astype(dtype)
+            _, caches = network.rnet_forward(x, weights, net, training=True)
+            below, above = caches[0][3][1], caches[1][3][1]  # the max-pool inputs
+            assert isinstance(above, layers.Windowed) and caches[1][0][2] is below.windows
+            dims = above.dims
+            s, i, j, l = np.unravel_index(below.windows.ravel(), (len(x),) + dims)
+            for a, b, c in itertools.product(range(-1, 2), repeat=3):
+                near = [i + a, j + b, l + c]
+                inside = np.all([(t >= 0) & (t < d) for t, d in zip(near, dims)], axis=0)
+                pooled = (len(x),) + tuple(d // 2 for d in dims)
+                window = np.ravel_multi_index((s[inside],) + tuple(t[inside] // 2 for t in near), pooled)
+                assert np.isin(window, above.windows).all()
+            touched = active_outputs(x).reshape((len(x),) + sum(((d // 2, 2) for d in x.shape[2:]), ()))
+            touched = touched.any(axis=(2, 4, 6)).reshape(-1)
+            padding += np.count_nonzero(~touched[below.windows])
+        assert padding > 0 or batch == 1
 
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1030,6 +1090,21 @@ class TestCarriedBackward:
         for share in (0.05, 0.3):
             width = int(share * 8 * 8 * 16)
             self.check(*carried_input(batch, (8, 8, 16), width, dtype=dtype))
+
+    @pytest.mark.parametrize("dims", [(8, 8, 16), (4, 6, 8)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_background_value_per_pattern(self, dtype, dims):
+        # block 2's input form: outside the windows, each of the 27
+        # patterns of the grid's first plane, interior and last plane
+        # holds its own value per channel
+        x, windows, _ = carried_input(4, dims, int(0.2 * np.prod(dims)), dtype=dtype)
+        background = CARRIED_RNG.standard_normal((8, 3, 3, 3)).astype(dtype)
+        i, j, l = pattern_of(dims, (3, 3, 3))
+        fill = background[:, i[:, None, None], j[None, :, None], l[None, None, :]]
+        carried = np.zeros(x[:, 0].size, dtype=bool)
+        carried[windows.ravel()] = True
+        x = np.where(carried.reshape((len(x), 1) + dims), x, fill)
+        self.check(x, windows, background)
 
     @pytest.mark.parametrize("dims", [(4, 6, 8), (3, 2, 1)])
     def test_windows_on_faces_edges_and_corners(self, dims):
@@ -1061,11 +1136,12 @@ class TestCarriedBackward:
 
     def test_no_input_grad(self):
         x, windows, background = carried_input(3, (8, 8, 16), 64)
+        carried = (windows, background[:, None, None, None])
         w = CARRIED_RNG.standard_normal((16, 8, 3, 3, 3))
         grad_y = CARRIED_RNG.standard_normal((3, 16, 8, 8, 16))
         _, cache = layers.conv3d_forward(x, w, np.zeros(16))
-        got = layers.conv3d_backward(grad_y, cache, need_input_grad=False, carried=(windows, background))
-        want = layers.conv3d_backward(grad_y, cache, carried=(windows, background))
+        got = layers.conv3d_backward(grad_y, cache, need_input_grad=False, carried=carried)
+        want = layers.conv3d_backward(grad_y, cache, carried=carried)
         assert got[0] is None
         for grad, expected in zip(got[1:], want[1:]):
             assert_same_bits(grad, expected)
@@ -1075,7 +1151,8 @@ class TestCarriedBackward:
         # 0's carried windows only; an untiled gather of the 27 tap rows at
         # those windows would still hold more than the dense tiles.
         grids, net = panel_grids(32)
-        _, (grad_y, cache, carried) = block1_backward(monkeypatch, grids, net, np.float32)
+        _, _, calls = chain_backward(monkeypatch, grids, net, np.float32, dropped=(2,))
+        grad_y, cache, carried = calls[1]
         peaks = []
         for windows in (carried, None):
             tracemalloc.start()
@@ -1085,6 +1162,32 @@ class TestCarriedBackward:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+    def test_weight_gradient_partials_share_one_buffer(self):
+        # Paper block 4's width: 27 x 512 tap rows leave 18 positions a
+        # tile, so a batch takes many tiles. Each tile's weight-gradient
+        # partial goes into one buffer: the same GEMM and add, so the same
+        # bytes as a fresh array per tile.
+        x = CARRIED_RNG.standard_normal((2, 16, 4, 4, 8)).astype(np.float32)
+        w = CARRIED_RNG.standard_normal((512, 16, 3, 3, 3)).astype(np.float32)
+        grad_y = CARRIED_RNG.standard_normal((2, 512, 4, 4, 8)).astype(np.float32)
+        _, cache = layers.conv3d_forward(x, w, np.zeros(512, dtype=np.float32))
+        got = layers.conv3d_backward(grad_y, cache, need_input_grad=False)[1]
+        # the gather at every position, one fresh partial per tile
+        frame = np.pad(grad_y.transpose(0, 2, 3, 4, 1), ((0, 0),) + ((1, 1),) * 3 + ((0, 0),))
+        inside = np.zeros(frame.shape[:4], dtype=bool)
+        inside[:, :4, :4, :8] = True
+        corner = np.flatnonzero(inside)
+        offsets = layers._tap_offsets(3, *frame.shape[2:4])
+        off = x.reshape(2, 16, -1).transpose(0, 2, 1).reshape(-1, 16)
+        n = layers._TILE_BYTES // (27 * 512 * 4)
+        assert n == 18 and corner.size > 10 * n
+        grad_w = np.zeros((27 * 512, 16), dtype=np.float32)
+        for lo in range(0, corner.size, n):
+            tile = frame.reshape(-1, 512)[corner[lo : lo + n, None] + offsets].reshape(-1, 27 * 512)
+            grad_w += tile.T @ off[lo : lo + n]
+        want = grad_w.reshape(3, 3, 3, 512, 16)[::-1, ::-1, ::-1].transpose(3, 4, 0, 1, 2)
+        assert_same_bits(got, np.ascontiguousarray(want))
 
 
 class TestLeakyRelu:

@@ -1,5 +1,6 @@
 """The benchmark's span tracer covers every layer of every block when the
-first two blocks train on their active pool windows.
+first two blocks train on their active pool windows, and the traced step
+runs the carried backward of blocks 1 and 2.
 
 ``perfbench/spans.py`` tags each layer call with its block from the call
 order inside ``rnet_forward`` / ``rnet_backward``, and its coverage check
@@ -22,7 +23,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
 
-def test_every_block_layer_records_its_calls():
+def test_every_block_layer_records_its_calls(monkeypatch):
     cfg = config.tiny_profile_config(0).resolved()
     pcb = cfg.pcbs()[0]
     grids = [
@@ -32,6 +33,14 @@ def test_every_block_layer_records_its_calls():
     x = np.stack(grids)[:, None].astype(np.float32)
     weights = network.init_weights(cfg.net, seed=0)
     work = weights.cast(np.float32)
+    backward, handed = layers.conv3d_backward, []
+
+    def spy(grad_y, cache, need_input_grad=True, carried=None):
+        result = backward(grad_y, cache, need_input_grad, carried)
+        handed.append((carried, result[0]))
+        return result
+
+    monkeypatch.setattr(layers, "conv3d_backward", spy)  # under the tracer's wrapper
     tracer = spans.Tracer().install()
     try:
         tracer.active = True
@@ -43,6 +52,13 @@ def test_every_block_layer_records_its_calls():
         tracer.uninstall()
     for block in (0, 1):  # the ReLU masks of the first two blocks
         assert isinstance(caches[block][1][0], layers.Windowed)
+    # The backward runs blocks 4 to 0. Blocks 2 and 1 are handed the
+    # windows of the block before and return their input gradient on them;
+    # a fallback to the gather at every position would hand none.
+    assert [carried is not None for carried, _ in handed] == [False, False, True, True, False]
+    for (carried, grad_x), below in zip(handed[2:4], (caches[1][3][1], caches[0][3][1])):
+        assert carried[0] is below.windows
+        assert isinstance(grad_x, layers.Windowed) and grad_x.windows is below.windows
     calls, _ = tracer.totals()
     for op in ("conv3d",) + spans.ELEMENTWISE:
         for block in spans.BLOCKS:

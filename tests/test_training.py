@@ -129,10 +129,13 @@ class TestTrain:
     # The height fields' bytes were recorded again when the second block
     # took the form and the windows became one list over the batch: they
     # are within 1.5e-7 (relative) of the previous ones, and of those of the
-    # same run with the second block's form switched off.
+    # same run with the second block's form switched off. They were recorded
+    # again when the second block's forward was handed the first block's
+    # windows and its backward wrote only its own: within 1.1e-7 of their
+    # block's largest of the previous ones.
     @pytest.mark.parametrize("data,net,digest", [
         ("toy", NET, "9d8bbf5aff822721"),
-        ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "911c053166433a4e"),
+        ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "093a022169720f7f"),
     ])
     def test_running_stats_keep_their_recorded_bytes(self, data, net, digest):
         grids, volumes = toy_dataset() if data == "toy" else height_field_dataset()
