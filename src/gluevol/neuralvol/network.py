@@ -127,7 +127,7 @@ def rnet_forward(x, weights: ModelWeights, cfg: NetConfig, training: bool = Fals
     units; use ``predict`` for volumes in mm^3. Each block is conv ->
     leaky ReLU -> batchnorm -> max-pool. In training mode the caches, one
     (conv, ReLU, batchnorm, max-pool) tuple of layer caches per block, feed
-    ``rnet_backward``, and each block's batchnorm moves its ``bn_mean`` and
+    ``rnet_backward``, which consumes them, and each block's batchnorm moves its ``bn_mean`` and
     ``bn_var`` toward the batch statistics in place.
 
     A float x is cast to the weights' dtype; a bool or integer grid goes to
@@ -226,6 +226,12 @@ def _handed(conv_cache, pool_cache):
 def rnet_backward(grad_pred, caches):
     """Backward pass; returns per-parameter gradients in trainable() order.
 
+    Consumes ``caches``, the list ``rnet_forward`` returned: each block's
+    caches are popped as its backward begins and released when the next
+    block's begins, so the later blocks' tensors are freed while the
+    earlier ones are still worked on, and the list is empty on return. A
+    caller that reads the caches afterwards takes its references first.
+
     A block that ran on ``layers.Windowed`` tensors gets its gradients in
     that form from max-pool back to its conv: a binary input's weight
     gradient is a gather at the occupied voxels, any other conv writes the
@@ -244,23 +250,23 @@ def rnet_backward(grad_pred, caches):
     backward reads, and sums its weight and bias gradients in another order
     than with every position carried.
     """
-    dense_cache, pre_flat_shape = caches[-1]
+    dense_cache, pre_flat_shape = caches.pop()
     grad_out = np.asarray(grad_pred, dtype=np.float64)[:, None]
     grad_flat, grad_dw, grad_db = layers.dense_backward(grad_out, dense_cache)
     grad_h = grad_flat.reshape(pre_flat_shape)
     block_grads = []
-    for block in reversed(range(len(caches) - 1)):
-        conv_cache, relu_cache, bn_cache, pool_cache = caches[block]
+    while caches:
+        conv_cache, relu_cache, bn_cache, pool_cache = caches.pop()
         grad_h = layers.maxpool3d_backward(grad_h, pool_cache)
         grad_h, grad_gamma, grad_beta = layers.batchnorm3d_backward(grad_h, bn_cache)
         grad_h = layers.leaky_relu_backward(grad_h, relu_cache)
         carried = None
-        if block and caches[block - 1][0][2] is not None:  # the block before reads only its windows
-            below = caches[block - 1][3][1]  # its Windowed max-pool input
+        if caches and caches[-1][0][2] is not None:  # the block before reads only its windows
+            below = caches[-1][3][1]  # its Windowed max-pool input
             carried = (below.windows, below.pattern_maxima())
         # The first block's input gradient leads nowhere; skip its GEMM.
         grad_h, grad_w, grad_b = layers.conv3d_backward(
-            grad_h, conv_cache, need_input_grad=block > 0, carried=carried)
+            grad_h, conv_cache, need_input_grad=bool(caches), carried=carried)
         block_grads.append([grad_w, grad_b, grad_gamma, grad_beta])
     grads = []
     for blk in reversed(block_grads):

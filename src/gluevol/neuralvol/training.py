@@ -94,11 +94,16 @@ def train(
     """Fit the network; returns final weights plus per-epoch history.
 
     ``train_x`` is (N, 1, nx, ny, nz), a bool or uint8 stack passed uncast
-    to the first conv or a float one cast per batch to float32, and
-    ``train_y`` the volumes in mm^3. Test MSE is evaluated per epoch in eval
-    mode when a test split is provided. Raises ``FloatingPointError`` naming
-    the epoch and batch at the first batch whose loss or gradient is not
-    finite, before that batch moves any weight.
+    to the first conv or a float one cast per batch to float32, or a
+    ``voxelizer.VoxelStack``, and ``train_y`` the volumes in mm^3; either
+    split is indexed one batch at a time. Test MSE is evaluated per epoch in
+    eval mode, at the training batch size, when a test split is provided.
+    Training holds one step's tensors at a time: a step's caches and
+    gradients are released before the next step's forward and before the
+    epoch's eval, so neither needs more memory than one training step.
+    Raises ``FloatingPointError`` naming the epoch and batch at the first
+    batch whose loss or gradient is not finite, before that batch moves any
+    weight.
     """
     train_y = np.asarray(train_y, dtype=np.float64)
     n = len(train_y)
@@ -126,19 +131,13 @@ def train(
         sq_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            pred, caches = rnet_forward(train_x[idx], work, net_cfg, training=True)
-            loss, grad = layers.loss_mse(pred, scaled_y[idx])
             where = f"at epoch {epoch}, batch {lo // cfg.batch_size}"
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite training loss {where}")
-            grads = rnet_backward(grad, caches)
-            if not all(np.isfinite(g).all() for g in grads):
-                raise FloatingPointError(f"non-finite gradient {where}")
-            adam_step(params, grads, state, cfg.learning_rate)
+            loss = _step(train_x[idx], scaled_y[idx], work, net_cfg, params, state,
+                         cfg.learning_rate, where)
             sq_sum += loss * len(idx)
         train_mse = sq_sum / n * work.target_std**2
         if test_x is not None and len(test_x):
-            test_mse = evaluate(work, net_cfg, test_x, test_y).mse
+            test_mse = evaluate(work, net_cfg, test_x, test_y, batch_size=cfg.batch_size).mse
         else:
             test_mse = float("nan")
         history.append(
@@ -147,17 +146,38 @@ def train(
     return TrainResult(weights=work.cast(np.float64), history=history)
 
 
+def _step(x, y, work: ModelWeights, net_cfg: NetConfig, params, state, learning_rate: float,
+          where: str) -> float:
+    """One optimizer step on the batch ``x``, ``y``; returns its loss. Its
+    caches and gradients are released on return, before the next step."""
+    pred, caches = rnet_forward(x, work, net_cfg, training=True)
+    loss, grad = layers.loss_mse(pred, y)
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite training loss {where}")
+    grads = rnet_backward(grad, caches)
+    if not all(np.isfinite(g).all() for g in grads):
+        raise FloatingPointError(f"non-finite gradient {where}")
+    adam_step(params, grads, state, learning_rate)
+    return loss
+
+
 def evaluate(weights: ModelWeights, net_cfg: NetConfig, x, y, batch_size: int = 64) -> EvalResult:
     """Eval-mode MSE and per-sample predictions, sorted by descending truth.
 
-    Mutates nothing; repeated calls return identical results.
+    ``x`` is an array of grids or a ``voxelizer.VoxelStack``, sliced one
+    batch of ``batch_size`` at a time; predictions are the same bytes at
+    every batch size. Mutates nothing; repeated calls return identical
+    results.
     """
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptySplit("empty evaluation split")
     if len(x) != len(y):
         raise LengthMismatch(f"{len(x)} grids vs {len(y)} labels")
-    preds = predict(np.asarray(x), weights, net_cfg, batch_size=batch_size)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    preds = np.concatenate([predict(x[lo : lo + batch_size], weights, net_cfg, batch_size)
+                            for lo in range(0, len(x), batch_size)])
     mse = float(np.mean((preds - y) ** 2))
     order = np.argsort(-y, kind="stable")
     return EvalResult(mse=mse, truth=y[order], predictions=preds[order], order=order)

@@ -210,29 +210,35 @@ def stage_voxelize(cfg: RunConfig, out: Path, log=_noop_log) -> Path:
 
 def _load_split(stage: str, manifest: Manifest, grid_dir: Path, cfg: RunConfig,
                 glue_type: str, attached: bool, split: str):
-    """One group's grids of one split, each of ``cfg.grid``'s dims, and their labels."""
+    """One group's grids of one split and their labels.
+
+    The grids, each of ``cfg.grid``'s dims, come as a ``voxelizer.VoxelStack``
+    of their occupied voxels, read one grid at a time, so no dense copy of
+    the split is ever held; training and evaluation index it a batch at a
+    time.
+    """
     dims = (cfg.grid.nx, cfg.grid.ny, cfg.grid.nz)
     rows = [
         s
         for s in manifest.samples
         if s.glue_type == glue_type and s.attached == attached and s.split == split
     ]
-    grids = np.zeros((len(rows), 1, 0, 0, 0), dtype=bool) if not rows else None
-    stack = []
-    for s in rows:
-        path = grid_dir / (Path(s.path).stem + ".ggvg")
-        if not path.exists():
-            raise MissingInput(f"{stage}: missing grid {path} (run `voxelize` first)")
-        grid = voxelizer.read_ggvg(path)
-        if grid.dims != dims:
-            raise voxelizer.GridFormatError(
-                f"{stage}: grid {path} has dims {grid.dims} where the config's grid has {dims} "
-                "(run `voxelize` again)")
-        stack.append(grid.occupancy[None])
-    if stack:
-        grids = np.stack(stack)
+    grids = voxelizer.VoxelStack.of(dims, (_read_grid(stage, grid_dir, s, dims) for s in rows))
     labels = np.array([s.volume_mm3 for s in rows], dtype=np.float64)
     return grids, labels
+
+
+def _read_grid(stage: str, grid_dir: Path, sample, dims) -> np.ndarray:
+    """The occupancy of ``sample``'s grid, which must be of ``dims``."""
+    path = grid_dir / (Path(sample.path).stem + ".ggvg")
+    if not path.exists():
+        raise MissingInput(f"{stage}: missing grid {path} (run `voxelize` first)")
+    grid = voxelizer.read_ggvg(path)
+    if grid.dims != dims:
+        raise voxelizer.GridFormatError(
+            f"{stage}: grid {path} has dims {grid.dims} where the config's grid has {dims} "
+            "(run `voxelize` again)")
+    return grid.occupancy
 
 
 def _groups(manifest: Manifest) -> list[tuple[str, bool]]:

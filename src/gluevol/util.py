@@ -88,11 +88,12 @@ def configure_allocator() -> None:
     default malloc settings each one above 128 kB is a fresh mmap whose
     pages fault in again on every use. Raising the mmap threshold and
     disabling trim makes those buffers come from (and return to) the
-    reusable heap. It buys both time and memory: four alternating pairs of
-    untraced ``perfbench`` ``train-tiny`` runs (seeds 8101-8104, one BLAS
-    thread, a 2-core Xeon) read 56.0-65.4 samples/s and 354-366 MB peak RSS
-    with it, against 52.8-57.7 samples/s and 368-383 MB without. No-op
-    where glibc is absent.
+    reusable heap. It buys time, and no longer memory: four alternating
+    pairs of untraced ``perfbench`` ``train-tiny`` runs (seeds 10101-10104,
+    one BLAS thread, a 2-core Xeon), with training holding one step's
+    tensors at a time, read 83.1-92.6 samples/s with it against 78.1-80.8
+    without (ahead in 4 of 4 pairs), and 168-184 MB peak RSS against
+    168-180 MB. No-op where glibc is absent.
     """
     global _ALLOCATOR_CONFIGURED
     if _ALLOCATOR_CONFIGURED:

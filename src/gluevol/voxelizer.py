@@ -60,6 +60,42 @@ class VoxelGrid:
     occupancy: np.ndarray  # (nx, ny, nz) bool
 
 
+@dataclass
+class VoxelStack:
+    """Binary grids of one ``dims``, held as their occupied voxels: grid g's
+    ascending flat indices into its (nx, ny, nz) occupancy are
+    ``voxels[starts[g]:starts[g + 1]]``, 8 bytes a voxel. Indexing the stack
+    with an index array or a slice gives those grids' dense
+    (n, 1, nx, ny, nz) bool stack, the form the network reads."""
+
+    dims: tuple[int, int, int]
+    voxels: np.ndarray  # int64
+    starts: np.ndarray  # (len + 1,) int64
+
+    @classmethod
+    def of(cls, dims: tuple[int, int, int], occupancies) -> "VoxelStack":
+        """The stack of ``occupancies``, (nx, ny, nz) bool grids of ``dims``,
+        each read once and dropped: an iterator of them is never all held."""
+        lists = [np.flatnonzero(occ) for occ in occupancies]
+        starts = np.cumsum([0] + [len(v) for v in lists], dtype=np.int64)
+        voxels = np.concatenate([np.zeros(0, np.int64)] + lists).astype(np.int64, copy=False)
+        return cls(tuple(dims), voxels, starts)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows = np.arange(len(self))[key]
+        lo = self.starts[rows]
+        counts = self.starts[rows + 1] - lo
+        # each row's voxels, gathered from their run of ``voxels``
+        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        size = int(np.prod(self.dims))
+        out = np.zeros((len(rows), 1) + self.dims, dtype=bool)
+        out.reshape(-1)[np.repeat(np.arange(len(rows)) * size, counts) + self.voxels[at]] = True
+        return out
+
+
 @dataclass(frozen=True)
 class GridStats:
     occupied: int
@@ -141,7 +177,7 @@ def read_ggvg(path) -> VoxelGrid:
     if len(data) != expected:
         raise GridFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
     packed = np.frombuffer(data, dtype=np.uint8, offset=65)
-    bits = np.unpackbits(packed, count=n_bits, bitorder="little").astype(bool)
+    bits = np.unpackbits(packed, count=n_bits, bitorder="little").view(bool)  # 0 and 1
     occupancy = bits.reshape(nz, ny, nx).transpose(2, 1, 0)
     return VoxelGrid(
         dims=(nx, ny, nz), origin=origin, voxel_size=voxel_size, occupancy=occupancy

@@ -164,16 +164,21 @@ class TestPipeline:
         assert proc.returncode == cli.EXIT_CONFIG
 
     def test_splits_stack_the_grids_as_read(self, micro):
-        # bool, as read_ggvg returns them, and the empty split's placeholder too
+        # a stack whose rows are bool grids as read_ggvg returns them, and
+        # of the config's dims when the split is empty
         manifest = dataset.Manifest.from_json(micro.first / "manifest.json")
         first = manifest.samples[0]
-        args = (manifest, micro.first / "grids", micro_config(), first.glue_type, first.attached)
+        cfg = micro_config()
+        args = (manifest, micro.first / "grids", cfg, first.glue_type, first.attached)
         grids, labels = pipeline._load_split("train", *args, first.split)
-        assert grids.dtype == bool and len(grids) == len(labels) > 0
+        assert isinstance(grids, voxelizer.VoxelStack) and len(grids) == len(labels) > 0
         path = micro.first / "grids" / (Path(first.path).stem + ".ggvg")
-        assert np.array_equal(grids[0, 0], voxelizer.read_ggvg(path).occupancy)
+        dense = grids[np.arange(1)]
+        assert dense.dtype == bool
+        assert np.array_equal(dense[0, 0], voxelizer.read_ggvg(path).occupancy)
         empty, labels = pipeline._load_split("train", *args, "no such split")
-        assert empty.dtype == bool and empty.shape == (0, 1, 0, 0, 0) and len(labels) == 0
+        dims = (cfg.grid.nx, cfg.grid.ny, cfg.grid.nz)
+        assert len(empty) == 0 and empty.dims == dims and len(labels) == 0
 
 
 class TestAttachedPipeline:

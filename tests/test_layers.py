@@ -953,9 +953,10 @@ def chain_backward(monkeypatch, grids, net, dtype, dropped=()):
     assert isinstance(caches[0][3][1], layers.Windowed)
     grad = np.random.default_rng(len(grids)).standard_normal(pred.shape).astype(dtype)
     calls, conv = {}, layers.conv3d_backward
+    kept = list(caches)  # the backward consumes the list
 
     def spy(grad_y, cache, need_input_grad=True, carried=None):
-        block = next(b for b, c in enumerate(caches[:-1]) if c[0] is cache)
+        block = next(b for b, c in enumerate(kept[:-1]) if c[0] is cache)
         if carried is not None:
             calls[block] = (grad_y, cache, carried)
         return conv(grad_y, cache, need_input_grad, None if block in dropped else carried)
@@ -963,7 +964,7 @@ def chain_backward(monkeypatch, grids, net, dtype, dropped=()):
     with monkeypatch.context() as m:
         m.setattr(layers, "conv3d_backward", spy)
         grads = network.rnet_backward(grad, caches)
-    return grads, caches, calls
+    return grads, kept, calls
 
 
 class TestCarriedBackward:

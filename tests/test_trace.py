@@ -45,7 +45,7 @@ def test_every_block_layer_records_its_calls(monkeypatch):
     try:
         tracer.active = True
         pred, caches = training.rnet_forward(x, work, cfg.net, training=True)
-        training.rnet_backward(np.ones_like(pred), caches)
+        training.rnet_backward(np.ones_like(pred), list(caches))  # it consumes its list
         training.predict(x[:1], weights, cfg.net)
     finally:
         tracer.active = False

@@ -1,11 +1,13 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
-from gluevol.neuralvol import optim, training
+from gluevol.neuralvol import network, optim, training
 from gluevol.neuralvol.network import NetConfig, init_weights
 from gluevol.util import DOMAIN_TRAIN, derived_rng
+from gluevol.voxelizer import VoxelStack
 from gluevol.neuralvol.training import (
     EmptySplit,
     TrainConfig,
@@ -132,16 +134,29 @@ class TestTrain:
     # same run with the second block's form switched off. They were recorded
     # again when the second block's forward was handed the first block's
     # windows and its backward wrote only its own: within 1.1e-7 of their
-    # block's largest of the previous ones.
+    # block's largest of the previous ones. The ids leave the digest out, so
+    # a re-recording keeps the test's name.
     @pytest.mark.parametrize("data,net,digest", [
         ("toy", NET, "9d8bbf5aff822721"),
         ("height_field", NetConfig(channels=(4, 8), input_dims=(8, 8, 16)), "093a022169720f7f"),
-    ])
+    ], ids=["toy", "height_field"])
     def test_running_stats_keep_their_recorded_bytes(self, data, net, digest):
         grids, volumes = toy_dataset() if data == "toy" else height_field_dataset()
         cfg = TrainConfig(epochs=2, batch_size=4, seed=5, standardize_targets=True)
         weights = train(grids, volumes, net, cfg).weights
         assert running_stats_digest(weights) == digest
+
+    def test_voxel_stack_trains_as_its_dense_grids(self):
+        grids, volumes = height_field_dataset()
+        stack = VoxelStack.of((8, 8, 16), grids[:, 0])
+        net = NetConfig(channels=(4, 8), input_dims=(8, 8, 16))
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+        a = train(stack, volumes, net, cfg, stack, volumes)
+        b = train(grids, volumes, net, cfg, grids, volumes)
+        assert [(h.train_mse, h.test_mse) for h in a.history] == \
+            [(h.train_mse, h.test_mse) for h in b.history]
+        for x, y in zip(a.weights.trainable(), b.weights.trainable()):
+            assert x.tobytes() == y.tobytes()
 
     def test_non_finite_batch_loss_names_epoch_and_batch(self):
         grids, volumes = toy_dataset()
@@ -178,6 +193,80 @@ class TestTrain:
         assert cfg.epochs == 100
         assert cfg.batch_size == 128
         assert cfg.learning_rate == pytest.approx(1e-4)
+
+
+def arrays_in(obj):
+    """Every array reachable from ``obj`` through lists, tuples and the
+    attributes of its objects (a ``layers.Windowed``'s windows, ...)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from arrays_in(item)
+
+
+class TestStepLifetimes:
+    # A two-block net on height fields: the first block runs windowed.
+    NET = NetConfig(channels=(2, 4), input_dims=(8, 8, 16))
+
+    def test_no_step_tensor_outlives_its_step(self, monkeypatch):
+        # Weak references to every array of a step's caches and gradients,
+        # but the weights they share memory with, are dead when the next
+        # step's forward or the epoch's eval is called, and the eval runs at
+        # the training batch size.
+        grids, volumes = height_field_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
+        forward, backward, evaluate_ = training.rnet_forward, training.rnet_backward, evaluate
+        step, alive = [], []
+
+        def live(call):
+            alive.append((call, sum(ref() is not None for ref in step)))
+
+        def spy_forward(x, weights, net_cfg, training=False):
+            if not training:
+                return forward(x, weights, net_cfg, training)
+            live("forward")
+            params = [a for blk in weights.blocks for a in vars(blk).values()]
+            params += [weights.dense_w, weights.dense_b]
+            pred, caches = forward(x, weights, net_cfg, training)
+            step[:] = [weakref.ref(a) for a in arrays_in(caches)
+                       if not any(np.shares_memory(a, p) for p in params)]
+            return pred, caches
+
+        def spy_backward(grad, caches):
+            grads = backward(grad, caches)
+            step.extend(weakref.ref(g) for g in grads)
+            return grads
+
+        def spy_evaluate(*args, batch_size):
+            live("evaluate")
+            assert batch_size == cfg.batch_size
+            return evaluate_(*args, batch_size=batch_size)
+
+        monkeypatch.setattr(training, "rnet_forward", spy_forward)
+        monkeypatch.setattr(training, "rnet_backward", spy_backward)
+        monkeypatch.setattr(training, "evaluate", spy_evaluate)
+        train(grids, volumes, self.NET, cfg, grids[:4], volumes[:4])
+        assert [call for call, _ in alive] == (["forward"] * 3 + ["evaluate"]) * 2
+        assert [count for _, count in alive] == [0] * 8
+        assert len(step) > 10  # the caches' arrays and the gradients were tracked
+
+    def test_backward_consumes_its_caches(self):
+        grids, _ = height_field_dataset()
+        init = init_weights(self.NET, seed=1)
+        x = grids[:4]
+        grad = np.random.default_rng(2).standard_normal(4)
+        # two forwards from copies of one init, so each backward has caches of its own
+        _, caches = network.rnet_forward(x, init.cast(np.float32), self.NET, training=True)
+        _, copied = network.rnet_forward(x, init.cast(np.float32), self.NET, training=True)
+        grads = network.rnet_backward(grad, caches)
+        want = network.rnet_backward(grad, list(copied))
+        assert caches == []
+        assert len(copied) == len(self.NET.channels) + 1
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
 
 class TestEvaluate:

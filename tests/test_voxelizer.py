@@ -9,6 +9,7 @@ from gluevol.voxelizer import (
     EmptyCloud,
     GridConfig,
     VoxelGrid,
+    VoxelStack,
     build_grid,
     grid_stats,
     read_ggvg,
@@ -144,3 +145,45 @@ class TestGridIo:
         payload = path.read_bytes()[65:]
         assert payload == bytes([0b01000010])
         assert np.array_equal(read_ggvg(path).occupancy, occupancy)
+
+
+class TestVoxelStack:
+    DIMS = (8, 8, 16)
+
+    def written_grids(self, tmp_path, n=6):
+        """Paths of n grids of DIMS written to disk, the last one empty."""
+        rng = np.random.default_rng(7)
+        grids = [build_grid(random_cloud(rng, n=int(rng.integers(1, 80))), GridConfig(*self.DIMS))
+                 for _ in range(n - 1)]
+        empty = VoxelGrid(self.DIMS, np.zeros(3), np.full(3, 0.1), np.zeros(self.DIMS, bool))
+        paths = []
+        for g, grid in enumerate(grids + [empty]):
+            paths.append(tmp_path / f"{g}.ggvg")
+            write_ggvg(grid, paths[-1])
+        return paths
+
+    def test_rows_are_the_grids_as_read(self, tmp_path):
+        paths = self.written_grids(tmp_path)
+        stack = VoxelStack.of(self.DIMS, (read_ggvg(p).occupancy for p in paths))
+        assert len(stack) == len(paths)
+        rows = np.random.default_rng(1).permutation(len(paths))
+        rows = np.append(rows, rows[2])  # a repeated index
+        dense = stack[rows]
+        assert dense.dtype == bool and dense.shape == (len(rows), 1) + self.DIMS
+        for got, row in zip(dense, rows):
+            assert got[0].tobytes() == read_ggvg(paths[row]).occupancy.tobytes()
+        assert stack[1:4].tobytes() == stack[np.arange(1, 4)].tobytes()
+
+    def test_empty_stack_keeps_its_dims(self):
+        stack = VoxelStack.of(self.DIMS, [])
+        assert len(stack) == 0 and stack.dims == self.DIMS
+        assert stack[np.arange(0)].shape == (0, 1) + self.DIMS
+
+    def test_holds_8_bytes_a_voxel_and_no_dense_grid(self, tmp_path):
+        grids = [read_ggvg(p).occupancy for p in self.written_grids(tmp_path)]
+        stack = VoxelStack.of(self.DIMS, grids)
+        occupied = sum(int(g.sum()) for g in grids)
+        assert stack.voxels.nbytes == 8 * occupied
+        assert stack.starts.nbytes == 8 * (len(grids) + 1)
+        # neither is a view that keeps a grid alive
+        assert stack.voxels.base is None and stack.starts.base is None
